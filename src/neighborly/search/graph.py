@@ -4,17 +4,33 @@ Cliques of this graph are exactly the k-neighborly families, so maximum
 family search is maximum clique search here.  Adjacency is stored one
 bit mask per vertex; vertex order is lexicographic over the symbols
 0 < 1 < *, which keeps every downstream result reproducible.
+
+Vertex i is the word whose base-3 digits (0, 1, * as 0, 1, 2, most
+significant symbol first) spell i, so the words of length m+1 that start
+with symbol t occupy the block of indices [t*3^m, (t+1)*3^m).  Distance is
+a sum over coordinates, which makes the rows a recursion over the first
+symbol instead of a comparison of all pairs.  Let within[w][j] be the mask
+of words within distance j of w.  For the word s+w:
+
+* s = *: every block t takes within[w][j];
+* s = 0: blocks 0 and * take within[w][j], block 1 takes within[w][j-1]
+  (empty for j = 0);
+* s = 1: the mirror case, with blocks 0 and 1 swapped.
+
+A row is within[k] & ~within[0].  The tables are kept only up to length
+d-2; each word of length d-1 is extended when it is reached and its three
+final rows are written in place, so the (k+1) masks of every length-d word
+never exist at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ..core import Family, JokerVector
 from ..errors import DomainError, ResourceError
-from . import _kernel
 
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
@@ -61,10 +77,46 @@ def build_graph(k: int, d: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> C
             f"adjacency for d={d} needs ~{n * n // 8} bytes, budget is {memory_budget}"
         )
     vectors = [JokerVector.from_string("".join(word)) for word in product("01*", repeat=d)]
-    values = [v.bits for v in vectors]
-    jokers = [v.jokers for v in vectors]
-    adjacency = _kernel.build_adjacency(values, jokers, k)
-    return CompatGraph(d, k, vectors, adjacency)
+    return CompatGraph(d, k, vectors, _adjacency_rows(k, d))
+
+
+def _prefixed(within: List[int], symbol: int, size: int) -> List[int]:
+    """within[j] masks of symbol+w from those of w; words of w's length number ``size``."""
+    if symbol == 2:
+        return [m | m << size | m << 2 * size for m in within]
+    closer = [0] + within[:-1]  # within[j-1]: the prefixes 0 and 1 differ by one
+    if symbol == 0:
+        return [m | c << size | m << 2 * size for m, c in zip(within, closer)]
+    return [c | m << size | m << 2 * size for m, c in zip(within, closer)]
+
+
+def _last_but_one(k: int, d: int) -> Iterator[List[int]]:
+    """within[j] masks of each word of length d-1 in vertex order; stores only length d-2."""
+    tables = [[1] * (k + 1)]  # the empty word, at distance 0 from itself
+    size = 1
+    for _ in range(d - 2):
+        tables = [_prefixed(w, symbol, size) for symbol in range(3) for w in tables]
+        size *= 3
+    if d == 1:
+        yield from tables
+        return
+    for symbol in range(3):
+        for w in tables:
+            yield _prefixed(w, symbol, size)
+
+
+def _adjacency_rows(k: int, d: int) -> List[int]:
+    """Distance-in-{1..k} rows of {0,1,*}^d by the recursion in the module docstring."""
+    size = 3 ** (d - 1)
+    rows = [0] * (3 * size)
+    for i, within in enumerate(_last_but_one(k, d)):
+        near = within[k] & ~within[0]
+        far = within[k - 1]  # the opposite 0/1 block is at distance >= 1 already
+        tail = near << 2 * size
+        rows[i] = near | far << size | tail
+        rows[i + size] = far | near << size | tail
+        rows[i + 2 * size] = near | near << size | tail
+    return rows
 
 
 def degeneracy_order(adjacency: List[int], n: int) -> List[int]:

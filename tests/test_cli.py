@@ -265,3 +265,25 @@ class TestSearchCommand:
         code, _, err = run_cli("search", "2", "10")
         assert code == 3
         assert "resource limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify",), ("search", "2", "3", "--incumbent")], ids=["verify", "incumbent"]
+)
+class TestUnreadableFamilyFile:
+    def test_missing_path_is_usage_error(self, argv, tmp_path):
+        code, out, err = run_cli(*argv, str(tmp_path / "absent.txt"))
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "absent.txt" in err
+
+    def test_directory_is_usage_error(self, argv, tmp_path):
+        code, out, err = run_cli(*argv, str(tmp_path))
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
+
+    def test_non_ascii_file_is_invalid(self, argv, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("d=2 k=1\n00\n0é\n", encoding="utf-8")
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 1 and not out
+        assert len(err.splitlines()) == 1 and "not ASCII" in err

@@ -26,6 +26,9 @@ from neighborly.search.solver import (
     STATUS_TIMEOUT,
 )
 
+from conftest import pascal_binomial
+from oracles import pairwise_adjacency
+
 KERNELS = ("python", "compiled") if HAVE_COMPILED else ("python",)
 
 
@@ -67,14 +70,28 @@ class TestCompatGraph:
             build_graph(2, 8, memory_budget=1000)
 
     def test_kernels_build_identical_adjacency(self):
-        if not HAVE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        g = build_graph(2, 3)
-        values = [v.bits for v in g.vectors]
-        jokers = [v.jokers for v in g.vectors]
-        py = get_kernel("python").build_adjacency(values, jokers, 2)
-        cc = get_kernel("compiled").build_adjacency(values, jokers, 2)
-        assert py == cc == g.adjacency
+        for d in range(1, 7):
+            for k in range(1, d + 1):
+                g = build_graph(k, d)
+                values = [v.bits for v in g.vectors]
+                jokers = [v.jokers for v in g.vectors]
+                assert pairwise_adjacency(values, jokers, k) == g.adjacency, (k, d)
+
+    @pytest.mark.parametrize("k,d", [(3, 7), (6, 7), (2, 8), (6, 8)])
+    def test_degrees_match_closed_form(self, k, d):
+        # t jokers leave d-t free coordinates; a neighbor differs from the
+        # vertex on j of them (C(d-t, j) ways), agrees or has '*' on the other
+        # d-t-j, and takes any symbol on the t jokers.
+        expected = [
+            sum(
+                pascal_binomial(d - t, j) * 2 ** (d - t - j) * 3**t
+                for j in range(1, k + 1)
+            )
+            for t in range(d + 1)
+        ]
+        g = build_graph(k, d)
+        for v, row in zip(g.vectors, g.adjacency):
+            assert row.bit_count() == expected[v.jokers.bit_count()], (str(v), k, d)
 
 
 class TestBruteForceOracle:
