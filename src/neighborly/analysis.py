@@ -4,21 +4,29 @@ A member u with t jokers covers exactly the 2^t binary vectors agreeing
 with it outside the joker positions.  Partitioning {0,1}^d by the joker
 count of the (unique) covering member and weighting each covered vector
 by 1/2^t gives the machinery behind the weighted-cover bounds; ``audit``
-re-proves every step of that machinery on a concrete family by exhaustive
-enumeration, which is the main defense against implementation bugs in
-both this package and any family file a user supplies.
+re-proves every step of that machinery on a concrete family over all of
+{0,1}^d, which is the main defense against implementation bugs in both
+this package and any family file a user supplies.
+
+Subsets of {0,1}^d are held as 2^d-bit integers: binary vector v is bit
+v of the integer.  A member covers the subcube ``cube << bits``, where
+``cube`` is built from its joker mask by one shift-OR per joker; flipping
+coordinate j of every vector of a set is a masked swap of the 2^d/2^(j+1)
+blocks of 2^j bits, so mirrors and Hamming neighbourhoods take d such
+swaps each.  Every check is then a handful of whole-set operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from functools import lru_cache
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .bounds import DyadicSum, ZERO, b_config_size
-from .core import Family, JokerVector, complement, covered_vectors
+from .core import Family, JokerVector, covers
 from .errors import DomainError, ValidationError
 
-AUDIT_DIMENSION_CAP = 16
+AUDIT_DIMENSION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -29,12 +37,6 @@ class CoverProfile:
     classes: Dict[int, Set[JokerVector]]
     complement_classes: Dict[int, Set[JokerVector]]
     uncovered: Set[JokerVector]
-
-    def weight_of(self, v: JokerVector) -> DyadicSum:
-        for t, cls in self.classes.items():
-            if v in cls:
-                return DyadicSum.half_power(t)
-        return ZERO
 
     def total_weight(self) -> DyadicSum:
         total = ZERO
@@ -48,6 +50,88 @@ def _require_validated(family: Family) -> None:
         raise ValidationError("operation requires a validated family; call validate() first")
 
 
+class _CoverMap(NamedTuple):
+    """The cover classes of a family as 2^d-bit sets.
+
+    ``classes[t]`` is V(t), the binary vectors whose first covering member
+    in sorted order has t jokers; ``covered`` is their union.
+    ``collision`` is None when no vector is covered twice; otherwise it
+    holds the lowest vector covered by the first member (in sorted order)
+    that meets an earlier one, that earlier member and the later one.
+    """
+
+    classes: Dict[int, int]
+    covered: int
+    collision: Optional[Tuple[JokerVector, JokerVector, JokerVector]]
+
+
+def _cover_map(family: Family) -> _CoverMap:
+    members = family.sorted_members()
+    cubes: Dict[int, int] = {}  # joker mask -> subcube of the vector 0...0
+    classes: Dict[int, int] = {}
+    covered = 0
+    collision = None
+    for u in members:
+        cube = cubes.get(u.jokers)
+        if cube is None:
+            cube, rest = 1, u.jokers
+            while rest:
+                step = rest & -rest
+                cube |= cube << step
+                rest ^= step
+            cubes[u.jokers] = cube
+        cell = cube << u.bits
+        clash = covered & cell
+        if clash:
+            if collision is None:
+                v = JokerVector(family.d, _lowest(clash), 0)
+                collision = (v, next(w for w in members if covers(w, v)), u)
+            cell &= ~covered  # an earlier member keeps what it covers
+        t = u.joker_count
+        classes[t] = classes.get(t, 0) | cell
+        covered |= cell
+    return _CoverMap(classes, covered, collision)
+
+
+def _lowest(s: int) -> int:
+    """The smallest element of a nonempty set."""
+    return (s & -s).bit_length() - 1
+
+
+@lru_cache(maxsize=2)
+def _flip_masks(d: int) -> Tuple[int, ...]:
+    """Per coordinate j, the set of binary vectors of length d whose bit j is 0."""
+    masks = []
+    for j in range(d):
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < 1 << d:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _mirror(s: int, masks: Tuple[int, ...]) -> int:
+    """{~v : v in s}: flip every coordinate in turn."""
+    for j, low in enumerate(masks):
+        s = ((s & low) << (1 << j)) | ((s >> (1 << j)) & low)
+    return s
+
+
+def _neighbourhood(s: int, radius: int, masks: Tuple[int, ...]) -> int:
+    """All binary vectors within Hamming distance ``radius`` of some vector of s."""
+    for _ in range(radius):
+        grown = s
+        for j, low in enumerate(masks):
+            grown |= ((s & low) << (1 << j)) | ((s >> (1 << j)) & low)
+        s = grown
+    return s
+
+
+def _vectors(d: int, s: int) -> Set[JokerVector]:
+    return {JokerVector(d, v, 0) for v, bit in enumerate(bin(s)[:1:-1]) if bit == "1"}
+
+
 def cover_profile(family: Family) -> CoverProfile:
     """Compute the cover classes, their mirrors, and the uncovered remainder.
 
@@ -57,23 +141,16 @@ def cover_profile(family: Family) -> CoverProfile:
     """
     _require_validated(family)
     d = family.d
-    owner: Dict[int, JokerVector] = {}
-    for u in family.sorted_members():
-        for v in covered_vectors(u):
-            prev = owner.get(v.bits)
-            if prev is not None:
-                raise ValidationError(f"{v} covered by both {prev} and {u}")
-            owner[v.bits] = u
-
-    classes: Dict[int, Set[JokerVector]] = {}
-    for bits, u in owner.items():
-        classes.setdefault(u.joker_count, set()).add(JokerVector(d, bits, 0))
+    cover = _cover_map(family)
+    if cover.collision is not None:
+        v, prev, u = cover.collision
+        raise ValidationError(f"{v} covered by both {prev} and {u}")
+    masks = _flip_masks(d)
+    classes = {t: _vectors(d, cls) for t, cls in cover.classes.items()}
     complement_classes = {
-        t: {complement(v) for v in cls} for t, cls in classes.items()
+        t: _vectors(d, _mirror(cls, masks)) for t, cls in cover.classes.items()
     }
-    uncovered = {
-        JokerVector(d, bits, 0) for bits in range(1 << d) if bits not in owner
-    }
+    uncovered = _vectors(d, ((1 << (1 << d)) - 1) & ~cover.covered)
     return CoverProfile(family, classes, complement_classes, uncovered)
 
 
@@ -123,9 +200,9 @@ AUDIT_CHECKS = (
 
 
 def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditReport:
-    """Exhaustively re-check the weighted-cover facts on a validated family.
+    """Re-check the weighted-cover facts on a validated family, over all of {0,1}^d.
 
-    Checks, over all of {0,1}^d:
+    Checks:
       unique_cover            at most one member covers each binary vector
       disjoint_mirror_classes the classes and their mirrors are pairwise disjoint
                               for every admissible prefix depth
@@ -137,7 +214,21 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
                               (terminal odd depth: <= 1/2^i)
       weight_identity         sum of f over {0,1}^d equals |family| exactly
 
-    Enumeration is exhaustive, so d is capped (default 16).
+    Every class V(t) is one 2^d-bit set (see the module docstring), and
+    each check is decided by whole-set operations:
+      - a member's subcube must miss the union of the earlier ones;
+      - a prefix P has diameter <= L exactly when P misses the
+        (d-L-1)-neighbourhood of its mirror;
+      - a mirrored class must miss every class heavier than the cap;
+      - the pair cap compares the weights of each pair of classes
+        (s, s'), the uncovered set counting as weight 0, once, and looks
+        for a live v in V(s) with ~v in V(s') only when they exceed it;
+      - the weight identity reads the class sizes.
+    Building the cover map takes one shift-OR per joker per distinct joker
+    mask and three operations on 2^d-bit integers per member; a diameter
+    check takes d-L-1 rounds of d flips.  A failed check names the lowest
+    vector of the offending set.  d is capped (default 20) because every
+    set is 2^d bits wide.
     """
     _require_validated(family)
     d, k = family.d, family.k
@@ -146,91 +237,107 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
     if d > dimension_cap:
         raise DomainError(f"audit is exhaustive over 2^d vectors; d={d} exceeds cap {dimension_cap}")
 
-    checks: Dict[str, CheckResult] = {}
-
-    # unique cover, plus the weight map everything else reads
-    owner: Dict[int, JokerVector] = {}
-    collision = None
-    for u in family.sorted_members():
-        for v in covered_vectors(u):
-            if v.bits in owner and collision is None:
-                collision = f"{v} covered by {owner[v.bits]} and {u}"
-            owner.setdefault(v.bits, u)
-    checks["unique_cover"] = CheckResult(collision is None, collision)
-
-    full = (1 << d) - 1
-    t_of: Dict[int, int] = {bits: u.joker_count for bits, u in owner.items()}
-    classes: Dict[int, Set[int]] = {}
-    for bits, t in t_of.items():
-        classes.setdefault(t, set()).add(bits)
-
-    def f(bits: int) -> DyadicSum:
-        t = t_of.get(bits)
-        return ZERO if t is None else DyadicSum.half_power(t)
-
+    cover = _cover_map(family)
+    masks = _flip_masks(d)
+    classes = cover.classes
+    mirrored = {t: _mirror(cls, masks) for t, cls in classes.items()}
     depths = range(0, (d - k - 1) // 2 + 1)
 
-    # pairwise disjoint classes and mirrors up to each depth
-    failure = None
-    for i in depths:
-        sets = []
-        for s in range(i + 1):
-            cls = classes.get(s, set())
-            sets.append((f"V({s})", cls))
-            sets.append((f"mirror V({s})", {bits ^ full for bits in cls}))
-        seen: Dict[int, str] = {}
-        for name, cls in sets:
-            for bits in cls:
-                if bits in seen and failure is None:
-                    failure = (
-                        f"{JokerVector(d, bits, 0)} lies in {seen[bits]} and {name} at depth {i}"
-                    )
-                seen.setdefault(bits, name)
-        if failure:
-            break
-    checks["disjoint_mirror_classes"] = CheckResult(failure is None, failure)
+    collision = None
+    if cover.collision is not None:
+        v, prev, u = cover.collision
+        collision = f"{v} covered by {prev} and {u}"
+    checks: Dict[str, CheckResult] = {
+        "unique_cover": CheckResult(collision is None, collision)
+    }
+    for name, failure in (
+        ("disjoint_mirror_classes", _disjoint_mirror_failure(d, classes, mirrored, depths)),
+        ("prefix_diameter_bound", _prefix_diameter_failure(d, k, classes, mirrored, depths, masks)),
+        ("mirror_weight_cap", _mirror_weight_failure(d, k, classes, mirrored, depths)),
+        ("pair_weight_cap", _pair_weight_failure(d, k, cover, mirrored)),
+    ):
+        checks[name] = CheckResult(failure is None, failure)
 
-    # prefix diameter and isodiametric size bound
+    # double-counting identity; it fails exactly when some vector is covered twice
+    total = ZERO
+    for t, cls in classes.items():
+        total = total + DyadicSum(cls.bit_count(), t)
+    ok = total == DyadicSum.integer(len(family))
     failure = None
+    if not ok:
+        failure = f"sum of weights is {total}, family size is {len(family)}"
+        if cover.collision is not None:
+            failure += f"; {cover.collision[0]} is covered more than once"
+    checks["weight_identity"] = CheckResult(ok, failure)
+
+    return AuditReport(len(family), checks, total)
+
+
+def _disjoint_mirror_failure(d, classes, mirrored, depths) -> Optional[str]:
+    seen = 0
+    named = []  # (name, set) in the order V(0), mirror V(0), V(1), ...
     for i in depths:
-        prefix = sorted(b for s in range(i + 1) for b in classes.get(s, set()))
+        for name, cls in ((f"V({i})", classes.get(i, 0)), (f"mirror V({i})", mirrored.get(i, 0))):
+            clash = seen & cls
+            if clash:
+                v = _lowest(clash)
+                first = next(n for n, s in named if s >> v & 1)
+                return f"{JokerVector(d, v, 0)} lies in {first} and {name} at depth {i}"
+            named.append((name, cls))
+            seen |= cls
+    return None
+
+
+def _prefix_diameter_failure(d, k, classes, mirrored, depths, masks) -> Optional[str]:
+    # a and b are more than L apart exactly when ~b is within d-L-1 of a
+    prefix = mirror = 0
+    for i in depths:
+        prefix |= classes.get(i, 0)
+        mirror |= mirrored.get(i, 0)
+        size = prefix.bit_count()
         cap = b_config_size(min(k + 2 * i, d), d)
-        if len(prefix) > cap:
-            failure = f"prefix through depth {i} has {len(prefix)} > {cap} vectors"
-            break
+        if size > cap:
+            return f"prefix through depth {i} has {size} > {cap} vectors"
         limit = k + 2 * i
-        for a_idx, a in enumerate(prefix):
-            for b in prefix[a_idx + 1 :]:
-                if (a ^ b).bit_count() > limit:
-                    failure = (
-                        f"{JokerVector(d, a, 0)} and {JokerVector(d, b, 0)} are "
-                        f"{(a ^ b).bit_count()} > {limit} apart at depth {i}"
-                    )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks["prefix_diameter_bound"] = CheckResult(failure is None, failure)
+        radius = d - limit - 1
+        far = prefix & _neighbourhood(mirror, radius, masks)
+        if far:
+            # the lowest a with a partner; its partners all lie above it
+            a = _lowest(far)
+            b = _lowest(prefix & _neighbourhood(1 << (a ^ ((1 << d) - 1)), radius, masks))
+            return (
+                f"{JokerVector(d, a, 0)} and {JokerVector(d, b, 0)} are "
+                f"{(a ^ b).bit_count()} > {limit} apart at depth {i}"
+            )
+    return None
 
-    # weight cap on mirrored classes
-    failure = None
+
+def _mirror_weight_failure(d, k, classes, mirrored, depths) -> Optional[str]:
     for i in depths:
-        cap = DyadicSum.half_power(d - k - i)
-        for bits in classes.get(i, set()):
-            mirrored = bits ^ full
-            if not f(mirrored) <= cap:
-                failure = (
-                    f"mirror of {JokerVector(d, bits, 0)} has weight {f(mirrored)} "
-                    f"> 1/2^{d - k - i}"
-                )
-                break
-        if failure:
-            break
-    checks["mirror_weight_cap"] = CheckResult(failure is None, failure)
+        # weight 1/2^t exceeds the cap 1/2^(d-k-i) exactly when t < d-k-i
+        heavy = 0
+        for t, cls in classes.items():
+            if t < d - k - i:
+                heavy |= cls
+        bad = mirrored.get(i, 0) & heavy
+        if bad:
+            v = _lowest(bad)
+            t = next(t for t, cls in classes.items() if cls >> v & 1)
+            return (
+                f"mirror of {JokerVector(d, v ^ ((1 << d) - 1), 0)} has weight "
+                f"{DyadicSum.half_power(t)} > 1/2^{d - k - i}"
+            )
+    return None
 
-    # paired weight cap outside the first classes
-    failure = None
+
+def _pair_weight_failure(d, k, cover, mirrored) -> Optional[str]:
+    everything = (1 << (1 << d)) - 1
+    mirror_covered = 0
+    for cls in mirrored.values():
+        mirror_covered |= cls
+    # (f on the set, the set, its mirror), the uncovered vectors at weight 0
+    parts = [(DyadicSum.half_power(t), cls, mirrored[t]) for t, cls in cover.classes.items()]
+    parts.append((ZERO, everything & ~cover.covered, everything & ~mirror_covered))
     gap = d - k
     pair_depths = list(range(0, (gap - 2) // 2 + 1))
     if gap % 2 == 1:
@@ -242,32 +349,23 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
             if terminal
             else DyadicSum.half_power(i + 1) + DyadicSum.half_power(d - k - i - 1)
         )
-        excluded = set()
+        excluded = 0
         for s in range(i + 1):
-            for bits in classes.get(s, set()):
-                excluded.add(bits)
-                excluded.add(bits ^ full)
-        for bits in range(1 << d):
-            if bits in excluded:
-                continue
-            got = f(bits) + f(bits ^ full)
-            if not got <= cap:
-                failure = (
-                    f"f(v)+f(~v) = {got} exceeds the depth-{i} cap for "
-                    f"v={JokerVector(d, bits, 0)}"
-                )
-                break
-        if failure:
-            break
-    checks["pair_weight_cap"] = CheckResult(failure is None, failure)
-
-    # double-counting identity
-    total = ZERO
-    for t, cls in classes.items():
-        total = total + DyadicSum(len(cls), t)
-    ok = total == DyadicSum.integer(len(family))
-    checks["weight_identity"] = CheckResult(
-        ok, None if ok else f"sum of weights is {total}, family size is {len(family)}"
-    )
-
-    return AuditReport(len(family), checks, total)
+            excluded |= cover.classes.get(s, 0) | mirrored.get(s, 0)
+        live = everything & ~excluded
+        worst = None  # (v, f(v) + f(~v)) with the lowest v over the class pairs
+        for weight_v, cls, _ in parts:
+            for weight_mirror, _, mirror_cls in parts:
+                got = weight_v + weight_mirror
+                if got <= cap:
+                    continue
+                bad = cls & mirror_cls & live
+                if bad and (worst is None or _lowest(bad) < worst[0]):
+                    worst = (_lowest(bad), got)
+        if worst is not None:
+            v, got = worst
+            return (
+                f"f(v)+f(~v) = {got} exceeds the depth-{i} cap for "
+                f"v={JokerVector(d, v, 0)}"
+            )
+    return None

@@ -22,7 +22,7 @@ import sys
 from typing import Iterable, Optional, TextIO
 
 from . import bounds, reference
-from .analysis import audit
+from .analysis import AUDIT_DIMENSION_CAP, audit
 from .constructions import (
     alon_product,
     b_config_family,
@@ -368,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a family file and audit it")
     p.add_argument("path")
-    p.add_argument("--dimension-cap", type=int, default=16,
-                   help="largest d the exhaustive audit will attempt")
+    p.add_argument("--dimension-cap", type=int, default=AUDIT_DIMENSION_CAP,
+                   help="largest d the audit will attempt; it works on sets of 2^d "
+                        f"binary vectors (default {AUDIT_DIMENSION_CAP})")
     p.set_defaults(func=cmd_verify, needs_kd=False)
 
     p = sub.add_parser("search", help="run the exact maximum-family search")

@@ -202,17 +202,49 @@ def _vector_sort_key(v: JokerVector) -> Tuple[int, ...]:
     return tuple(order[c] for c in str(v))
 
 
+# symbol -> bit of the column masks in is_k_neighborly
+_ONES = str.maketrans("01*", "010")
+_ZEROS = str.maketrans("01*", "100")
+
+
 def is_k_neighborly(family: Family) -> NeighborlyCheck:
     """Check every unordered pair of distinct members for distance in {1..k}.
 
     Families of size 0 or 1 pass vacuously.  On failure the returned record
-    carries one witnessing pair and its distance.
+    carries the first bad pair (u, v) in sorted member order, u before v,
+    and its distance.
+
+    The pairs are not visited one by one.  With the members indexed 0..n-1
+    in sorted order, each coordinate c gets two n-bit masks: the members
+    holding a 1 there and those holding a 0.  For member i, the later
+    members that differ from it at a non-joker coordinate of i form one
+    such mask; counting those differences per later member with k+1
+    threshold masks (``at[j]``: distance >= j+1) takes O(d*k) big-integer
+    operations on n-bit integers, so the whole check costs O(n*d*k) of
+    them instead of n^2/2 distance evaluations.
     """
     members = family.sorted_members()
-    k = family.k
+    n, k = len(members), family.k
+    # column c of the words, read as an n-bit integer with member i at bit i
+    columns = ["".join(col)[::-1] for col in zip(*map(str, members))]
+    ones = [int(col.translate(_ONES), 2) for col in columns]
+    zeros = [int(col.translate(_ZEROS), 2) for col in columns]
     for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            dist = hamming_distance(u, v)
-            if not 1 <= dist <= k:
-                return NeighborlyCheck(False, (u, v), dist)
+        shift = i + 1  # bit j of the masks below is member shift + j
+        at = [0] * (k + 1)
+        top = 0  # at[j] is still empty for j > top
+        for c in range(family.d):
+            if u.jokers >> c & 1:
+                continue
+            differ = (zeros[c] if u.bits >> c & 1 else ones[c]) >> shift
+            for j in range(top, 0, -1):
+                at[j] |= at[j - 1] & differ
+            at[0] |= differ
+            if top < k:
+                top += 1
+        later = (1 << (n - shift)) - 1
+        bad = (later & ~at[0]) | at[k]
+        if bad:
+            v = members[shift + (bad & -bad).bit_length() - 1]
+            return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
     return NeighborlyCheck(True, None, None)

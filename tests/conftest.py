@@ -43,6 +43,18 @@ def all_joker_vectors(d: int) -> list[JokerVector]:
     return [JokerVector.from_string("".join(w)) for w in product("01*", repeat=d)]
 
 
+def random_family(rng, d: int, k: int, size: int, joker_rate: float, validated: bool = False) -> Family:
+    """Up to ``size`` random words of length d; ``validated`` forges the flag unchecked."""
+    words = set()
+    for _ in range(size):
+        words.add(
+            "".join(
+                "*" if rng.random() < joker_rate else rng.choice("01") for _ in range(d)
+            )
+        )
+    return Family.of(d, k, map(JokerVector.from_string, words), validated=validated)
+
+
 @pytest.fixture
 def tmp_family_file(tmp_path):
     def write(text: str):

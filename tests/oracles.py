@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+from typing import Dict, Set
+
+from neighborly.analysis import AuditReport, CheckResult, _require_validated
+from neighborly.bounds import DyadicSum, ZERO, b_config_size
+from neighborly.core import (
+    Family,
+    JokerVector,
+    NeighborlyCheck,
+    covered_vectors,
+    hamming_distance,
+)
+from neighborly.errors import DomainError
+
 
 def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:
     """Adjacency bit rows for distance-in-{1..k}, comparing every pair of vectors.
@@ -22,3 +35,170 @@ def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int
                 rows[j] |= 1 << i
         rows[i] = row_i
     return rows
+
+
+def pairwise_is_k_neighborly(family: Family) -> NeighborlyCheck:
+    """``is_k_neighborly`` by a nested loop over the pairs in sorted member order.
+
+    Families of size 0 or 1 pass vacuously.  On failure the returned record
+    carries one witnessing pair and its distance.
+    """
+    members = family.sorted_members()
+    k = family.k
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            dist = hamming_distance(u, v)
+            if not 1 <= dist <= k:
+                return NeighborlyCheck(False, (u, v), dist)
+    return NeighborlyCheck(True, None, None)
+
+
+def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
+    """``audit`` by enumeration of {0,1}^d, vector by vector and pair by pair.
+
+    Checks, over all of {0,1}^d:
+      unique_cover            at most one member covers each binary vector
+      disjoint_mirror_classes the classes and their mirrors are pairwise disjoint
+                              for every admissible prefix depth
+      prefix_diameter_bound   each class prefix has diameter <= k+2i and size
+                              within the isodiametric bound
+      mirror_weight_cap       vectors in a mirrored class have weight <= 1/2^(d-k-i)
+      pair_weight_cap         outside the first i+1 classes and mirrors,
+                              f(v) + f(~v) <= 1/2^(i+1) + 1/2^(d-k-i-1)
+                              (terminal odd depth: <= 1/2^i)
+      weight_identity         sum of f over {0,1}^d equals |family| exactly
+
+    Enumeration is exhaustive, so d is capped (default 16).
+    """
+    _require_validated(family)
+    d, k = family.d, family.k
+    if d - k < 1:
+        raise DomainError(f"audit requires d - k >= 1, got k={k} d={d}")
+    if d > dimension_cap:
+        raise DomainError(f"audit is exhaustive over 2^d vectors; d={d} exceeds cap {dimension_cap}")
+
+    checks: Dict[str, CheckResult] = {}
+
+    # unique cover, plus the weight map everything else reads
+    owner: Dict[int, JokerVector] = {}
+    collision = None
+    for u in family.sorted_members():
+        for v in covered_vectors(u):
+            if v.bits in owner and collision is None:
+                collision = f"{v} covered by {owner[v.bits]} and {u}"
+            owner.setdefault(v.bits, u)
+    checks["unique_cover"] = CheckResult(collision is None, collision)
+
+    full = (1 << d) - 1
+    t_of: Dict[int, int] = {bits: u.joker_count for bits, u in owner.items()}
+    classes: Dict[int, Set[int]] = {}
+    for bits, t in t_of.items():
+        classes.setdefault(t, set()).add(bits)
+
+    def f(bits: int) -> DyadicSum:
+        t = t_of.get(bits)
+        return ZERO if t is None else DyadicSum.half_power(t)
+
+    depths = range(0, (d - k - 1) // 2 + 1)
+
+    # pairwise disjoint classes and mirrors up to each depth
+    failure = None
+    for i in depths:
+        sets = []
+        for s in range(i + 1):
+            cls = classes.get(s, set())
+            sets.append((f"V({s})", cls))
+            sets.append((f"mirror V({s})", {bits ^ full for bits in cls}))
+        seen: Dict[int, str] = {}
+        for name, cls in sets:
+            for bits in cls:
+                if bits in seen and failure is None:
+                    failure = (
+                        f"{JokerVector(d, bits, 0)} lies in {seen[bits]} and {name} at depth {i}"
+                    )
+                seen.setdefault(bits, name)
+        if failure:
+            break
+    checks["disjoint_mirror_classes"] = CheckResult(failure is None, failure)
+
+    # prefix diameter and isodiametric size bound
+    failure = None
+    for i in depths:
+        prefix = sorted(b for s in range(i + 1) for b in classes.get(s, set()))
+        cap = b_config_size(min(k + 2 * i, d), d)
+        if len(prefix) > cap:
+            failure = f"prefix through depth {i} has {len(prefix)} > {cap} vectors"
+            break
+        limit = k + 2 * i
+        for a_idx, a in enumerate(prefix):
+            for b in prefix[a_idx + 1 :]:
+                if (a ^ b).bit_count() > limit:
+                    failure = (
+                        f"{JokerVector(d, a, 0)} and {JokerVector(d, b, 0)} are "
+                        f"{(a ^ b).bit_count()} > {limit} apart at depth {i}"
+                    )
+                    break
+            if failure:
+                break
+        if failure:
+            break
+    checks["prefix_diameter_bound"] = CheckResult(failure is None, failure)
+
+    # weight cap on mirrored classes
+    failure = None
+    for i in depths:
+        cap = DyadicSum.half_power(d - k - i)
+        for bits in classes.get(i, set()):
+            mirrored = bits ^ full
+            if not f(mirrored) <= cap:
+                failure = (
+                    f"mirror of {JokerVector(d, bits, 0)} has weight {f(mirrored)} "
+                    f"> 1/2^{d - k - i}"
+                )
+                break
+        if failure:
+            break
+    checks["mirror_weight_cap"] = CheckResult(failure is None, failure)
+
+    # paired weight cap outside the first classes
+    failure = None
+    gap = d - k
+    pair_depths = list(range(0, (gap - 2) // 2 + 1))
+    if gap % 2 == 1:
+        pair_depths.append((gap - 1) // 2)
+    for i in pair_depths:
+        terminal = gap % 2 == 1 and i == (gap - 1) // 2
+        cap = (
+            DyadicSum.half_power(i)
+            if terminal
+            else DyadicSum.half_power(i + 1) + DyadicSum.half_power(d - k - i - 1)
+        )
+        excluded = set()
+        for s in range(i + 1):
+            for bits in classes.get(s, set()):
+                excluded.add(bits)
+                excluded.add(bits ^ full)
+        for bits in range(1 << d):
+            if bits in excluded:
+                continue
+            got = f(bits) + f(bits ^ full)
+            if not got <= cap:
+                failure = (
+                    f"f(v)+f(~v) = {got} exceeds the depth-{i} cap for "
+                    f"v={JokerVector(d, bits, 0)}"
+                )
+                break
+        if failure:
+            break
+    checks["pair_weight_cap"] = CheckResult(failure is None, failure)
+
+    # double-counting identity
+    total = ZERO
+    for t, cls in classes.items():
+        total = total + DyadicSum(len(cls), t)
+    ok = total == DyadicSum.integer(len(family))
+    checks["weight_identity"] = CheckResult(
+        ok, None if ok else f"sum of weights is {total}, family size is {len(family)}"
+    )
+
+    return AuditReport(len(family), checks, total)

@@ -166,7 +166,7 @@ def test_criterion_6_cover_audit_suite():
     """The weighted-cover audit passes on every built-in family."""
     with Stopwatch(30.0) as watch:
         audited = 0
-        for d in range(2, 9):
+        for d in range(2, 13):
             for k in range(1, d):
                 rep = audit(alon_product(k, d))
                 assert rep.passed, (k, d, rep.failures())

@@ -1,18 +1,23 @@
 """Cover profiles, weights, and the exhaustive audit."""
 
+import random
+import re
+
 import pytest
 
-from neighborly.analysis import AUDIT_CHECKS, audit, cover_profile, weight
+from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile, weight
 from neighborly.bounds import DyadicSum, b_config_size
 from neighborly.constructions import (
     alon_product,
     b_config_family,
     extremal_dminus1_family,
+    staircase_code,
 )
 from neighborly.core import Family, covers
 from neighborly.errors import DomainError, ValidationError
 
-from conftest import all_binaries, fam, jv
+from conftest import all_binaries, fam, jv, random_family
+from oracles import enumerated_audit
 
 
 def brute_force_classes(family):
@@ -134,6 +139,18 @@ class TestAudit:
         with pytest.raises(DomainError):
             audit(family, dimension_cap=4)
 
+    def test_default_dimension_cap(self):
+        assert AUDIT_DIMENSION_CAP == 20
+        family = Family.from_strings(21, 20, ["0" * 21]).validate()
+        with pytest.raises(DomainError):
+            audit(family)
+
+    def test_b_config_at_d_eighteen(self):
+        family = b_config_family(8, 18)
+        report = audit(family)
+        assert report.passed, report.failures()
+        assert report.total_weight == DyadicSum.integer(len(family)) == DyadicSum.integer(4048)
+
     def test_detects_forged_distance_violation(self):
         # 000 and 111 are 3 > k=1 apart; a forged validated flag must not
         # survive the class checks (their mirror classes coincide).
@@ -149,3 +166,75 @@ class TestAudit:
         report = audit(family)
         assert not report.checks["unique_cover"].passed
         assert "000" in report.checks["unique_cover"].counterexample
+        assert_names_vector(report, "unique_cover", 3)
+
+    def test_detects_forged_weight_deficit(self):
+        # 00* loses 000 to the earlier member 000, so the weights sum to 3/2
+        family = Family.of(3, 2, [jv("000"), jv("00*")], validated=True)
+        report = audit(family)
+        assert not report.checks["weight_identity"].passed
+        assert report.total_weight == DyadicSum(3, 1)
+        assert "000" in assert_names_vector(report, "weight_identity", 3)
+
+    def test_forged_failures_name_vectors(self):
+        # one forged family per check, failing at least that check
+        cases = {
+            "disjoint_mirror_classes": (3, 1, ["000", "111"]),
+            "prefix_diameter_bound": (3, 1, ["011", "110"]),
+            "mirror_weight_cap": (3, 1, ["0*1", "110"]),
+            "pair_weight_cap": (5, 1, ["0*1*1", "100*0"]),
+        }
+        for check, (d, k, words) in cases.items():
+            family = Family.of(d, k, map(jv, words), validated=True)
+            report = audit(family)
+            assert not report.checks[check].passed, check
+            assert_names_vector(report, check, d)
+            assert verdicts(report) == verdicts(enumerated_audit(family))
+
+
+def assert_names_vector(report, check, d):
+    """The failed check's counterexample names a binary vector of length d."""
+    text = report.checks[check].counterexample
+    names = re.findall(rf"(?<![01*])[01]{{{d}}}(?![01*])", text)
+    assert names, (check, text)
+    return names
+
+
+def verdicts(report):
+    return {n: c.passed for n, c in report.checks.items()}, report.total_weight
+
+
+# checks whose counterexample both audits pick the same way: the first
+# coverer collision, the first far pair in sorted order, the lowest v
+SAME_COUNTEREXAMPLE = ("unique_cover", "prefix_diameter_bound", "pair_weight_cap")
+
+
+class TestAuditAgainstEnumeration:
+    """``audit`` against the vector-by-vector audit it replaces."""
+
+    def test_random_forged_families(self):
+        rng = random.Random(20261018)
+        failures = dict.fromkeys(AUDIT_CHECKS, 0)
+        for _ in range(600):
+            d = rng.randint(2, 10)
+            family = random_family(
+                rng, d, rng.randint(1, d - 1), rng.randint(1, 30), rng.uniform(0.0, 0.6),
+                validated=True,
+            )
+            got, expected = audit(family), enumerated_audit(family)
+            assert verdicts(got) == verdicts(expected), sorted(map(str, family))
+            for name in SAME_COUNTEREXAMPLE:
+                assert got.checks[name] == expected.checks[name], sorted(map(str, family))
+            for name, result in got.checks.items():
+                failures[name] += not result.passed
+        assert min(failures.values()) >= 20, failures
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_constructions(self, d):
+        families = [extremal_dminus1_family(d), Family.of(d, 1, staircase_code(d), validated=True)]
+        for k in range(1, d):
+            families += [alon_product(k, d), b_config_family(k, d)]
+        for family in families:
+            report = audit(family)
+            assert report.passed, (family.k, d, report.failures())
+            assert verdicts(report) == verdicts(enumerated_audit(family)), (family.k, d)

@@ -1,5 +1,7 @@
 """Core vector arithmetic: distances, covers, complement/join, neighborliness."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,8 @@ from neighborly.core import (
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, ValidationError
 
-from conftest import all_binaries, all_joker_vectors, fam, jv, naive_distance
+from conftest import all_binaries, all_joker_vectors, fam, jv, naive_distance, random_family
+from oracles import pairwise_is_k_neighborly
 
 
 def binary_vectors(d):
@@ -218,3 +221,44 @@ class TestFamily:
             for v in all_binaries(family.d):
                 coverers = [u for u in family if covers(u, v)]
                 assert len(coverers) <= 1
+
+
+class TestBitSlicedCheck:
+    """``is_k_neighborly`` against the nested pair loop it replaces."""
+
+    def test_random_families_match_pair_loop(self):
+        rng = random.Random(20261018)
+        outcomes = {"ok": 0, "too close": 0, "too far": 0}
+        for _ in range(1500):
+            d = rng.randint(1, 9)
+            family = random_family(
+                rng, d, rng.randint(1, d), rng.randint(0, 40), rng.uniform(0.0, 0.6)
+            )
+            got = is_k_neighborly(family)
+            assert got == pairwise_is_k_neighborly(family), family
+            if got:
+                outcomes["ok"] += 1
+            else:
+                outcomes["too close" if got.distance == 0 else "too far"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_first_bad_pair_in_sorted_order(self):
+        # sorted: 00, 01, 11, 1*; (00, 11) at distance 2 precedes (11, 1*) at 0
+        family = fam(2, 1, "1*", "11", "01", "00")
+        res = is_k_neighborly(family)
+        assert res == pairwise_is_k_neighborly(family)
+        assert [str(v) for v in res.pair] == ["00", "11"]
+        assert res.distance == 2
+
+    def test_constructions_match_pair_loop(self):
+        for d in range(2, 9):
+            for k in range(1, d):
+                for family in (alon_product(k, d), b_config_family(k, d)):
+                    assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
+            family = extremal_dminus1_family(d)
+            assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
+            # one coordinate's worth too strict: the first pair at distance k breaks it
+            if d >= 3:
+                strict = Family.of(d, d - 2, family.members)
+                assert not is_k_neighborly(strict)
+                assert is_k_neighborly(strict) == pairwise_is_k_neighborly(strict)
