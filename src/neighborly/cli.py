@@ -12,7 +12,8 @@ one vector per line, exactly d characters over {0,1,*}; duplicate lines
 are rejected and trailing whitespace is ignored.
 
 Exit codes: 0 success/valid family, 1 invalid family or failed audit,
-2 usage error, 3 resource limit.
+2 usage error (including ``search --kernel compiled`` when the compiled
+kernel is not available), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .search import Budget, max_family
+from .search import Budget, get_kernel, max_family
 from .search.solver import STATUS_OPTIMAL
 
 EXIT_OK = 0
@@ -270,6 +271,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        get_kernel(args.kernel)
+    except RuntimeError as exc:  # --kernel compiled where the C kernel did not build
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     incumbent = None
     if args.incumbent:
         try:

@@ -118,39 +118,3 @@ def _adjacency_rows(k: int, d: int) -> List[int]:
         rows[i + 2 * size] = near | near << size | tail
     return rows
 
-
-def degeneracy_order(adjacency: List[int], n: int) -> List[int]:
-    """Vertices in smallest-last (degeneracy) order; ties break by index."""
-    degs = [adjacency[i].bit_count() for i in range(n)]
-    alive = set(range(n))
-    order = []
-    for _ in range(n):
-        v = min(alive, key=lambda x: (degs[x], x))
-        alive.remove(v)
-        order.append(v)
-        row = adjacency[v]
-        while row:
-            low = row & -row
-            u = low.bit_length() - 1
-            if u in alive:
-                degs[u] -= 1
-            row ^= low
-    return order
-
-
-def relabel(adjacency: List[int], order: List[int]) -> List[int]:
-    """Adjacency rows after renaming vertex order[i] to i."""
-    n = len(order)
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    rows = [0] * n
-    for old in range(n):
-        row = adjacency[old]
-        new_row = 0
-        while row:
-            low = row & -row
-            new_row |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        rows[pos[old]] = new_row
-    return rows

@@ -20,12 +20,12 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Optional
 
-from .. import bounds
+from .. import bounds, reference
 from ..core import Family, JokerVector
 from ..errors import DomainError, InconsistencyError, ResourceError
 from ..constructions import alon_product, b_config_family, extremal_dminus1_family
 from . import _kernel
-from .graph import CompatGraph, build_graph, degeneracy_order, relabel
+from .graph import CompatGraph, build_graph
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "timeout"
@@ -34,7 +34,7 @@ STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
 DEFAULT_NODE_LIMIT = 10**8
 DEFAULT_MAX_SECONDS = 60.0
 KERNEL_MEMORY_BUDGET = 512 * 1024 * 1024
-REORDER_THRESHOLD = 1024  # degeneracy reordering is quadratic; skip on big graphs
+MANY_VERTICES = 1024  # greedy restarts are pure Python: at most 4 above this size
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,6 @@ def max_family(
     kernel: str = "auto",
     greedy_restarts: int = 16,
     seed: int = 0,
-    reorder: Optional[bool] = None,
     memory_budget: int = KERNEL_MEMORY_BUDGET,
 ) -> SearchResult:
     """Best k-neighborly family the budget allows; exact when it suffices.
@@ -151,7 +150,9 @@ def max_family(
     ran out (the incumbent is preserved), and ``lower_bound_only`` when
     node_limit=0 asked for the warm start alone.  The witness is always a
     validated family of the reported size, and results never contradict
-    the embedded exact values (that would raise InconsistencyError).
+    the embedded exact values or certify below a published lower bound
+    (either would raise InconsistencyError).  The deadline is checked
+    before every greedy restart as well as inside the kernel.
     """
     if budget is None:
         budget = Budget()
@@ -161,10 +162,11 @@ def max_family(
     rep = bounds.report(k, d)
     target = rep.best_upper
     exact = rep.exact_known
+    published = reference.best_known_lower(k, d)
 
     graph = _graph(k, d)
     n = graph.n
-    if n > REORDER_THRESHOLD:
+    if n > MANY_VERTICES:
         greedy_restarts = min(greedy_restarts, 4)
 
     best_indices: list[int] = []
@@ -180,7 +182,7 @@ def max_family(
         if len(cand) > len(best_indices):
             best_indices = _family_indices(cand, graph)
     for offset in range(greedy_restarts):
-        if deadline is not None and perf_counter() > deadline and offset > 0:
+        if deadline is not None and perf_counter() > deadline:
             break
         fam = greedy_family(k, d, seed=seed + offset)
         if len(fam) > len(best_indices):
@@ -202,6 +204,11 @@ def max_family(
                     f"search certified {size} for (k={k}, d={d}) but the "
                     f"embedded exact value is {exact}"
                 )
+        if status == STATUS_OPTIMAL and published is not None and size < published:
+            raise InconsistencyError(
+                f"search certified {size} for (k={k}, d={d}) but the "
+                f"published lower bound is {published}"
+            )
         return SearchResult(
             k, d, size, witness, status, nodes, perf_counter() - start,
             impl.KERNEL_NAME, target,
@@ -211,20 +218,6 @@ def max_family(
         return _finish(STATUS_OPTIMAL, 0, best_indices)
     if budget.node_limit == 0:
         return _finish(STATUS_LOWER_BOUND_ONLY, 0, best_indices)
-
-    # relabel by degeneracy order for better coloring bounds (small graphs only;
-    # the pass is quadratic and the vertex order does not affect correctness)
-    if reorder is None:
-        reorder = n <= REORDER_THRESHOLD
-    if reorder:
-        order = degeneracy_order(graph.adjacency, n)
-        adj = relabel(graph.adjacency, order)
-    else:
-        order = list(range(n))
-        adj = graph.adjacency
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
 
     max_depth = min(n, target)
     words = (n + 63) // 64
@@ -237,34 +230,34 @@ def max_family(
         )
 
     # root subproblems: orbit representatives 0^(d-t) *^t, earlier orbits removed
+    adj = graph.adjacency
     index = graph.index_of()
     active = (1 << n) - 1
-    all_joker = graph.all_joker_index()
-    active &= ~(1 << pos[all_joker])
+    active &= ~(1 << graph.all_joker_index())
     orbit_members: dict[int, list[int]] = {}
     for i, v in enumerate(graph.vectors):
-        orbit_members.setdefault(v.joker_count, []).append(pos[i])
+        orbit_members.setdefault(v.joker_count, []).append(i)
     roots: list[tuple[int, int]] = []
     for t in range(d):
-        rep_vec = JokerVector(d, 0, ((1 << t) - 1) << (d - t))
-        r = pos[index[rep_vec]]
+        r = index[JokerVector(d, 0, ((1 << t) - 1) << (d - t))]
         roots.append((r, adj[r] & active))
         for member in orbit_members[t]:
             active &= ~(1 << member)
 
     best_mask = 0
     for i in best_indices:
-        best_mask |= 1 << pos[i]
+        best_mask |= 1 << i
 
     remaining = None
     if deadline is not None:
-        remaining = max(0.01, deadline - perf_counter())
+        remaining = deadline - perf_counter()
+        if remaining <= 0:
+            return _finish(STATUS_TIMEOUT, 0, best_indices)
     size, mask, nodes, completed = impl.solve_root(
         adj, n, roots, best_size, best_mask, target,
         budget.node_limit, remaining, max_depth,
     )
-    found = [order[i] for i in _bits(mask)]
-    return _finish(STATUS_OPTIMAL if completed else STATUS_TIMEOUT, nodes, found)
+    return _finish(STATUS_OPTIMAL if completed else STATUS_TIMEOUT, nodes, _bits(mask))
 
 
 def _bits(mask: int) -> list[int]:
@@ -284,13 +277,15 @@ def certify(
 ) -> Certification:
     """Close the gap between best_lower and best_upper, by formulas or search.
 
-    Formula closure needs no search at all; otherwise an exhausted search
-    pins the value, and a budget-bound one reports the surviving gap.
+    The lower bound is the best of the formulas and the published lower
+    bounds.  Formula closure needs no search at all; otherwise an exhausted
+    search pins the value, and a budget-bound one reports the surviving gap.
     """
     rep = bounds.report(k, d)
-    lower, upper = rep.best_lower, rep.best_upper
-    if lower == upper:
-        return Certification(k, d, lower, upper, "certified", lower, "formulas")
+    upper = rep.best_upper
+    if rep.best_lower == upper:
+        return Certification(k, d, upper, upper, "certified", upper, "formulas")
+    lower = max(rep.best_lower, reference.best_known_lower(k, d) or 0)
     result = max_family(k, d, budget=budget, kernel=kernel)
     if result.status == STATUS_OPTIMAL:
         value = result.best_size

@@ -2,6 +2,10 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +269,26 @@ class TestSearchCommand:
         code, _, err = run_cli("search", "2", "10")
         assert code == 3
         assert "resource limit" in err
+
+    def test_unavailable_compiled_kernel_is_usage_error(self, monkeypatch):
+        from neighborly.search import _kernel
+
+        monkeypatch.setattr(_kernel, "_compiled", None)
+        monkeypatch.setattr(_kernel, "COMPILED_ERROR", "no C compiler 'cc'")
+        code, out, err = run_cli("search", "2", "4", "--kernel", "compiled")
+        assert code == 2 and not out
+        assert err == "error: compiled kernel is not available: no C compiler 'cc'\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "neighborly", "report", "2", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("bounds for n(k=2, d=4)")
 
 
 @pytest.mark.parametrize(

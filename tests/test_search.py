@@ -1,7 +1,12 @@
 """Search stack: graph, kernels, solver, certification."""
 
 import itertools
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +23,7 @@ from neighborly.search import (
     max_family,
     max_family_bruteforce,
 )
-from neighborly.search._kernel import HAVE_COMPILED
-
+from neighborly.search import _kernel, solver
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
@@ -29,7 +33,11 @@ from neighborly.search.solver import (
 from conftest import pascal_binomial
 from oracles import pairwise_adjacency
 
-KERNELS = ("python", "compiled") if HAVE_COMPILED else ("python",)
+# Where a C compiler exists the compiled kernel must have built: its tests
+# fail rather than skip when it did not.
+HAVE_CC = shutil.which(_kernel.default_compiler()[0]) is not None
+requires_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+KERNELS = ("python", "compiled") if HAVE_CC else ("python",)
 
 
 class TestCompatGraph:
@@ -226,9 +234,26 @@ class TestMaxFamily:
         with pytest.raises(InconsistencyError):
             max_family(2, 4)
 
+    def test_forged_published_lower_bound_trips_inconsistency(self, monkeypatch):
+        from neighborly import reference
+
+        monkeypatch.setitem(reference.BEST_KNOWN_LOWER, (2, 5), 13)
+        with pytest.raises(InconsistencyError, match="published lower bound is 13"):
+            max_family(2, 5)
+        with pytest.raises(InconsistencyError):
+            certify(2, 5)
+
+    def test_expired_deadline_skips_greedy_and_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "greedy_family", lambda *a, **kw: calls.append(a))
+        res = max_family(2, 5, budget=Budget(None, 0))
+        assert calls == []
+        assert res.status == STATUS_TIMEOUT and res.nodes_explored == 0
+        assert res.witness.validated and len(res.witness) == res.best_size == 12
+
 
 class TestKernelTwins:
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+    @requires_cc
     def test_identical_exhaustive_runs(self):
         # unreachable target forces full exhaustion through both kernels
         for (k, d) in [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
@@ -241,7 +266,7 @@ class TestKernelTwins:
             assert py == cc, (k, d)
             assert py[3] is True or py[3] == 1
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+    @requires_cc
     def test_identical_solver_results(self):
         for (k, d) in [(2, 2), (2, 5)]:
             res = {kern: max_family(k, d, kernel=kern) for kern in KERNELS}
@@ -249,13 +274,119 @@ class TestKernelTwins:
             assert res["python"].nodes_explored == res["compiled"].nodes_explored
             assert res["python"].witness.members == res["compiled"].witness.members
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+    @requires_cc
     def test_identical_under_budget(self):
         args = dict(budget=Budget(node_limit=200, max_seconds=30))
         py = max_family(2, 5, kernel="python", **args)
         cc = max_family(2, 5, kernel="compiled", **args)
         assert py.best_size == cc.best_size
         assert py.status == cc.status == STATUS_TIMEOUT
+
+    @requires_cc
+    @pytest.mark.parametrize(
+        "k,d,node_limit", [(2, 5, None), (2, 6, 50_000), (3, 6, 50_000), (3, 7, 500)]
+    )
+    def test_identical_on_benchmark_cells(self, monkeypatch, k, d, node_limit):
+        class Captured(Exception):
+            pass
+
+        inputs = []
+
+        def capture(*args):
+            inputs.append(args)
+            raise Captured
+
+        with monkeypatch.context() as patch:
+            patch.setattr(get_kernel("python"), "solve_root", capture)
+            with pytest.raises(Captured):
+                max_family(k, d, budget=Budget(node_limit, None), kernel="python")
+        py = get_kernel("python").solve_root(*inputs[0])
+        cc = get_kernel("compiled").solve_root(*inputs[0])
+        assert py == cc
+        assert py[3] is (node_limit is None)
+
+    @requires_cc
+    def test_compiled_rejects_vertices_outside_the_graph(self):
+        # C would read past the adjacency; the wrapper refuses first
+        adj, n, roots, *rest = _triangle_plus_edge()
+        solve = get_kernel("compiled").solve_root
+        with pytest.raises(ValueError):
+            solve(adj, n, [(n, 0)], *rest)
+        with pytest.raises(ValueError):
+            solve(adj, n, [(0, 1 << n)], *rest)
+        with pytest.raises(ValueError):
+            solve(adj[:-1], n, roots, *rest)
+
+    @requires_cc
+    def test_compiled_certifies_2_6(self):
+        # the tree of the lexicographic vertex order, no reordering
+        res = max_family(2, 6, budget=Budget.unlimited(), kernel="compiled")
+        assert (res.best_size, res.status) == (16, STATUS_OPTIMAL)
+        assert res.nodes_explored == 966_502
+
+
+def _triangle_plus_edge():
+    """Vertices 0-1-2 form a triangle and 3 hangs off 2: one maximum clique."""
+    adj = [0b0110, 0b0101, 0b1011, 0b0100]
+    roots = [(i, adj[i] & (0b1111 << (i + 1))) for i in range(4)]
+    return (adj, 4, roots, 0, 0, 5, None, None, 4)
+
+
+class TestKernelLoader:
+    @requires_cc
+    def test_empty_cache_builds_then_loads(self, tmp_path, monkeypatch):
+        kernel, reason = _kernel.load_compiled(tmp_path)
+        assert reason is None
+        built = sorted(p.name for p in tmp_path.iterdir())
+        assert len(built) == 1 and built[0].endswith(".so")
+        args = _triangle_plus_edge()
+        assert kernel.solve_root(*args) == get_kernel("python").solve_root(*args)
+        assert kernel.solve_root(*args)[:2] == (3, 0b0111)
+
+        def no_build(*args):
+            raise AssertionError("a cached library was built again")
+
+        monkeypatch.setattr(_kernel, "_build", no_build)
+        kernel, reason = _kernel.load_compiled(tmp_path)
+        assert reason is None and kernel.KERNEL_NAME == "compiled"
+
+    def test_missing_compiler_falls_back(self, tmp_path):
+        kernel, reason = _kernel.load_compiled(tmp_path, ["/nonexistent/cc"])
+        assert kernel is None
+        assert reason == "no C compiler '/nonexistent/cc'"
+
+    def test_compile_error_falls_back(self, tmp_path):
+        failing = [sys.executable, "-c", "import sys; sys.exit('bad source')"]
+        kernel, reason = _kernel.load_compiled(tmp_path, failing)
+        assert kernel is None
+        assert reason.endswith("exited 1: bad source")
+        assert list(tmp_path.iterdir()) == []  # the temporary output is removed
+
+    @requires_cc
+    def test_unloadable_library_falls_back(self, tmp_path):
+        # a library that is loaded must never be rewritten in place, so the
+        # broken one goes into a second cache under the name a build would use
+        _kernel.load_compiled(tmp_path / "good")
+        (library,) = (tmp_path / "good").iterdir()
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / library.name).write_bytes(b"not a shared library")
+        kernel, reason = _kernel.load_compiled(tmp_path / "bad")
+        assert kernel is None and library.name in reason
+
+    def test_unwritable_cache_gives_python_kernel(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(blocker))
+        probe = (
+            "from neighborly.search import _kernel as k; "
+            "print(k.HAVE_COMPILED, k.KERNEL_NAME, bool(k.COMPILED_ERROR))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "python", "True"]
 
 
 def apply_symmetry(vec: JokerVector, perm: list[int], flips: int) -> JokerVector:
@@ -400,6 +531,13 @@ class TestCertify:
         assert cert.status == "certified"
         assert cert.value == 12
         assert cert.evidence == "search"
+
+    def test_gap_starts_at_published_lower_bound(self):
+        # the formulas give 20 <= n(2,7); the published record has 21
+        cert = certify(2, 7, budget=Budget(node_limit=10, max_seconds=30))
+        assert cert.status == "gap"
+        assert (cert.lower, cert.upper) == (21, 29)
+        assert str(cert) == "GAP 21 <= n(2,7) <= 29"
 
     def test_str_forms(self):
         assert "CERTIFIED" in str(certify(2, 4))
