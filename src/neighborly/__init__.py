@@ -60,7 +60,6 @@ from .search import (
     SearchResult,
     build_graph,
     certify,
-    greedy_family,
     max_family,
 )
 

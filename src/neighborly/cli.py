@@ -13,12 +13,16 @@ are rejected and trailing whitespace is ignored.
 
 Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including ``search --kernel compiled`` when the compiled
-kernel is not available), 3 resource limit.
+kernel is not available), 3 resource limit, 141 (128 + SIGPIPE, what a
+shell reports for a program killed by a broken pipe) when stdout was
+closed before the output was written, e.g. ``neighborly table 40 40 |
+head -1``; that case prints nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Iterable, Optional, TextIO
 
@@ -45,6 +49,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 BOUND_LABELS = {
     "alon_lower": "Alon product construction (lower)",
@@ -293,7 +298,6 @@ def cmd_search(args) -> int:
         budget=budget,
         incumbent=incumbent,
         kernel=args.kernel,
-        seed=args.seed,
     )
     prefix = "" if result.status == STATUS_OPTIMAL else "≥"
     print(f"{prefix}{result.best_size} {result.status}")
@@ -386,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float, default=60.0)
     p.add_argument("--witness", metavar="PATH", help="write the witness family here")
     p.add_argument("--incumbent", metavar="PATH", help="seed with this family file")
-    p.add_argument("--seed", type=int, default=0, help="greedy restart seed base")
+    # accepted and ignored: the search makes no random choices, but the
+    # benchmark's workloads and scripts written for older versions pass it
+    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument("--kernel", choices=("auto", "python", "compiled"), default="auto")
     p.set_defaults(func=cmd_search, needs_kd=True)
 
@@ -405,7 +411,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.k < 1 or args.d < args.k:
             parser.error(f"need 1 <= k <= d, got k={args.k} d={args.d}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at /dev/null so the interpreter's
+        # final flush of what is still buffered cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

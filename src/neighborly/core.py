@@ -197,9 +197,12 @@ class Family:
         return Family(self.d, self.k, self.members, validated=True)
 
 
-def _vector_sort_key(v: JokerVector) -> Tuple[int, ...]:
-    order = {"0": 0, "1": 1, "*": 2}
-    return tuple(order[c] for c in str(v))
+# symbol -> rank in the output order of members (0 < 1 < *)
+_RANKS = str.maketrans("01*", "012")
+
+
+def _vector_sort_key(v: JokerVector) -> str:
+    return str(v).translate(_RANKS)
 
 
 # symbol -> bit of the column masks in is_k_neighborly

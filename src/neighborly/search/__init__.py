@@ -1,7 +1,6 @@
-"""Exact and heuristic maximum-family search over the compatibility graph."""
+"""Exact maximum-family search over the compatibility graph."""
 
 from ._kernel import HAVE_COMPILED, KERNEL_NAME, get_kernel
-from .brute import max_family_bruteforce
 from .graph import CompatGraph, build_graph
 from .solver import (
     Budget,
@@ -11,7 +10,6 @@ from .solver import (
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
     certify,
-    greedy_family,
     max_family,
 )
 
@@ -28,7 +26,5 @@ __all__ = [
     "build_graph",
     "certify",
     "get_kernel",
-    "greedy_family",
     "max_family",
-    "max_family_bruteforce",
 ]

@@ -1,16 +1,17 @@
-"""Maximum-family search: greedy heuristics plus exact branch and bound.
+"""Maximum-family search: warm start plus exact branch and bound.
 
 The solver works on the compatibility graph (cliques = families).  It
-seeds an incumbent from the built-in constructions and greedy restarts,
-stops immediately when the incumbent meets the formula upper bound (the
-bound machinery then proves optimality with no search at all), and
-otherwise runs a branch-and-bound over orbit representatives of the first
-vertex: coordinate permutations and per-coordinate bit swaps act on the
-graph, so the first clique vertex can be assumed to be 0^(d-t) *^t for
-some t, which cuts the root branching factor from 3^d to d.
+seeds an incumbent from the caller's family, the built-in constructions
+and the embedded witness families, stops immediately when the incumbent
+meets the formula upper bound (the bound machinery then proves optimality
+with no search at all), and otherwise runs a branch-and-bound over orbit
+representatives of the first vertex: coordinate permutations and
+per-coordinate bit swaps act on the graph, so the first clique vertex can
+be assumed to be 0^(d-t) *^t for some t, which cuts the root branching
+factor from 3^d to d.
 
-Results are deterministic for fixed (k, d, budget): vertex order, greedy
-seeds and kernel traversal are all fixed.
+Results are deterministic for fixed (k, d, budget): vertex order, warm
+start and kernel traversal are all fixed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
 DEFAULT_NODE_LIMIT = 10**8
 DEFAULT_MAX_SECONDS = 60.0
 KERNEL_MEMORY_BUDGET = 512 * 1024 * 1024
-MANY_VERTICES = 1024  # greedy restarts are pure Python: at most 4 above this size
 
 
 @dataclass(frozen=True)
@@ -86,45 +86,12 @@ def _graph(k: int, d: int) -> CompatGraph:
     return build_graph(k, d)
 
 
-def _isolated_free_indices(graph: CompatGraph) -> list[int]:
-    return [i for i in range(graph.n) if graph.adjacency[i]]
-
-
-def greedy_family(k: int, d: int, seed: int = 0) -> Family:
-    """One seeded greedy run: rotate the start vertex by seed, then repeatedly
-    take the candidate with the most neighbors among the remaining candidates
-    (ties to the lowest index).
-
-    The result is maximal (no vertex can be added) and always validated.
-    """
-    graph = _graph(k, d)
-    actives = _isolated_free_indices(graph)
-    if not actives:
-        return graph.family_of([0])  # edgeless graph: any singleton
-    adj = graph.adjacency
-    start = actives[seed % len(actives)]
-    chosen = [start]
-    pool = adj[start]
-    while pool:
-        best_v = -1
-        best_deg = -1
-        row = pool
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            deg = (adj[v] & pool).bit_count()
-            if deg > best_deg:
-                best_v, best_deg = v, deg
-            row ^= low
-        chosen.append(best_v)
-        pool &= adj[best_v]
-    return graph.family_of(chosen)
-
-
 def _construction_candidates(k: int, d: int) -> list[Family]:
     cands = [alon_product(k, d), b_config_family(k, d)]
     if k == d - 1:
         cands.append(extremal_dminus1_family(d))
+    if (k, d) in reference.WITNESSES:
+        cands.append(Family.from_strings(d, k, reference.WITNESSES[(k, d)]))
     return cands
 
 
@@ -139,8 +106,6 @@ def max_family(
     budget: Optional[Budget] = None,
     incumbent: Optional[Family] = None,
     kernel: str = "auto",
-    greedy_restarts: int = 16,
-    seed: int = 0,
     memory_budget: int = KERNEL_MEMORY_BUDGET,
 ) -> SearchResult:
     """Best k-neighborly family the budget allows; exact when it suffices.
@@ -152,7 +117,7 @@ def max_family(
     validated family of the reported size, and results never contradict
     the embedded exact values or certify below a published lower bound
     (either would raise InconsistencyError).  The deadline is checked
-    before every greedy restart as well as inside the kernel.
+    before the kernel starts and inside it.
     """
     if budget is None:
         budget = Budget()
@@ -166,8 +131,6 @@ def max_family(
 
     graph = _graph(k, d)
     n = graph.n
-    if n > MANY_VERTICES:
-        greedy_restarts = min(greedy_restarts, 4)
 
     best_indices: list[int] = []
     if incumbent is not None:
@@ -181,12 +144,6 @@ def max_family(
     for cand in _construction_candidates(k, d):
         if len(cand) > len(best_indices):
             best_indices = _family_indices(cand, graph)
-    for offset in range(greedy_restarts):
-        if deadline is not None and perf_counter() > deadline:
-            break
-        fam = greedy_family(k, d, seed=seed + offset)
-        if len(fam) > len(best_indices):
-            best_indices = _family_indices(fam, graph)
 
     best_size = len(best_indices)
 

@@ -14,6 +14,7 @@ from neighborly.core import (
     hamming_distance,
 )
 from neighborly.errors import DomainError
+from neighborly.search import build_graph
 
 
 def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:
@@ -35,6 +36,34 @@ def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int
                 rows[j] |= 1 << i
         rows[i] = row_i
     return rows
+
+
+def max_family_bruteforce(k: int, d: int) -> tuple[int, Family]:
+    """Maximum k-neighborly family by trying every subset of the 3^d words.
+
+    Only usable for d <= 2 (at most 512 subsets); the solver's results are
+    checked against it exactly there.
+    """
+    if d > 2:
+        raise DomainError(f"brute force enumerates 2^(3^d) subsets; d={d} is too large")
+    vectors = build_graph(k, d).vectors
+    n = len(vectors)
+    best_size = 0
+    best_subset = 0
+    for subset in range(1 << n):
+        size = subset.bit_count()
+        if size <= best_size:
+            continue
+        chosen = [vectors[i] for i in range(n) if subset >> i & 1]
+        if all(
+            1 <= hamming_distance(u, v) <= k
+            for a, u in enumerate(chosen)
+            for v in chosen[a + 1 :]
+        ):
+            best_size = size
+            best_subset = subset
+    members = [vectors[i] for i in range(n) if best_subset >> i & 1]
+    return best_size, Family.of(d, k, members).validate()
 
 
 def pairwise_is_k_neighborly(family: Family) -> NeighborlyCheck:

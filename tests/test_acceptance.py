@@ -24,10 +24,10 @@ from neighborly.bounds import (
 from neighborly.cli import table_rows
 from neighborly.constructions import alon_product, b_config, extremal_dminus1_family
 
-from neighborly.search import Budget, max_family, max_family_bruteforce
+from neighborly.search import Budget, max_family
 from neighborly.search.solver import STATUS_OPTIMAL
 
-from oracles import pairwise_adjacency
+from oracles import max_family_bruteforce, pairwise_adjacency
 from published_table import EXPECTED_ROWS
 
 
@@ -153,7 +153,7 @@ def test_criterion_5_embedded_exact_values_respected():
         # (b) budgeted searches never exceed an exact value, never certify below it
         budget = Budget(node_limit=30_000, max_seconds=30)
         for (k, d) in [(3, 6), (4, 6), (5, 7), (6, 8)]:
-            res = max_family(k, d, budget=budget, greedy_restarts=2)
+            res = max_family(k, d, budget=budget)
             exact = report(k, d).exact_known
             assert res.best_size <= exact, (k, d)
             if res.status == STATUS_OPTIMAL:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from neighborly.cli import main, parse_family, read_family, write_family
+from neighborly.cli import EXIT_PIPE, main, parse_family, read_family, write_family
 from neighborly.constructions import alon_product
 from neighborly.errors import ParseError
 
@@ -236,6 +236,14 @@ class TestSearchCommand:
         assert first.startswith("≥")
         assert first.endswith("timeout")
 
+    def test_seed_accepted_and_hidden(self, capsys):
+        code, out, _ = run_cli("search", "2", "5", "--seed", "7")
+        assert code == 0 and out.splitlines()[0] == "12 optimal"
+        assert out.splitlines()[1].startswith("nodes=3063 ")
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "--seed" not in capsys.readouterr().out
+
     def test_witness_round_trip(self, tmp_path):
         witness = tmp_path / "witness.txt"
         code, out, _ = run_cli("search", "3", "4", "--witness", str(witness))
@@ -289,6 +297,24 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("bounds for n(k=2, d=4)")
+
+
+def test_closed_stdout_ends_quietly():
+    # ~180 kB of output, far more than a pipe buffers: the writes must meet
+    # the closed read end
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "neighborly", "construct", "corollary35", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PIPE == 141
+    assert first == b"# construction: corollary35\n"
+    assert err == b""
 
 
 @pytest.mark.parametrize(

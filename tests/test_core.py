@@ -207,6 +207,15 @@ class TestFamily:
         with pytest.raises(DomainError):
             fam(2, 3, "00")
 
+    def test_sorted_members_rank_zero_one_joker(self):
+        rank = {"0": 0, "1": 1, "*": 2}
+        rng = random.Random(35)
+        for _ in range(200):
+            d = rng.randint(1, 9)
+            family = random_family(rng, d, d, rng.randint(0, 40), rng.uniform(0.0, 0.6))
+            expected = sorted(family, key=lambda v: tuple(rank[c] for c in str(v)))
+            assert family.sorted_members() == expected
+
     def test_unique_cover_on_constructions(self):
         # at most one member of a validated family covers any binary vector
         families = [

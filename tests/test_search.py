@@ -11,19 +11,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neighborly import bounds
-from neighborly.core import JokerVector, hamming_distance
+from neighborly import bounds, reference
+from neighborly.analysis import audit
+from neighborly.constructions import alon_product
+from neighborly.core import Family, JokerVector, hamming_distance
 from neighborly.errors import DomainError, InconsistencyError, ResourceError
 from neighborly.search import (
     Budget,
     build_graph,
     certify,
     get_kernel,
-    greedy_family,
     max_family,
-    max_family_bruteforce,
 )
-from neighborly.search import _kernel, solver
+from neighborly.search import _kernel
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
@@ -31,7 +31,7 @@ from neighborly.search.solver import (
 )
 
 from conftest import pascal_binomial
-from oracles import pairwise_adjacency
+from oracles import max_family_bruteforce, pairwise_adjacency
 
 # Where a C compiler exists the compiled kernel must have built: its tests
 # fail rather than skip when it did not.
@@ -118,38 +118,6 @@ class TestBruteForceOracle:
             max_family_bruteforce(2, 3)
 
 
-class TestGreedy:
-    def test_always_valid_many_seeds(self):
-        for d in range(1, 7):
-            for k in range(1, d + 1):
-                for seed in range(100):
-                    fam = greedy_family(k, d, seed=seed)
-                    assert fam.validated
-                    assert len(fam) >= 1
-
-    def test_maximality(self):
-        g = build_graph(2, 3)
-        index = g.index_of()
-        fam = greedy_family(2, 3, seed=7)
-        chosen = [index[v] for v in fam.sorted_members()]
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        for v in range(g.n):
-            if mask >> v & 1:
-                continue
-            assert g.adjacency[v] & mask != mask, f"vertex {v} could extend the family"
-
-    def test_restarts_reach_exact_on_2_4(self):
-        exact = max_family(2, 4).best_size
-        best = max(len(greedy_family(2, 4, seed=s)) for s in range(64))
-        assert best == exact == 9
-
-    def test_within_exact_bound(self):
-        for seed in range(20):
-            assert 1 <= len(greedy_family(1, 3, seed=seed)) <= 4
-
-
 class TestMaxFamily:
     def test_small_exact_values(self):
         expected = {(1, 2): 3, (1, 3): 4, (2, 4): 9, (3, 5): 18, (3, 4): 12}
@@ -199,15 +167,15 @@ class TestMaxFamily:
         assert res.witness.validated
 
     def test_incumbent_respected(self):
-        seedfam = greedy_family(3, 4, seed=3)
+        seedfam = alon_product(3, 4)
         res = max_family(3, 4, incumbent=seedfam)
         assert res.best_size >= len(seedfam)
 
     def test_incumbent_dimension_check(self):
         with pytest.raises(DomainError):
-            max_family(2, 4, incumbent=greedy_family(2, 3, seed=0))
+            max_family(2, 4, incumbent=alon_product(2, 3))
         with pytest.raises(DomainError):
-            max_family(1, 4, incumbent=greedy_family(2, 4, seed=0))
+            max_family(1, 4, incumbent=alon_product(2, 4))
 
     def test_kernel_memory_guard(self):
         with pytest.raises(ResourceError):
@@ -245,11 +213,34 @@ class TestMaxFamily:
 
     def test_expired_deadline_skips_greedy_and_kernel(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(solver, "greedy_family", lambda *a, **kw: calls.append(a))
+        impl = get_kernel("auto")
+        monkeypatch.setattr(impl, "solve_root", lambda *a: calls.append(a))
         res = max_family(2, 5, budget=Budget(None, 0))
         assert calls == []
         assert res.status == STATUS_TIMEOUT and res.nodes_explored == 0
         assert res.witness.validated and len(res.witness) == res.best_size == 12
+
+    def test_deadline_leaves_time_for_the_kernel(self):
+        # the warm start must not spend the whole second before the kernel runs
+        res = max_family(6, 8, budget=Budget(None, 1.0))
+        assert res.status == STATUS_TIMEOUT
+        assert res.nodes_explored > 0
+
+
+class TestEmbeddedWitnesses:
+    @pytest.mark.parametrize("k,d", sorted(reference.WITNESSES))
+    def test_witness_is_exact_and_audits(self, k, d):
+        words = reference.WITNESSES[(k, d)]
+        family = Family.from_strings(d, k, words)
+        assert len(family) == len(words)  # no duplicate words
+        assert len(family) == reference.exact_value(k, d)[0]
+        rep = audit(family.validate())
+        assert rep.passed, rep.failures()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_witness_certifies_4_6_without_search(self, kernel):
+        res = max_family(4, 6, kernel=kernel)
+        assert (res.best_size, res.status, res.nodes_explored) == (37, STATUS_OPTIMAL, 0)
 
 
 class TestKernelTwins:
