@@ -13,10 +13,11 @@ are rejected and trailing whitespace is ignored.
 
 Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including ``search --kernel compiled`` when the compiled
-kernel is not available), 3 resource limit, 141 (128 + SIGPIPE, what a
-shell reports for a program killed by a broken pipe) when stdout was
-closed before the output was written, e.g. ``neighborly table 40 40 |
-head -1``; that case prints nothing to stderr.
+kernel is not available, and a negative ``--max-nodes`` or a negative or
+NaN ``--max-seconds``; ``inf`` means no time limit), 3 resource limit,
+141 (128 + SIGPIPE, what a shell reports for a program killed by a broken
+pipe) when stdout was closed before the output was written, e.g.
+``neighborly table 40 40 | head -1``; that case prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -245,16 +246,11 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    check = family.check()
-    if not check:
-        u, v = check.pair
-        print(
-            f"invalid family: pair ({u}, {v}) has distance {check.distance}, "
-            f"outside 1..{family.k}",
-            file=sys.stderr,
-        )
+    try:
+        validated = family.validate()
+    except ValidationError as exc:
+        print(f"invalid family: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    validated = Family(family.d, family.k, family.members, validated=True)
     print(f"family of {len(validated)} vectors, d={family.d}, k={family.k}: k-neighborly")
     if family.d - family.k < 1:
         print("audit skipped: requires d - k >= 1")

@@ -180,8 +180,16 @@ class Family:
         return iter(self.members)
 
     def sorted_members(self) -> list[JokerVector]:
-        """Members in the deterministic output order (string form, 0 < 1 < *)."""
-        return sorted(self.members, key=_vector_sort_key)
+        """Members in the deterministic output order (string form, 0 < 1 < *).
+
+        The order is sorted once per family and handed on to its validated
+        copy, so checking, auditing and writing a family sort it only once.
+        """
+        order = self.__dict__.get("_order")
+        if order is None:
+            order = tuple(sorted(self.members, key=_vector_sort_key))
+            object.__setattr__(self, "_order", order)
+        return list(order)
 
     def check(self) -> NeighborlyCheck:
         return is_k_neighborly(self)
@@ -194,7 +202,9 @@ class Family:
             raise ValidationError(
                 f"pair ({u}, {v}) has distance {res.distance}, outside 1..{self.k}"
             )
-        return Family(self.d, self.k, self.members, validated=True)
+        checked = Family(self.d, self.k, self.members, validated=True)
+        object.__setattr__(checked, "_order", self.__dict__.get("_order"))
+        return checked
 
 
 # symbol -> rank in the output order of members (0 < 1 < *)

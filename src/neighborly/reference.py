@@ -33,12 +33,18 @@ def exact_value(k: int, d: int) -> Optional[tuple[int, str]]:
     return None
 
 
-# Witness families for exact values no construction in the package reaches,
-# keyed (k, d), members as words over {0,1,*}.  The (4,6) family came out of
-# a seeded greedy clique run on the compatibility graph (start vertex rotated,
-# then always the candidate with the most neighbours among the candidates);
-# it is 4-neighborly and passes every check of the weighted-cover audit.
-# The constructions give 36 there.
+# Witness families for values on record (an exact value, else the published
+# lower bound) that no construction in the package reaches, keyed (k, d),
+# members as words over {0,1,*}.  Each is k-neighborly and passes every
+# check of the weighted-cover audit.
+# - (4,6), exact 37, constructions 36: from a seeded greedy clique run on
+#   the compatibility graph (start vertex rotated, then always the candidate
+#   with the most neighbours among the candidates).
+# - (2,7), published lower bound 21, constructions 20: the first 21-member
+#   clique found by the exhaustive `search 2 7` with orbit pruning to depth
+#   3, which then closed at 21 (4,227,063 nodes, 17 s, compiled kernel on
+#   a 2-CPU x86_64 VM).  That one search is the only route to "no 22", so
+#   no exact value for (2,7) is on record here.
 WITNESSES: dict[tuple[int, int], tuple[str, ...]] = {
     (4, 6): (
         "00000*", "000010", "000011", "000100", "000101", "000110", "000111",
@@ -47,6 +53,11 @@ WITNESSES: dict[tuple[int, int], tuple[str, ...]] = {
         "011111", "01*00*", "100110", "100111", "101110", "101111", "10*00*",
         "10*010", "10*011", "10*100", "10*101", "110*0*", "111*0*", "11*01*",
         "11*110", "11*111",
+    ),
+    (2, 7): (
+        "000000*", "000100*", "010000*", "010100*", "0*0001*", "0*0101*", "100*000",
+        "110*000", "1*000*1", "1*010*1", "1*0*010", "*01*000", "*0**100", "*11*000",
+        "*1**100", "**100*1", "**110*1", "**1*010", "***01*1", "***11*1", "****110",
     ),
 }
 

@@ -54,10 +54,12 @@ class CompiledKernel:
         solve.argtypes = [
             ctypes.POINTER(ctypes.c_uint64),  # adjacency rows
             ctypes.c_int,  # n
+            ctypes.c_int,  # d
             ctypes.POINTER(ctypes.c_int),  # root vertices
             ctypes.POINTER(ctypes.c_uint64),  # root candidate pools
             ctypes.c_int,  # number of roots
             ctypes.c_int,  # levels
+            ctypes.c_int,  # symmetry depth
             ctypes.c_int,  # target
             ctypes.c_int64,  # node limit, < 0 unlimited
             ctypes.c_double,  # time limit, < 0 unlimited
@@ -79,8 +81,11 @@ class CompiledKernel:
         node_limit: int | None,
         time_limit: float | None,
         max_depth: int | None = None,
+        d: int | None = None,
+        symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
         """Same contract as ``_kernel_py.solve_root``."""
+        _kernel_py.check_orbit_inputs(n, d, symmetry_depth)
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows, expected n={n}")
         for root, pool in roots:
@@ -97,7 +102,7 @@ class CompiledKernel:
         nodes = ctypes.c_int64(0)
         levels = (n if max_depth is None else min(max_depth, n)) + 3
         status = self._solve(
-            rows, n, root_ids, pools, len(roots), levels, target,
+            rows, n, d or 0, root_ids, pools, len(roots), levels, symmetry_depth, target,
             -1 if node_limit is None else max(0, node_limit),
             -1.0 if time_limit is None else max(0.0, time_limit),
             ctypes.byref(size), mask, ctypes.byref(nodes),

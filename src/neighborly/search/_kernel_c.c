@@ -2,13 +2,44 @@
 
    Twin of _kernel_py.py: the same greedy-colouring bound (the bitboard
    colouring of San Segundo et al., Computers & OR 2011), the same
-   lowest-bit-first order and the same node accounting, so both kernels
-   return identical sizes, witnesses and node counts on identical inputs.
+   lowest-bit-first order, the same orbit pruning and the same node
+   accounting, so both kernels return identical sizes, witnesses and node
+   counts on identical inputs.
 
    Plain C99 with no Python C-API: _kernel.py compiles this file into a
    shared library and calls neighborly_solve through ctypes.  A vertex set
    is `words` 64-bit words, vertex v being bit v % 64 of word v / 64; the
-   adjacency is n such rows, one after another, read in place. */
+   adjacency is n such rows, one after another, read in place.
+
+   Orbit pruning below the root.  With symmetry_depth L > 0 the graph must
+   be graph.py's: n = 3^d and vertex v the word whose base-3 digits
+   (0, 1, * as 0, 1, 2) spell v, so a vertex's symbols are read off its
+   index.  A node whose clique C has at most L members (the root alone is
+   depth 1) is handled specially:
+
+   - Group the coordinates by their column over C.  Inside a group any
+     permutation of the coordinates fixes every member of C; on a group
+     where every member of C has `*`, flipping 0 and 1 does too.
+   - A vertex's orbit key is its (#0, #1) count in each group, or its #*
+     count alone in an all-joker group.  Equal keys mean one orbit under
+     those symmetries.
+   - When the branch on v returns, every pool vertex with v's key leaves
+     the pool, not just v; a vertex already dropped that way is skipped in
+     the colour order.  Deeper nodes remove only v.
+
+   Why it is sound.  Let H(C) be the group of the symmetries above; it
+   fixes C pointwise and preserves adjacency.  The vertices excluded from
+   the pool at a node at depth <= L are the earlier root orbits (invariant
+   under the full group), the orbits dropped at its ancestors and those
+   dropped at this node.  The groups over C refine the groups over any
+   ancestor's clique, so H(C) lies inside every ancestor's group, and each
+   of those sets is invariant under H(C).  The pool is therefore
+   H(C)-invariant, and a clique through C and g(v), g in H(C), maps under
+   g^-1 to a clique through C and v inside the pool that v's branch
+   searched.  Nothing larger than the incumbent is lost.
+
+   A group of s coordinates has (s+1)(s+2)/2 <= 3^s possible keys, so the
+   mixed-radix key of a vertex lies below 3^d = n. */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -23,7 +54,8 @@ enum {
     BUDGET = 1,      /* the node or time budget ran out */
     NO_LEVELS = -1,  /* a clique grew deeper than `levels` allows */
     NO_MEMORY = -2,
-    MISALIGNED = -3  /* a bit-set buffer is not 8-byte aligned */
+    MISALIGNED = -3, /* a bit-set buffer is not 8-byte aligned */
+    NOT_WORDS = -4   /* orbit pruning asked for on a graph with n != 3^d */
 };
 
 enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS */
@@ -40,7 +72,10 @@ typedef struct {
     int *colors;          /* levels rows of n: their colours, ascending */
     uint64_t *cur;        /* the clique on the current branch */
     uint64_t *best_mask;
-    int n, words, levels, best, target, status;
+    int *first;           /* symmetry_depth rows of n: lowest pool vertex of v's key */
+    int *next;            /* symmetry_depth rows of n: next pool vertex of v's key, or -1 */
+    int *head;            /* n: -1 except inside orbit_classes */
+    int n, words, levels, best, target, status, d, symmetry_depth;
     int64_t nodes;
     int64_t node_limit;   /* < 0: unlimited */
     double deadline;      /* < 0: unlimited */
@@ -77,6 +112,81 @@ static int charge(State *st)
     return 0;
 }
 
+/* The 1s and the jokers of vertex v as d-bit masks, bit j for base-3 digit j. */
+static void symbols(int v, int d, uint32_t *ones, uint32_t *jokers)
+{
+    uint32_t o = 0, s = 0;
+    for (int j = 0; j < d; j++, v /= 3) {
+        const int digit = v % 3;
+        if (digit == 1)
+            o |= (uint32_t)1 << j;
+        else if (digit == 2)
+            s |= (uint32_t)1 << j;
+    }
+    *ones = o;
+    *jokers = s;
+}
+
+/* Chain the vertices of pool by orbit key under the symmetries fixing
+   st->cur (see the header): first[v] is the lowest vertex with v's key,
+   next[v] the next higher one or -1. */
+static void orbit_classes(State *st, const uint64_t *pool, int *first, int *next)
+{
+    const int d = st->d, words = st->words;
+    const uint32_t all = (uint32_t)(((uint64_t)1 << d) - 1);
+    uint32_t group[32], split[32], flips = all, ones, jokers;
+    int groups = 1, radix[32];
+    group[0] = all;
+    for (int w = 0; w < words; w++) {
+        for (uint64_t bits = st->cur[w]; bits; bits &= bits - 1) {
+            symbols((w << 6) + __builtin_ctzll(bits), d, &ones, &jokers);
+            const uint32_t zeros = all & ~ones & ~jokers;
+            int parts = 0;
+            for (int g = 0; g < groups; g++) {
+                const uint32_t by[3] = {group[g] & zeros, group[g] & ones, group[g] & jokers};
+                for (int b = 0; b < 3; b++)
+                    if (by[b])
+                        split[parts++] = by[b];
+            }
+            memcpy(group, split, (size_t)parts * sizeof *group);
+            groups = parts;
+            flips &= jokers;
+        }
+    }
+    for (int g = 0; g < groups; g++) {
+        const int size = __builtin_popcount(group[g]);
+        radix[g] = (size + 1) * (size + 2) / 2;
+    }
+
+    /* keys into first[], chained from the top so each chain ascends */
+    for (int w = words - 1; w >= 0; w--) {
+        for (uint64_t bits = pool[w]; bits; bits &= ~BIT(63 - __builtin_clzll(bits))) {
+            const int u = (w << 6) + 63 - __builtin_clzll(bits);
+            symbols(u, d, &ones, &jokers);
+            int key = 0;
+            for (int g = 0; g < groups; g++) {
+                const int starred = __builtin_popcount(jokers & group[g]);
+                const int one = (group[g] & ~flips) ? __builtin_popcount(ones & group[g]) : 0;
+                const int t = starred + one;  /* (#1, #*) fixes #0 as well */
+                key = key * radix[g] + t * (t + 1) / 2 + one;
+            }
+            first[u] = key;
+            next[u] = st->head[key];
+            st->head[key] = u;
+        }
+    }
+    /* each chain's last vertex puts its head back to -1 */
+    for (int w = 0; w < words; w++) {
+        for (uint64_t bits = pool[w]; bits; bits &= bits - 1) {
+            const int u = (w << 6) + __builtin_ctzll(bits);
+            const int key = first[u];
+            first[u] = st->head[key];
+            if (next[u] < 0)
+                st->head[key] = -1;
+        }
+    }
+}
+
 /* Extend st->cur (size vertices) by the candidates in pools[level]. */
 static void expand(State *st, int size, int level)
 {
@@ -91,6 +201,11 @@ static void expand(State *st, int size, int level)
     uint64_t *avail = st->avail + (size_t)level * words;
     int *order = st->order + (size_t)level * st->n;
     int *colors = st->colors + (size_t)level * st->n;
+    const int orbits = size <= st->symmetry_depth;
+    int *first = orbits ? st->first + (size_t)level * st->n : NULL;
+    int *next = orbits ? st->next + (size_t)level * st->n : NULL;
+    if (orbits)
+        orbit_classes(st, pool, first, next);
 
     /* greedy sequential colouring, lowest vertex first inside each class */
     const int total = popcount_set(pool, words);
@@ -123,6 +238,8 @@ static void expand(State *st, int size, int level)
         if (size + colors[idx] <= st->best)
             return;
         const int v = order[idx];
+        if (!(pool[v >> 6] & BIT(v)))
+            continue;  /* dropped with an earlier vertex's orbit */
         if (charge(st))
             return;
         const uint64_t *adj_v = st->adj + (size_t)v * words;
@@ -144,7 +261,11 @@ static void expand(State *st, int size, int level)
                 return;
         }
         st->cur[v >> 6] &= ~BIT(v);
-        pool[v >> 6] &= ~BIT(v);
+        if (orbits)
+            for (int u = first[v]; u >= 0; u = next[u])
+                pool[u >> 6] &= ~BIT(u);
+        else
+            pool[v >> 6] &= ~BIT(v);
     }
 }
 
@@ -154,17 +275,31 @@ static void expand(State *st, int size, int level)
    adj holds n rows and root_pools nroots rows of (n + 63) / 64 words;
    candidate bits must lie below n.  *best and best_mask carry the
    incumbent in and the best clique out; *nodes receives the node count.
-   node_limit < 0 and time_limit < 0 mean unlimited.  Returns COMPLETED,
-   BUDGET or a negative error code. */
-int neighborly_solve(const uint64_t *adj, int n, const int *roots,
+   node_limit < 0 and time_limit < 0 mean unlimited.  Nodes whose clique
+   has at most symmetry_depth members prune orbits (see the header), which
+   needs n = 3^d; 0 turns it off.  Returns COMPLETED, BUDGET or a negative
+   error code. */
+int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
                      const uint64_t *root_pools, int nroots, int levels,
-                     int target, int64_t node_limit, double time_limit,
-                     int *best, uint64_t *best_mask, int64_t *nodes)
+                     int symmetry_depth, int target, int64_t node_limit,
+                     double time_limit, int *best, uint64_t *best_mask,
+                     int64_t *nodes)
 {
     const int words = (n + 63) >> 6;
     *nodes = 0;
     if (((uintptr_t)adj | (uintptr_t)root_pools | (uintptr_t)best_mask) & 7)
         return MISALIGNED;
+    if (symmetry_depth < 0)
+        symmetry_depth = 0;
+    if (symmetry_depth > levels)
+        symmetry_depth = levels;
+    if (symmetry_depth > 0) {
+        int64_t power = 1;
+        for (int j = 0; j < d && power <= n; j++)
+            power *= 3;
+        if (d < 1 || power != n)
+            return NOT_WORDS;
+    }
     if (*best >= target)
         return COMPLETED;
 
@@ -173,6 +308,8 @@ int neighborly_solve(const uint64_t *adj, int n, const int *roots,
     st.n = n;
     st.words = words;
     st.levels = levels;
+    st.d = d;
+    st.symmetry_depth = symmetry_depth;
     st.best = *best;
     st.target = target;
     st.status = RUNNING;
@@ -186,12 +323,19 @@ int neighborly_solve(const uint64_t *adj, int n, const int *roots,
     st.order = malloc((size_t)levels * n * sizeof *st.order);
     st.colors = malloc((size_t)levels * n * sizeof *st.colors);
     st.cur = calloc((size_t)words, sizeof *st.cur);
+    st.first = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.first);
+    st.next = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.next);
+    st.head = malloc(((symmetry_depth > 0 ? (size_t)n : 0) + 1) * sizeof *st.head);
 
     int result = COMPLETED;
-    if (!st.pools || !st.rest || !st.avail || !st.order || !st.colors || !st.cur) {
+    if (!st.pools || !st.rest || !st.avail || !st.order || !st.colors || !st.cur
+        || !st.first || !st.next || !st.head) {
         result = NO_MEMORY;
         goto done;
     }
+    if (symmetry_depth > 0)
+        for (int v = 0; v < n; v++)
+            st.head[v] = -1;
     for (int r = 0; r < nroots && st.status == RUNNING; r++) {
         const int root = roots[r];
         memcpy(st.pools, root_pools + (size_t)r * words, (size_t)words * sizeof *st.pools);
@@ -223,5 +367,8 @@ done:
     free(st.order);
     free(st.colors);
     free(st.cur);
+    free(st.first);
+    free(st.next);
+    free(st.head);
     return result;
 }

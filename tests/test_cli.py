@@ -211,6 +211,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "00" in err and "11" in err and "distance 2" in err
 
+    def test_members_sorted_once(self, tmp_path, monkeypatch):
+        # the check and the audit share one sorted order of the members
+        from neighborly import core
+
+        _, out, _ = run_cli("construct", "corollary35", "8")
+        path = tmp_path / "fam.txt"
+        path.write_text(out)
+        keyed = []
+        key = core._vector_sort_key
+        monkeypatch.setattr(core, "_vector_sort_key", lambda v: keyed.append(v) or key(v))
+        code, vout, _ = run_cli("verify", str(path))
+        assert code == 0 and "PASS weight_identity" in vout
+        assert len(keyed) == len(set(keyed)) == 3 * 2**6
+
     def test_audit_skipped_when_k_equals_d(self, tmp_family_file):
         path = tmp_family_file("d=2 k=2\n00\n11\n01\n")
         code, out, _ = run_cli("verify", path)
@@ -239,7 +253,7 @@ class TestSearchCommand:
     def test_seed_accepted_and_hidden(self, capsys):
         code, out, _ = run_cli("search", "2", "5", "--seed", "7")
         assert code == 0 and out.splitlines()[0] == "12 optimal"
-        assert out.splitlines()[1].startswith("nodes=3063 ")
+        assert out.splitlines()[1].startswith("nodes=183 ")
         with pytest.raises(SystemExit):
             main(["search", "--help"])
         assert "--seed" not in capsys.readouterr().out
@@ -267,6 +281,18 @@ class TestSearchCommand:
         path = tmp_family_file("d=4 k=3\n0000\n0000\n")
         code, _, err = run_cli("search", "3", "4", "--incumbent", path)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--max-nodes", "-1"), ("--max-seconds", "-1"), ("--max-seconds", "nan")]
+    )
+    def test_bad_budget_is_usage_error(self, flag, value):
+        code, out, err = run_cli("search", "2", "5", flag, value)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_seconds_accepted(self):
+        code, out, _ = run_cli("search", "2", "5", "--max-seconds", "inf")
+        assert code == 0 and out.splitlines()[0] == "12 optimal"
 
     def test_kernel_flag(self):
         code, out, _ = run_cli("search", "2", "4", "--kernel", "python")

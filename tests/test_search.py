@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from neighborly import bounds, reference
 from neighborly.analysis import audit
-from neighborly.constructions import alon_product
+from neighborly.constructions import alon_product, b_config_family
 from neighborly.core import Family, JokerVector, hamming_distance
 from neighborly.errors import DomainError, InconsistencyError, ResourceError
 from neighborly.search import (
@@ -28,6 +28,7 @@ from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
+    SYMMETRY_DEPTH,
 )
 
 from conftest import pascal_binomial
@@ -141,6 +142,21 @@ class TestMaxFamily:
         assert res.status == STATUS_OPTIMAL
         assert res.nodes_explored > 0
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("depth,nodes", [(0, 3_063), (1, 335), (2, 221), (3, 183)])
+    def test_2_5_node_counts_by_symmetry_depth(self, kernel, depth, nodes):
+        res = max_family(2, 5, kernel=kernel, symmetry_depth=depth)
+        assert (res.best_size, res.status, res.nodes_explored) == (12, STATUS_OPTIMAL, nodes)
+
+    @pytest.mark.parametrize("k,d", [(k, d) for d in range(1, 6) for k in range(1, d + 1)])
+    def test_orbit_pruning_keeps_every_size(self, k, d):
+        # (2,6) at both depths: TestKernelTwins::test_compiled_certifies_2_6
+        plain = max_family(k, d, Budget.unlimited(), symmetry_depth=0)
+        pruned = max_family(k, d, Budget.unlimited(), symmetry_depth=3)
+        assert plain.status == pruned.status == STATUS_OPTIMAL
+        assert pruned.best_size == plain.best_size, (k, d)
+        assert pruned.nodes_explored <= plain.nodes_explored
+
     def test_soundness_small_grid(self):
         for d in range(1, 5):
             for k in range(1, d + 1):
@@ -211,6 +227,19 @@ class TestMaxFamily:
         with pytest.raises(InconsistencyError):
             certify(2, 5)
 
+    @pytest.mark.parametrize(
+        "node_limit,max_seconds",
+        [(-1, None), (None, -1.0), (None, -1e-9), (None, float("nan")), (-5, float("nan"))],
+    )
+    def test_bad_budget_rejected(self, node_limit, max_seconds):
+        with pytest.raises(DomainError):
+            Budget(node_limit, max_seconds)
+
+    def test_infinite_seconds_allowed(self):
+        res = max_family(2, 5, budget=Budget(None, float("inf")))
+        assert (res.best_size, res.status) == (12, STATUS_OPTIMAL)
+        assert Budget(0, 0.0).node_limit == 0
+
     def test_expired_deadline_skips_greedy_and_kernel(self, monkeypatch):
         calls = []
         impl = get_kernel("auto")
@@ -230,10 +259,13 @@ class TestMaxFamily:
 class TestEmbeddedWitnesses:
     @pytest.mark.parametrize("k,d", sorted(reference.WITNESSES))
     def test_witness_is_exact_and_audits(self, k, d):
+        # the size on record: the exact value, else the published lower bound
         words = reference.WITNESSES[(k, d)]
         family = Family.from_strings(d, k, words)
         assert len(family) == len(words)  # no duplicate words
-        assert len(family) == reference.exact_value(k, d)[0]
+        exact = reference.exact_value(k, d)
+        assert len(family) == (reference.best_known_lower(k, d) if exact is None else exact[0])
+        assert len(family) > max(len(c) for c in (alon_product(k, d), b_config_family(k, d)))
         rep = audit(family.validate())
         assert rep.passed, rep.failures()
 
@@ -267,7 +299,8 @@ class TestKernelTwins:
 
     @requires_cc
     def test_identical_under_budget(self):
-        args = dict(budget=Budget(node_limit=200, max_seconds=30))
+        # (2,5) takes 183 nodes with orbit pruning, so 100 runs out
+        args = dict(budget=Budget(node_limit=100, max_seconds=30))
         py = max_family(2, 5, kernel="python", **args)
         cc = max_family(2, 5, kernel="compiled", **args)
         assert py.best_size == cc.best_size
@@ -278,23 +311,39 @@ class TestKernelTwins:
         "k,d,node_limit", [(2, 5, None), (2, 6, 50_000), (3, 6, 50_000), (3, 7, 500)]
     )
     def test_identical_on_benchmark_cells(self, monkeypatch, k, d, node_limit):
-        class Captured(Exception):
-            pass
-
-        inputs = []
-
-        def capture(*args):
-            inputs.append(args)
-            raise Captured
-
-        with monkeypatch.context() as patch:
-            patch.setattr(get_kernel("python"), "solve_root", capture)
-            with pytest.raises(Captured):
-                max_family(k, d, budget=Budget(node_limit, None), kernel="python")
-        py = get_kernel("python").solve_root(*inputs[0])
-        cc = get_kernel("compiled").solve_root(*inputs[0])
+        # orbit pruning to depth 3, max_family's default, exhausts (2,6) in
+        # 13,751 nodes, well inside the benchmark's 50k cap, so (2,5) and
+        # (2,6) are exhaustive twin runs
+        args = _kernel_inputs(monkeypatch, k, d, node_limit)
+        assert args[-1] == SYMMETRY_DEPTH == 3
+        py = get_kernel("python").solve_root(*args)
+        cc = get_kernel("compiled").solve_root(*args)
         assert py == cc
-        assert py[3] is (node_limit is None)
+        assert py[3] is (node_limit is None or (k, d) == (2, 6))
+
+    @requires_cc
+    @pytest.mark.parametrize(
+        "k,d,node_limit,nodes",
+        [(2, 5, None, 3_063), (2, 6, 50_000, 50_001), (3, 6, 50_000, 50_001), (3, 7, 500, 501)],
+    )
+    def test_identical_on_benchmark_cells_at_depth_zero(self, monkeypatch, k, d, node_limit, nodes):
+        # depth 0 is the tree of the kernels without orbit pruning below the root
+        args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (0,)
+        py = get_kernel("python").solve_root(*args)
+        cc = get_kernel("compiled").solve_root(*args)
+        assert py == cc
+        assert (py[2], py[3]) == (nodes, node_limit is None)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_orbit_pruning_needs_the_word_graph(self, kernel):
+        # symbols are read off vertex indices, which only works for n = 3^d
+        adj, n, roots, *rest = _triangle_plus_edge()
+        solve = get_kernel(kernel).solve_root
+        with pytest.raises(ValueError, match="3\\^d"):
+            solve(adj, n, roots, *rest, 1, 3)
+        with pytest.raises(ValueError, match=">= 0"):
+            solve(adj, n, roots, *rest, None, -1)
+        assert solve(adj, n, roots, *rest, 1, 0)[:2] == (3, 0b0111)
 
     @requires_cc
     def test_compiled_rejects_vertices_outside_the_graph(self):
@@ -310,10 +359,40 @@ class TestKernelTwins:
 
     @requires_cc
     def test_compiled_certifies_2_6(self):
-        # the tree of the lexicographic vertex order, no reordering
-        res = max_family(2, 6, budget=Budget.unlimited(), kernel="compiled")
-        assert (res.best_size, res.status) == (16, STATUS_OPTIMAL)
-        assert res.nodes_explored == 966_502
+        # the tree of the lexicographic vertex order, no reordering; orbit
+        # pruning to depth 3 cuts it 70-fold
+        for depth, nodes in [(0, 966_502), (3, 13_751)]:
+            res = max_family(2, 6, Budget.unlimited(), kernel="compiled", symmetry_depth=depth)
+            assert (res.best_size, res.status) == (16, STATUS_OPTIMAL)
+            assert res.nodes_explored == nodes, depth
+
+    @requires_cc
+    def test_compiled_certifies_3_6_by_search(self):
+        # a second route to the paper's n(3,6) = 27 (max_family raises
+        # InconsistencyError if an exhausted search disagrees with it)
+        res = max_family(3, 6, Budget.unlimited(), kernel="compiled")
+        assert (res.best_size, res.status) == (27, STATUS_OPTIMAL)
+        assert res.nodes_explored == 1_047_592
+        assert reference.exact_value(3, 6)[0] == 27
+
+
+def _kernel_inputs(monkeypatch, k, d, node_limit):
+    """The arguments max_family passes to solve_root for one search."""
+
+    class Captured(Exception):
+        pass
+
+    inputs = []
+
+    def capture(*args):
+        inputs.append(args)
+        raise Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(get_kernel("python"), "solve_root", capture)
+        with pytest.raises(Captured):
+            max_family(k, d, budget=Budget(node_limit, None), kernel="python")
+    return inputs[0]
 
 
 def _triangle_plus_edge():
