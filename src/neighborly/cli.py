@@ -12,9 +12,10 @@ one vector per line, exactly d characters over {0,1,*}; duplicate lines
 are rejected and trailing whitespace is ignored.
 
 Exit codes: 0 success/valid family, 1 invalid family or failed audit,
-2 usage error (including ``search --kernel compiled`` when the compiled
-kernel is not available, and a negative ``--max-nodes`` or a negative or
-NaN ``--max-seconds``; ``inf`` means no time limit), 3 resource limit,
+2 usage error (including a file that cannot be opened, read or written,
+``search --kernel compiled`` when the compiled kernel is not available,
+and a negative ``--max-nodes`` or a negative or NaN ``--max-seconds``;
+``inf`` means no time limit), 3 resource limit,
 141 (128 + SIGPIPE, what a shell reports for a program killed by a broken
 pipe) when stdout was closed before the output was written, e.g.
 ``neighborly table 40 40 | head -1``; that case prints nothing to stderr.
@@ -238,19 +239,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        family = read_family(args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        validated = family.validate()
-    except ValidationError as exc:
-        print(f"invalid family: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    family = read_family(args.path)
+    validated = family.validate()
     print(f"family of {len(validated)} vectors, d={family.d}, k={family.k}: k-neighborly")
     if family.d - family.k < 1:
         print("audit skipped: requires d - k >= 1")
@@ -284,9 +274,6 @@ def cmd_search(args) -> int:
         except ParseError as exc:
             print(f"parse error in incumbent: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        except OSError as exc:
-            print(f"error reading incumbent: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     budget = Budget(node_limit=args.max_nodes, max_seconds=args.max_seconds)
     result = max_family(
         args.k,
@@ -417,6 +404,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except OSError as exc:  # a file that cannot be opened, read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

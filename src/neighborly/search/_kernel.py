@@ -103,7 +103,7 @@ class CompiledKernel:
         levels = (n if max_depth is None else min(max_depth, n)) + 3
         status = self._solve(
             rows, n, d or 0, root_ids, pools, len(roots), levels, symmetry_depth, target,
-            -1 if node_limit is None else max(0, node_limit),
+            -1 if node_limit is None else min(max(0, node_limit), 2**63 - 1),  # c_int64 wraps
             -1.0 if time_limit is None else max(0.0, time_limit),
             ctypes.byref(size), mask, ctypes.byref(nodes),
         )

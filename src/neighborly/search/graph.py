@@ -2,15 +2,17 @@
 
 Cliques of this graph are exactly the k-neighborly families, so maximum
 family search is maximum clique search here.  Adjacency is stored one
-bit mask per vertex; vertex order is lexicographic over the symbols
-0 < 1 < *, which keeps every downstream result reproducible.
+bit mask per vertex; vertices are plain indices, and this module is the
+one place (outside the two kernels) where an index and its word convert
+into each other.
 
 Vertex i is the word whose base-3 digits (0, 1, * as 0, 1, 2, most
-significant symbol first) spell i, so the words of length m+1 that start
-with symbol t occupy the block of indices [t*3^m, (t+1)*3^m).  Distance is
-a sum over coordinates, which makes the rows a recursion over the first
-symbol instead of a comparison of all pairs.  Let within[w][j] be the mask
-of words within distance j of w.  For the word s+w:
+significant symbol first) spell i, so vertex order is lexicographic over
+0 < 1 < *, the order families are written in, and the words of length m+1
+that start with symbol t occupy the block of indices [t*3^m, (t+1)*3^m).
+Distance is a sum over coordinates, which makes the rows a recursion over
+the first symbol instead of a comparison of all pairs.  Let within[w][j]
+be the mask of words within distance j of w.  For the word s+w:
 
 * s = *: every block t takes within[w][j];
 * s = 0: blocks 0 and * take within[w][j], block 1 takes within[w][j-1]
@@ -26,10 +28,9 @@ never exist at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
-from ..core import Family, JokerVector
+from ..core import Family, JokerVector, _vector_sort_key
 from ..errors import DomainError, ResourceError
 
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
@@ -37,34 +38,60 @@ DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
 @dataclass(frozen=True)
 class CompatGraph:
-    """All 3^d joker vectors with distance-in-{1..k} adjacency bit rows."""
+    """Distance-in-{1..k} adjacency bit rows over the 3^d vertex indices."""
 
     d: int
     k: int
-    vectors: List[JokerVector]
     adjacency: List[int]
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
-
-    def index_of(self) -> Dict[JokerVector, int]:
-        return {v: i for i, v in enumerate(self.vectors)}
+        return len(self.adjacency)
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
-    def family_of(self, indices, validate: bool = True) -> Family:
-        members = [self.vectors[i] for i in indices]
-        fam = Family.of(self.d, self.k, members)
-        return fam.validate() if validate else fam
 
-    def all_joker_index(self) -> int:
-        return self.vectors.index(JokerVector(self.d, 0, (1 << self.d) - 1))
+def vertex_of(v: JokerVector) -> int:
+    """The vertex index of word v: its symbols read as base-3 digits."""
+    return int(_vector_sort_key(v), 3)
+
+
+def word_of(i: int, d: int) -> JokerVector:
+    """The word of length d at vertex index i."""
+    bits = jokers = 0
+    for c in range(d - 1, -1, -1):  # the last symbol is the least significant digit
+        i, digit = divmod(i, 3)
+        if digit == 1:
+            bits |= 1 << c
+        elif digit == 2:
+            jokers |= 1 << c
+    return JokerVector(d, bits, jokers)
+
+
+def family_of(k: int, d: int, mask: int) -> Family:
+    """The validated family of the vertices set in ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(word_of(low.bit_length() - 1, d))
+        mask ^= low
+    return Family.of(d, k, members).validate()
+
+
+def joker_classes(d: int) -> List[int]:
+    """classes[t]: the mask of the vertices with exactly t jokers, t = 0..d."""
+    classes = [1]  # the empty word
+    size = 1
+    for _ in range(d):
+        # prefixes 0 and 1 keep the joker count, prefix * adds one
+        classes = [m | m << size | c << 2 * size for m, c in zip(classes + [0], [0] + classes)]
+        size *= 3
+    return classes
 
 
 def build_graph(k: int, d: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> CompatGraph:
-    """Enumerate {0,1,*}^d in lexicographic order and fill the adjacency rows.
+    """The adjacency rows of {0,1,*}^d by the recursion in the module docstring.
 
     The adjacency matrix needs about n^2/8 bytes for n = 3^d; builds that
     would exceed ``memory_budget`` raise ResourceError instead of thrashing.
@@ -76,8 +103,7 @@ def build_graph(k: int, d: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> C
         raise ResourceError(
             f"adjacency for d={d} needs ~{n * n // 8} bytes, budget is {memory_budget}"
         )
-    vectors = [JokerVector.from_string("".join(word)) for word in product("01*", repeat=d)]
-    return CompatGraph(d, k, vectors, _adjacency_rows(k, d))
+    return CompatGraph(d, k, _adjacency_rows(k, d))
 
 
 def _prefixed(within: List[int], symbol: int, size: int) -> List[int]:

@@ -4,11 +4,11 @@ The solver works on the compatibility graph (cliques = families).  It
 seeds an incumbent from the caller's family, the built-in constructions
 and the embedded witness families, stops immediately when the incumbent
 meets the formula upper bound (the bound machinery then proves optimality
-with no search at all), and otherwise runs a branch-and-bound over orbit
-representatives of the first vertex: coordinate permutations and
-per-coordinate bit swaps act on the graph, so the first clique vertex can
-be assumed to be 0^(d-t) *^t for some t, which cuts the root branching
-factor from 3^d to d.  Below the root the kernel keeps breaking symmetry
+with no search and no graph at all), and otherwise builds the graph and
+runs a branch-and-bound over orbit representatives of the first vertex:
+coordinate permutations and per-coordinate bit swaps act on the graph, so
+the first clique vertex can be assumed to be 0^(d-t) *^t for some t, which
+cuts the root branching factor from 3^d to d.  Below the root the kernel keeps breaking symmetry
 down to ``symmetry_depth``: once a branch is finished, every vertex in its
 orbit under the symmetries fixing the current clique leaves the pool.
 
@@ -28,7 +28,7 @@ from ..core import Family, JokerVector
 from ..errors import DomainError, InconsistencyError, ResourceError
 from ..constructions import alon_product, b_config_family, extremal_dminus1_family
 from . import _kernel
-from .graph import CompatGraph, build_graph
+from .graph import CompatGraph, build_graph, family_of, joker_classes, vertex_of
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "timeout"
@@ -110,11 +110,6 @@ def _construction_candidates(k: int, d: int) -> list[Family]:
     return cands
 
 
-def _family_indices(family: Family, graph: CompatGraph) -> list[int]:
-    index = graph.index_of()
-    return [index[v] for v in family.sorted_members()]
-
-
 def max_family(
     k: int,
     d: int,
@@ -147,10 +142,7 @@ def max_family(
     exact = rep.exact_known
     published = reference.best_known_lower(k, d)
 
-    graph = _graph(k, d)
-    n = graph.n
-
-    best_indices: list[int] = []
+    best: frozenset[JokerVector] = frozenset()
     if incumbent is not None:
         if incumbent.d != d:
             raise DomainError(f"incumbent has d={incumbent.d}, search is for d={d}")
@@ -158,16 +150,17 @@ def max_family(
             raise DomainError(f"incumbent allows distance {incumbent.k} > k={k}")
         if not incumbent.validated:
             incumbent = incumbent.validate()
-        best_indices = _family_indices(incumbent, graph)
+        best = incumbent.members
     for cand in _construction_candidates(k, d):
-        if len(cand) > len(best_indices):
-            best_indices = _family_indices(cand, graph)
+        if len(cand) > len(best):
+            best = cand.members
 
-    best_size = len(best_indices)
+    best_size = len(best)
+    best_mask = sum(1 << vertex_of(v) for v in best)
 
-    def _finish(status: str, nodes: int, indices: list[int]) -> SearchResult:
-        witness = graph.family_of(indices)
-        size = len(indices)
+    def _finish(status: str, nodes: int, mask: int) -> SearchResult:
+        witness = family_of(k, d, mask)
+        size = len(witness)
         if exact is not None:
             if size > exact:
                 raise InconsistencyError(
@@ -190,10 +183,11 @@ def max_family(
         )
 
     if best_size >= target:
-        return _finish(STATUS_OPTIMAL, 0, best_indices)
+        return _finish(STATUS_OPTIMAL, 0, best_mask)
     if budget.node_limit == 0:
-        return _finish(STATUS_LOWER_BOUND_ONLY, 0, best_indices)
+        return _finish(STATUS_LOWER_BOUND_ONLY, 0, best_mask)
 
+    n = 3**d
     max_depth = min(n, target)
     words = (n + 63) // 64
     levels = max_depth + 3
@@ -205,44 +199,26 @@ def max_family(
             f"budget is {memory_budget}"
         )
 
+    adj = _graph(k, d).adjacency
     # root subproblems: orbit representatives 0^(d-t) *^t, earlier orbits removed
-    adj = graph.adjacency
-    index = graph.index_of()
+    classes = joker_classes(d)
     active = (1 << n) - 1
-    active &= ~(1 << graph.all_joker_index())
-    orbit_members: dict[int, list[int]] = {}
-    for i, v in enumerate(graph.vectors):
-        orbit_members.setdefault(v.joker_count, []).append(i)
     roots: list[tuple[int, int]] = []
     for t in range(d):
-        r = index[JokerVector(d, 0, ((1 << t) - 1) << (d - t))]
+        r = vertex_of(JokerVector(d, 0, ((1 << t) - 1) << (d - t)))
         roots.append((r, adj[r] & active))
-        for member in orbit_members[t]:
-            active &= ~(1 << member)
-
-    best_mask = 0
-    for i in best_indices:
-        best_mask |= 1 << i
+        active &= ~classes[t]
 
     remaining = None
     if deadline is not None:
         remaining = deadline - perf_counter()
         if remaining <= 0:
-            return _finish(STATUS_TIMEOUT, 0, best_indices)
+            return _finish(STATUS_TIMEOUT, 0, best_mask)
     size, mask, nodes, completed = impl.solve_root(
         adj, n, roots, best_size, best_mask, target,
         budget.node_limit, remaining, max_depth, d, symmetry_depth,
     )
-    return _finish(STATUS_OPTIMAL if completed else STATUS_TIMEOUT, nodes, _bits(mask))
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return _finish(STATUS_OPTIMAL if completed else STATUS_TIMEOUT, nodes, mask)
 
 
 def certify(

@@ -37,12 +37,6 @@ def all_binaries(d: int) -> list[JokerVector]:
     return [JokerVector(d, bits, 0) for bits in range(1 << d)]
 
 
-def all_joker_vectors(d: int) -> list[JokerVector]:
-    from itertools import product
-
-    return [JokerVector.from_string("".join(w)) for w in product("01*", repeat=d)]
-
-
 def random_family(rng, d: int, k: int, size: int, joker_rate: float, validated: bool = False) -> Family:
     """Up to ``size`` random words of length d; ``validated`` forges the flag unchecked."""
     words = set()

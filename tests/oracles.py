@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Set
 
 from neighborly.analysis import AuditReport, CheckResult, _require_validated
@@ -14,7 +15,11 @@ from neighborly.core import (
     hamming_distance,
 )
 from neighborly.errors import DomainError
-from neighborly.search import build_graph
+
+
+def all_joker_vectors(d: int) -> list[JokerVector]:
+    """All 3^d words of length d, listed in vertex order (lexicographic, 0 < 1 < *)."""
+    return [JokerVector.from_string("".join(w)) for w in product("01*", repeat=d)]
 
 
 def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:
@@ -46,7 +51,7 @@ def max_family_bruteforce(k: int, d: int) -> tuple[int, Family]:
     """
     if d > 2:
         raise DomainError(f"brute force enumerates 2^(3^d) subsets; d={d} is too large")
-    vectors = build_graph(k, d).vectors
+    vectors = all_joker_vectors(d)
     n = len(vectors)
     best_size = 0
     best_subset = 0

@@ -299,6 +299,19 @@ class TestSearchCommand:
         assert code == 0
         assert "kernel=python" in out
 
+    def test_warm_start_closes_9_10_without_a_graph(self):
+        # n(9,10) = 3 * 2^8; the 3^10-vertex graph exceeds the memory budget
+        code, out, _ = run_cli("search", "9", "10")
+        assert code == 0 and out.splitlines()[0] == "768 optimal"
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_witness_is_usage_error(self, tmp_path, where):
+        path = tmp_path / "absent" / "witness.txt" if where == "missing directory" else tmp_path
+        code, out, err = run_cli("search", "2", "4", "--witness", str(path))
+        assert code == 2
+        assert out.splitlines()[0] == "9 optimal" and out.splitlines()[1].startswith("nodes=")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+
     def test_memory_guard_exit_code(self):
         code, _, err = run_cli("search", "2", "10")
         assert code == 3

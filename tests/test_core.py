@@ -18,8 +18,8 @@ from neighborly.core import (
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, ValidationError
 
-from conftest import all_binaries, all_joker_vectors, fam, jv, naive_distance, random_family
-from oracles import pairwise_is_k_neighborly
+from conftest import all_binaries, fam, jv, naive_distance, random_family
+from oracles import all_joker_vectors, pairwise_is_k_neighborly
 
 
 def binary_vectors(d):

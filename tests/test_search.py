@@ -1,6 +1,5 @@
 """Search stack: graph, kernels, solver, certification."""
 
-import itertools
 import os
 import random
 import shutil
@@ -15,7 +14,7 @@ from neighborly import bounds, reference
 from neighborly.analysis import audit
 from neighborly.constructions import alon_product, b_config_family
 from neighborly.core import Family, JokerVector, hamming_distance
-from neighborly.errors import DomainError, InconsistencyError, ResourceError
+from neighborly.errors import DomainError, InconsistencyError, ResourceError, ValidationError
 from neighborly.search import (
     Budget,
     build_graph,
@@ -23,7 +22,8 @@ from neighborly.search import (
     get_kernel,
     max_family,
 )
-from neighborly.search import _kernel
+from neighborly.search import _kernel, solver
+from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
@@ -31,8 +31,8 @@ from neighborly.search.solver import (
     SYMMETRY_DEPTH,
 )
 
-from conftest import pascal_binomial
-from oracles import max_family_bruteforce, pairwise_adjacency
+from conftest import jv, pascal_binomial
+from oracles import all_joker_vectors, max_family_bruteforce, pairwise_adjacency
 
 # Where a C compiler exists the compiled kernel must have built: its tests
 # fail rather than skip when it did not.
@@ -45,12 +45,13 @@ class TestCompatGraph:
     def test_vertex_count_and_isolated_joker(self):
         g = build_graph(1, 2)
         assert g.n == 9
-        assert g.degree(g.all_joker_index()) == 0
+        assert g.degree(all_joker_vectors(2).index(jv("**"))) == 0
 
     def test_lexicographic_order(self):
         g = build_graph(1, 2)
-        words = [str(v) for v in g.vectors]
-        assert words == ["".join(w) for w in itertools.product("01*", repeat=2)]
+        words = [str(word_of(i, 2)) for i in range(g.n)]
+        assert words == [str(v) for v in all_joker_vectors(2)]
+        assert words == ["00", "01", "0*", "10", "11", "1*", "*0", "*1", "**"]
 
     def test_symmetric_irreflexive(self):
         for d in range(1, 5):
@@ -67,8 +68,9 @@ class TestCompatGraph:
 
     def test_adjacency_matches_distances(self):
         g = build_graph(2, 3)
-        for i, u in enumerate(g.vectors):
-            for j, v in enumerate(g.vectors):
+        words = all_joker_vectors(3)
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
                 if i == j:
                     continue
                 expected = 1 <= hamming_distance(u, v) <= 2
@@ -80,10 +82,10 @@ class TestCompatGraph:
 
     def test_kernels_build_identical_adjacency(self):
         for d in range(1, 7):
+            values = [v.bits for v in all_joker_vectors(d)]
+            jokers = [v.jokers for v in all_joker_vectors(d)]
             for k in range(1, d + 1):
                 g = build_graph(k, d)
-                values = [v.bits for v in g.vectors]
-                jokers = [v.jokers for v in g.vectors]
                 assert pairwise_adjacency(values, jokers, k) == g.adjacency, (k, d)
 
     @pytest.mark.parametrize("k,d", [(3, 7), (6, 7), (2, 8), (6, 8)])
@@ -99,8 +101,29 @@ class TestCompatGraph:
             for t in range(d + 1)
         ]
         g = build_graph(k, d)
-        for v, row in zip(g.vectors, g.adjacency):
+        for v, row in zip(all_joker_vectors(d), g.adjacency):
             assert row.bit_count() == expected[v.jokers.bit_count()], (str(v), k, d)
+
+
+class TestVertexNumbering:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_conversions_match_the_enumeration(self, d):
+        words = all_joker_vectors(d)
+        assert [vertex_of(v) for v in words] == list(range(3**d))
+        assert [word_of(i, d) for i in range(3**d)] == words
+        classes = joker_classes(d)
+        assert len(classes) == d + 1
+        for t, mask in enumerate(classes):
+            assert mask == sum(1 << i for i, v in enumerate(words) if v.joker_count == t), t
+
+    def test_family_of_decodes_and_validates(self):
+        family = alon_product(2, 4)
+        mask = sum(1 << vertex_of(v) for v in family)
+        decoded = family_of(2, 4, mask)
+        assert decoded.validated and decoded == family
+        bad = 1 << vertex_of(jv("00")) | 1 << vertex_of(jv("11"))  # distance 2 > k
+        with pytest.raises(ValidationError):
+            family_of(1, 2, bad)
 
 
 class TestBruteForceOracle:
@@ -192,6 +215,17 @@ class TestMaxFamily:
             max_family(2, 4, incumbent=alon_product(2, 3))
         with pytest.raises(DomainError):
             max_family(1, 4, incumbent=alon_product(2, 4))
+
+    def test_warm_start_at_the_bound_builds_no_graph(self, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the compatibility graph was built")
+
+        solver._graph.cache_clear()
+        monkeypatch.setattr(solver, "build_graph", no_graph)
+        res = max_family(6, 7)
+        assert (res.best_size, res.status, res.nodes_explored) == (96, STATUS_OPTIMAL, 0)
+        res = max_family(2, 5, budget=Budget(node_limit=0))
+        assert (res.best_size, res.status) == (12, STATUS_LOWER_BOUND_ONLY)
 
     def test_kernel_memory_guard(self):
         with pytest.raises(ResourceError):
@@ -358,6 +392,14 @@ class TestKernelTwins:
             solve(adj[:-1], n, roots, *rest)
 
     @requires_cc
+    @pytest.mark.parametrize("node_limit", [2**64, 2**64 + 1000])
+    def test_node_limit_beyond_int64(self, node_limit):
+        # the C kernel counts in 64 bits; a larger limit must not wrap around
+        res = [max_family(2, 6, Budget(node_limit, None), kernel=kern) for kern in KERNELS]
+        got = [(r.best_size, r.status, r.nodes_explored) for r in res]
+        assert got == [(16, STATUS_OPTIMAL, 13_751)] * 2
+
+    @requires_cc
     def test_compiled_certifies_2_6(self):
         # the tree of the lexicographic vertex order, no reordering; orbit
         # pruning to depth 3 cuts it 70-fold
@@ -492,12 +534,13 @@ class TestSymmetryInvariance:
         rng = random.Random(5)
         for (k, d) in [(1, 3), (2, 3), (2, 4), (3, 4)]:
             g = build_graph(k, d)
-            index = g.index_of()
+            words = all_joker_vectors(d)
+            index = {v: i for i, v in enumerate(words)}
             for _ in range(4):
                 perm = list(range(d))
                 rng.shuffle(perm)
                 flips = rng.randrange(1 << d)
-                mapping = [index[apply_symmetry(v, perm, flips)] for v in g.vectors]
+                mapping = [index[apply_symmetry(v, perm, flips)] for v in words]
                 assert sorted(mapping) == list(range(g.n))
                 assert _relabeled(g.adjacency, mapping) == g.adjacency, (k, d, perm, flips)
 
