@@ -106,7 +106,7 @@ def _construction_candidates(k: int, d: int) -> list[Family]:
     if k == d - 1:
         cands.append(extremal_dminus1_family(d))
     if (k, d) in reference.WITNESSES:
-        cands.append(Family.from_strings(d, k, reference.WITNESSES[(k, d)]))
+        cands.append(Family.from_strings(d, k, reference.WITNESSES[(k, d)]).validate())
     return cands
 
 
@@ -142,24 +142,20 @@ def max_family(
     exact = rep.exact_known
     published = reference.best_known_lower(k, d)
 
-    best: frozenset[JokerVector] = frozenset()
+    cands: list[Family] = []
     if incumbent is not None:
         if incumbent.d != d:
             raise DomainError(f"incumbent has d={incumbent.d}, search is for d={d}")
         if incumbent.k > k:
             raise DomainError(f"incumbent allows distance {incumbent.k} > k={k}")
-        if not incumbent.validated:
-            incumbent = incumbent.validate()
-        best = incumbent.members
-    for cand in _construction_candidates(k, d):
-        if len(cand) > len(best):
-            best = cand.members
+        cands.append(incumbent if incumbent.validated else incumbent.validate())
+    cands += _construction_candidates(k, d)
+    # max() keeps the first of equal sizes, so the incumbent wins ties; every
+    # candidate is validated at some distance <= k, so it is valid at k too
+    warm = Family.of(d, k, max(cands, key=len).members, validated=True)
+    best_size = len(warm)
 
-    best_size = len(best)
-    best_mask = sum(1 << vertex_of(v) for v in best)
-
-    def _finish(status: str, nodes: int, mask: int) -> SearchResult:
-        witness = family_of(k, d, mask)
+    def _finish(status: str, nodes: int, witness: Family) -> SearchResult:
         size = len(witness)
         if exact is not None:
             if size > exact:
@@ -183,9 +179,9 @@ def max_family(
         )
 
     if best_size >= target:
-        return _finish(STATUS_OPTIMAL, 0, best_mask)
+        return _finish(STATUS_OPTIMAL, 0, warm)
     if budget.node_limit == 0:
-        return _finish(STATUS_LOWER_BOUND_ONLY, 0, best_mask)
+        return _finish(STATUS_LOWER_BOUND_ONLY, 0, warm)
 
     n = 3**d
     max_depth = min(n, target)
@@ -208,17 +204,19 @@ def max_family(
         r = vertex_of(JokerVector(d, 0, ((1 << t) - 1) << (d - t)))
         roots.append((r, adj[r] & active))
         active &= ~classes[t]
+    best_mask = sum(1 << vertex_of(v) for v in warm)
 
     remaining = None
     if deadline is not None:
         remaining = deadline - perf_counter()
         if remaining <= 0:
-            return _finish(STATUS_TIMEOUT, 0, best_mask)
+            return _finish(STATUS_TIMEOUT, 0, warm)
     size, mask, nodes, completed = impl.solve_root(
         adj, n, roots, best_size, best_mask, target,
         budget.node_limit, remaining, max_depth, d, symmetry_depth,
     )
-    return _finish(STATUS_OPTIMAL if completed else STATUS_TIMEOUT, nodes, mask)
+    status = STATUS_OPTIMAL if completed else STATUS_TIMEOUT
+    return _finish(status, nodes, family_of(k, d, mask))
 
 
 def certify(

@@ -317,6 +317,12 @@ class TestSearchCommand:
         assert code == 3
         assert "resource limit" in err
 
+    def test_memory_guard_exit_code_at_large_d(self):
+        # 3^25 vertices: refused by the estimate, before any vertex mask exists
+        code, out, err = run_cli("search", "2", "25")
+        assert code == 3 and not out
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
     def test_unavailable_compiled_kernel_is_usage_error(self, monkeypatch):
         from neighborly.search import _kernel
 

@@ -216,20 +216,39 @@ class TestMaxFamily:
         with pytest.raises(DomainError):
             max_family(1, 4, incumbent=alon_product(2, 4))
 
-    def test_warm_start_at_the_bound_builds_no_graph(self, monkeypatch):
-        def no_graph(*args, **kwargs):
-            raise AssertionError("the compatibility graph was built")
+    @staticmethod
+    def _forbid_vertex_work(monkeypatch):
+        """Make building the graph or any 3^d-bit vertex mask fail the test."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the graph or a vertex mask was built")
 
         solver._graph.cache_clear()
-        monkeypatch.setattr(solver, "build_graph", no_graph)
+        for name in ("build_graph", "vertex_of", "family_of"):
+            monkeypatch.setattr(solver, name, forbidden)
+
+    def test_warm_start_at_the_bound_builds_no_graph(self, monkeypatch):
+        self._forbid_vertex_work(monkeypatch)
         res = max_family(6, 7)
         assert (res.best_size, res.status, res.nodes_explored) == (96, STATUS_OPTIMAL, 0)
+        assert res.witness.validated and res.witness.k == 6
         res = max_family(2, 5, budget=Budget(node_limit=0))
         assert (res.best_size, res.status) == (12, STATUS_LOWER_BOUND_ONLY)
+        # n(14,15) = 3 * 2^13: closed by the d-1 construction over 3^15 vertices
+        res = max_family(14, 15)
+        assert (res.best_size, res.status, res.nodes_explored) == (24576, STATUS_OPTIMAL, 0)
 
     def test_kernel_memory_guard(self):
         with pytest.raises(ResourceError):
             max_family(2, 5, memory_budget=10_000)
+
+    @pytest.mark.parametrize("d", [20, 25, 40])
+    def test_memory_guard_precedes_vertex_masks(self, monkeypatch, d):
+        # the warm start does not close (2, d); the guard must fire before a
+        # mask of 3^d bits is built (3^25 bits is ~106 GB)
+        self._forbid_vertex_work(monkeypatch)
+        with pytest.raises(ResourceError):
+            max_family(2, d)
 
     def test_monotonicity_on_certified_range(self):
         sizes = {}
