@@ -311,9 +311,9 @@ def report(k: int, d: int) -> BoundReport:
     """Evaluate all bounds defined at (k, d) and aggregate them.
 
     best_upper minimizes the upper-bound entries; best_lower maximizes the
-    product construction, the 3*2^(d-2) family when k = d-1, and embedded
-    exact values.  The exact value (with its provenance tag) is attached
-    whenever (k, d) has one.
+    product construction and the exact value, which reference.exact_value
+    gives for every k = d-1 (the 3*2^(d-2) family).  The exact value (with
+    its provenance tag) is attached whenever (k, d) has one.
     """
     _require(1 <= k <= d, f"need 1 <= k <= d, got k={k} d={d}")
     entries: dict[str, int] = {
@@ -333,8 +333,6 @@ def report(k: int, d: int) -> BoundReport:
 
     best_upper = min(entries[name] for name in UPPER_ENTRIES if name in entries)
     lowers = [entries["alon_lower"]]
-    if k == d - 1:
-        lowers.append(3 * (1 << (d - 2)))
     exact = reference.exact_value(k, d)
     exact_known = exact_source = None
     if exact is not None:

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .search import Budget, get_kernel, max_family
-from .search.solver import STATUS_OPTIMAL
+from .search.solver import DEFAULT_MAX_SECONDS, DEFAULT_NODE_LIMIT, STATUS_OPTIMAL
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -78,6 +78,29 @@ def write_family(family: Family, stream: TextIO, comment: Optional[str] = None) 
     stream.write(f"d={family.d} k={family.k}\n")
     for member in family.sorted_members():
         stream.write(f"{member}\n")
+
+
+def write_witness(path: str, family: Family, comment: str) -> None:
+    """Write ``family`` to ``path`` so that a failed write leaves the old file.
+
+    When the resolved target (symlinks followed) is absent or a regular
+    file, the family goes to ``<target>.tmp-<pid>`` beside it and is then
+    renamed over it, so a symlink stays a symlink.  Anything else (a FIFO,
+    a device) is written in place.  On OSError the temporary file is
+    removed and the error raised.
+    """
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            write_family(family, fh, comment=comment)
+        if not in_place:
+            os.replace(tmp, target)
+    except OSError:
+        if not in_place and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def parse_family(lines: Iterable[str]) -> Family:
@@ -289,12 +312,12 @@ def cmd_search(args) -> int:
         f"kernel={result.kernel} formula_upper={result.upper_limit}"
     )
     if args.witness:
-        with open(args.witness, "w", encoding="ascii") as fh:
-            write_family(
-                result.witness,
-                fh,
-                comment=f"search witness, status={result.status}",
-            )
+        try:
+            write_witness(args.witness, result.witness, f"search witness, status={result.status}")
+        except OSError as exc:
+            print(f"error: cannot write witness {args.witness}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         print(f"witness written to {args.witness}")
     return EXIT_OK
 
@@ -369,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run the exact maximum-family search")
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--max-nodes", type=int, default=10**8)
-    p.add_argument("--max-seconds", type=float, default=60.0)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
     p.add_argument("--witness", metavar="PATH", help="write the witness family here")
     p.add_argument("--incumbent", metavar="PATH", help="seed with this family file")
     # accepted and ignored: the search makes no random choices, but the

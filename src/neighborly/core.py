@@ -19,8 +19,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError, ValidationError
 
-SYMBOLS = "01*"
-
 
 @dataclass(frozen=True, order=True)
 class JokerVector:
@@ -50,11 +48,6 @@ class JokerVector:
             elif ch != "0":
                 raise DomainError(f"invalid symbol {ch!r} in {word!r}")
         return cls(len(word), bits, jokers)
-
-    @classmethod
-    def from_bits(cls, d: int, bits: int) -> "JokerVector":
-        """Binary vector (no jokers) from an integer bit mask."""
-        return cls(d, bits, 0)
 
     def __str__(self) -> str:
         out = []

@@ -58,12 +58,10 @@ class CompiledKernel:
             ctypes.POINTER(ctypes.c_int),  # root vertices
             ctypes.POINTER(ctypes.c_uint64),  # root candidate pools
             ctypes.c_int,  # number of roots
-            ctypes.c_int,  # levels
             ctypes.c_int,  # symmetry depth
             ctypes.c_int,  # target
             ctypes.c_int64,  # node limit, < 0 unlimited
             ctypes.c_double,  # time limit, < 0 unlimited
-            ctypes.POINTER(ctypes.c_int),  # best size, in and out
             ctypes.POINTER(ctypes.c_uint64),  # best mask, in and out
             ctypes.POINTER(ctypes.c_int64),  # nodes, out
         ]
@@ -73,39 +71,35 @@ class CompiledKernel:
     def solve_root(
         self,
         adjacency: list[int],
-        n: int,
         roots: list[tuple[int, int]],
-        best: int,
         best_mask: int,
         target: int,
         node_limit: int | None,
         time_limit: float | None,
-        max_depth: int | None = None,
         d: int | None = None,
         symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
-        """Same contract as ``_kernel_py.solve_root``."""
+        """``_kernel_py.solve_root``'s contract; vertices outside 0..n-1 raise ValueError."""
+        n = len(adjacency)
         _kernel_py.check_orbit_inputs(n, d, symmetry_depth)
-        if len(adjacency) != n:
-            raise ValueError(f"adjacency has {len(adjacency)} rows, expected n={n}")
+        if best_mask >> n:
+            raise ValueError(f"the incumbent mask has vertices outside 0..{n - 1}")
         for root, pool in roots:
             if not 0 <= root < n or pool >> n:
                 raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
         if n == 0:
-            return best, best_mask, 0, True
+            return 0, 0, 0, True
         width = 8 * ((n + 63) >> 6)
         rows = _bit_sets(adjacency, width)
         pools = _bit_sets([pool for _, pool in roots], width)
         root_ids = (ctypes.c_int * len(roots))(*(root for root, _ in roots))
         mask = _bit_sets([best_mask], width)
-        size = ctypes.c_int(best)
         nodes = ctypes.c_int64(0)
-        levels = (n if max_depth is None else min(max_depth, n)) + 3
         status = self._solve(
-            rows, n, d or 0, root_ids, pools, len(roots), levels, symmetry_depth, target,
+            rows, n, d or 0, root_ids, pools, len(roots), symmetry_depth, target,
             -1 if node_limit is None else min(max(0, node_limit), 2**63 - 1),  # c_int64 wraps
             -1.0 if time_limit is None else max(0.0, time_limit),
-            ctypes.byref(size), mask, ctypes.byref(nodes),
+            mask, ctypes.byref(nodes),
         )
         if status == _NO_LEVELS:
             raise RuntimeError("kernel recursion exceeded its level budget")
@@ -114,7 +108,16 @@ class CompiledKernel:
         if status not in (_COMPLETED, _BUDGET):
             raise RuntimeError(f"compiled kernel failed with status {status}")
         found = int.from_bytes(bytes(mask), "little")
-        return size.value, found, nodes.value, status == _COMPLETED
+        return found.bit_count(), found, nodes.value, status == _COMPLETED
+
+
+def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
+    """Bytes of the compiled kernel's buffers on an n-vertex graph, the
+    adjacency copy included: ``levels`` as in ``neighborly_solve``."""
+    words = (n + 63) // 64
+    levels = min(target, n) + 3
+    estimated = levels * (3 * words * 8 + 2 * n * 4) + n * words * 8
+    return estimated + (2 * min(symmetry_depth, levels) + 1) * n * 4
 
 
 def _bit_sets(values: list[int], width: int):

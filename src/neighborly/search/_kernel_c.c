@@ -273,19 +273,20 @@ static void expand(State *st, int size, int level)
    the node and time budgets across roots.
 
    adj holds n rows and root_pools nroots rows of (n + 63) / 64 words;
-   candidate bits must lie below n.  *best and best_mask carry the
-   incumbent in and the best clique out; *nodes receives the node count.
-   node_limit < 0 and time_limit < 0 mean unlimited.  Nodes whose clique
-   has at most symmetry_depth members prune orbits (see the header), which
-   needs n = 3^d; 0 turns it off.  Returns COMPLETED, BUDGET or a negative
-   error code. */
+   candidate bits must lie below n.  best_mask carries the incumbent in
+   (its popcount is the incumbent's size) and the best clique out; *nodes
+   receives the node count.  node_limit < 0 and time_limit < 0 mean
+   unlimited.  Nodes whose clique has at most symmetry_depth members prune
+   orbits (see the header), which needs n = 3^d; 0 turns it off.  Returns
+   COMPLETED, BUDGET or a negative error code. */
 int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
-                     const uint64_t *root_pools, int nroots, int levels,
-                     int symmetry_depth, int target, int64_t node_limit,
-                     double time_limit, int *best, uint64_t *best_mask,
-                     int64_t *nodes)
+                     const uint64_t *root_pools, int nroots, int symmetry_depth,
+                     int target, int64_t node_limit, double time_limit,
+                     uint64_t *best_mask, int64_t *nodes)
 {
     const int words = (n + 63) >> 6;
+    /* a clique never outgrows the target or the graph; 3 rows of slack */
+    const int levels = (target < n ? target : n) + 3;
     *nodes = 0;
     if (((uintptr_t)adj | (uintptr_t)root_pools | (uintptr_t)best_mask) & 7)
         return MISALIGNED;
@@ -300,7 +301,8 @@ int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
         if (d < 1 || power != n)
             return NOT_WORDS;
     }
-    if (*best >= target)
+    const int best = popcount_set(best_mask, words);
+    if (best >= target)
         return COMPLETED;
 
     State st;
@@ -310,7 +312,7 @@ int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
     st.levels = levels;
     st.d = d;
     st.symmetry_depth = symmetry_depth;
-    st.best = *best;
+    st.best = best;
     st.target = target;
     st.status = RUNNING;
     st.nodes = 0;
@@ -359,7 +361,6 @@ int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
         result = st.status;
 
 done:
-    *best = st.best;
     *nodes = st.nodes;
     free(st.pools);
     free(st.rest);

@@ -143,30 +143,30 @@ class _Searcher:
 
 def solve_root(
     adjacency: list[int],
-    n: int,
     roots: list[tuple[int, int]],
-    best: int,
     best_mask: int,
     target: int,
     node_limit: int | None,
     time_limit: float | None,
-    max_depth: int | None = None,
     d: int | None = None,
     symmetry_depth: int = 0,
 ) -> tuple[int, int, int, bool]:
     """Run the root subproblems (vertex, candidate pool) in order.
 
-    Node and time budgets are shared across roots.  Nodes whose clique has
-    at most ``symmetry_depth`` members, the root alone counting as one,
-    drop a finished vertex's whole orbit; that needs graph.py's vertex
-    numbering with n = 3^d, and 0 gives the plain tree.  Returns
-    (best_size, best_mask, nodes, completed); completed is False only when
-    a budget ran out, and reaching ``target`` counts as completed.
+    The graph has n = len(adjacency) vertices; the incumbent is the clique
+    ``best_mask``, its size the mask's popcount.  Node and time budgets are
+    shared across roots.  Nodes whose clique has at most ``symmetry_depth``
+    members, the root alone counting as one, drop a finished vertex's whole
+    orbit; that needs graph.py's vertex numbering with n = 3^d (``d`` is
+    the caller's statement that the graph is that one), and 0 gives the
+    plain tree.  Returns (best_size, best_mask, nodes, completed), where
+    best_size is the popcount of best_mask and completed is False only when
+    a budget ran out; reaching ``target`` counts as completed.
     """
-    check_orbit_inputs(n, d, symmetry_depth)
+    check_orbit_inputs(len(adjacency), d, symmetry_depth)
     deadline = None if time_limit is None else perf_counter() + time_limit
     s = _Searcher(adjacency, target, node_limit, deadline, d, symmetry_depth)
-    s.best = best
+    s.best = best_mask.bit_count()
     s.best_mask = best_mask
     if s.best >= target:
         return s.best, s.best_mask, 0, True

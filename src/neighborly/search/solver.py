@@ -1,11 +1,12 @@
 """Maximum-family search: warm start plus exact branch and bound.
 
-The solver works on the compatibility graph (cliques = families).  It
-seeds an incumbent from the caller's family, the built-in constructions
-and the embedded witness families, stops immediately when the incumbent
-meets the formula upper bound (the bound machinery then proves optimality
-with no search and no graph at all), and otherwise builds the graph and
-runs a branch-and-bound over orbit representatives of the first vertex:
+The solver works on the compatibility graph (cliques = families).  The
+warm starts (the caller's family, the product construction, the
+3*2^(d-2) family when k = d-1, the embedded witnesses) have sizes known
+in closed form, so it picks one before building anything.  When that
+size meets the formula upper bound the family is built and is optimal,
+with no graph at all.  Otherwise the kernel memory check runs first; then
+the family, the graph and a branch-and-bound over orbit representatives of the first vertex:
 coordinate permutations and per-coordinate bit swaps act on the graph, so
 the first clique vertex can be assumed to be 0^(d-t) *^t for some t, which
 cuts the root branching factor from 3^d to d.  Below the root the kernel keeps breaking symmetry
@@ -19,16 +20,15 @@ start and kernel traversal are all fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 from typing import Optional
 
 from .. import bounds, reference
 from ..core import Family, JokerVector
 from ..errors import DomainError, InconsistencyError, ResourceError
-from ..constructions import alon_product, b_config_family, extremal_dminus1_family
+from ..constructions import alon_product, extremal_dminus1_family
 from . import _kernel
-from .graph import CompatGraph, build_graph, family_of, joker_classes, vertex_of
+from .graph import build_graph, family_of, joker_classes, vertex_of
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "timeout"
@@ -96,20 +96,6 @@ class Certification:
         return f"GAP {self.lower} <= n({self.k},{self.d}) <= {self.upper}"
 
 
-@lru_cache(maxsize=4)
-def _graph(k: int, d: int) -> CompatGraph:
-    return build_graph(k, d)
-
-
-def _construction_candidates(k: int, d: int) -> list[Family]:
-    cands = [alon_product(k, d), b_config_family(k, d)]
-    if k == d - 1:
-        cands.append(extremal_dminus1_family(d))
-    if (k, d) in reference.WITNESSES:
-        cands.append(Family.from_strings(d, k, reference.WITNESSES[(k, d)]).validate())
-    return cands
-
-
 def max_family(
     k: int,
     d: int,
@@ -127,8 +113,9 @@ def max_family(
     node_limit=0 asked for the warm start alone.  The witness is always a
     validated family of the reported size, and results never contradict
     the embedded exact values or certify below a published lower bound
-    (either would raise InconsistencyError).  The deadline is checked
-    before the kernel starts and inside it.  ``symmetry_depth`` sets how
+    (either would raise InconsistencyError).  The memory check raises
+    ResourceError before any family or graph is built; the deadline is
+    checked before the kernel starts and inside it.  ``symmetry_depth`` sets how
     deep the kernel prunes orbits (0: only at the root); it changes the
     node count, never the size or the status of an exhausted search.
     """
@@ -142,18 +129,39 @@ def max_family(
     exact = rep.exact_known
     published = reference.best_known_lower(k, d)
 
-    cands: list[Family] = []
+    starts = []  # (size, builder): sizes are compared before anything is built
     if incumbent is not None:
         if incumbent.d != d:
             raise DomainError(f"incumbent has d={incumbent.d}, search is for d={d}")
         if incumbent.k > k:
             raise DomainError(f"incumbent allows distance {incumbent.k} > k={k}")
-        cands.append(incumbent if incumbent.validated else incumbent.validate())
-    cands += _construction_candidates(k, d)
-    # max() keeps the first of equal sizes, so the incumbent wins ties; every
-    # candidate is validated at some distance <= k, so it is valid at k too
-    warm = Family.of(d, k, max(cands, key=len).members, validated=True)
-    best_size = len(warm)
+        valid = incumbent if incumbent.validated else incumbent.validate()
+        starts.append((len(valid), lambda: valid))
+    starts.append((rep.entries["alon_lower"], lambda: alon_product(k, d)))
+    if k == d - 1:
+        starts.append((3 << (d - 2), lambda: extremal_dminus1_family(d)))
+    words = reference.WITNESSES.get((k, d))
+    if words is not None:
+        starts.append((len(words), lambda: Family.from_strings(d, k, words).validate()))
+    # max() keeps the first of equal sizes, so the incumbent wins ties
+    best_size, build = max(starts, key=lambda option: option[0])
+    n = 3**d
+    searching = best_size < target and budget.node_limit != 0
+    if searching:
+        estimated = _kernel.buffer_bytes(n, target, symmetry_depth)
+        if estimated > memory_budget:
+            raise ResourceError(
+                f"kernel buffers for (k={k}, d={d}) need ~{estimated} bytes, "
+                f"budget is {memory_budget}"
+            )
+    built = build()
+    if len(built) != best_size:
+        raise InconsistencyError(
+            f"warm start for (k={k}, d={d}) has {len(built)} members, "
+            f"its formula gives {best_size}"
+        )
+    # every warm start is validated at some distance <= k, so it is valid at k too
+    warm = Family.of(d, k, built.members, validated=True)
 
     def _finish(status: str, nodes: int, witness: Family) -> SearchResult:
         size = len(witness)
@@ -178,24 +186,11 @@ def max_family(
             impl.KERNEL_NAME, target,
         )
 
-    if best_size >= target:
-        return _finish(STATUS_OPTIMAL, 0, warm)
-    if budget.node_limit == 0:
-        return _finish(STATUS_LOWER_BOUND_ONLY, 0, warm)
+    if not searching:
+        status = STATUS_OPTIMAL if best_size >= target else STATUS_LOWER_BOUND_ONLY
+        return _finish(status, 0, warm)
 
-    n = 3**d
-    max_depth = min(n, target)
-    words = (n + 63) // 64
-    levels = max_depth + 3
-    estimated = levels * (3 * words * 8 + 2 * n * 4) + n * words * 8
-    estimated += (2 * min(symmetry_depth, levels) + 1) * n * 4  # orbit chains
-    if estimated > memory_budget:
-        raise ResourceError(
-            f"kernel buffers for (k={k}, d={d}) need ~{estimated} bytes, "
-            f"budget is {memory_budget}"
-        )
-
-    adj = _graph(k, d).adjacency
+    adj = build_graph(k, d).adjacency
     # root subproblems: orbit representatives 0^(d-t) *^t, earlier orbits removed
     classes = joker_classes(d)
     active = (1 << n) - 1
@@ -212,8 +207,7 @@ def max_family(
         if remaining <= 0:
             return _finish(STATUS_TIMEOUT, 0, warm)
     size, mask, nodes, completed = impl.solve_root(
-        adj, n, roots, best_size, best_mask, target,
-        budget.node_limit, remaining, max_depth, d, symmetry_depth,
+        adj, roots, best_mask, target, budget.node_limit, remaining, d, symmetry_depth
     )
     status = STATUS_OPTIMAL if completed else STATUS_TIMEOUT
     return _finish(status, nodes, family_of(k, d, mask))

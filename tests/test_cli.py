@@ -1,10 +1,12 @@
 """CLI end-to-end: subcommands, file formats, exit codes."""
 
-import io
 import contextlib
+import errno
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,16 +314,48 @@ class TestSearchCommand:
         assert out.splitlines()[0] == "9 optimal" and out.splitlines()[1].startswith("nodes=")
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
 
+    def test_failed_witness_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import neighborly.cli as cli
+
+        witness = tmp_path / "witness.txt"
+        witness.write_text("old contents\n")
+
+        def write_then_fail(family, stream, comment=None):
+            stream.write("d=4 k=2\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_family", write_then_fail)
+        code, out, err = run_cli("search", "2", "4", "--witness", str(witness))
+        assert code == 2 and out.splitlines()[0] == "9 optimal"
+        assert err == f"error: cannot write witness {witness}: No space left on device\n"
+        assert witness.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["witness.txt"]
+
+    def test_witness_through_a_symlink(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old contents\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, _, _ = run_cli("search", "2", "4", "--witness", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert len(read_family(str(target))) == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
     def test_memory_guard_exit_code(self):
         code, _, err = run_cli("search", "2", "10")
         assert code == 3
         assert "resource limit" in err
 
     def test_memory_guard_exit_code_at_large_d(self):
-        # 3^25 vertices: refused by the estimate, before any vertex mask exists
-        code, out, err = run_cli("search", "2", "25")
-        assert code == 3 and not out
-        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        # 3^25 vertices: refused by the estimate, before any vertex mask
+        # exists; (14,28) before its 4.8 M-member warm start is built
+        for argv in (("2", "25"), ("14", "28", "--max-seconds", "1")):
+            start = time.perf_counter()
+            code, out, err = run_cli("search", *argv)
+            assert time.perf_counter() - start < 5, argv
+            assert code == 3 and not out
+            assert err.startswith("resource limit: ") and err.count("\n") == 1
 
     def test_unavailable_compiled_kernel_is_usage_error(self, monkeypatch):
         from neighborly.search import _kernel

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neighborly import bounds, reference
 from neighborly.analysis import audit
@@ -217,15 +217,14 @@ class TestMaxFamily:
             max_family(1, 4, incumbent=alon_product(2, 4))
 
     @staticmethod
-    def _forbid_vertex_work(monkeypatch):
+    def _forbidden(*args, **kwargs):
+        raise AssertionError("a family, the graph or a vertex mask was built")
+
+    @classmethod
+    def _forbid_vertex_work(cls, monkeypatch):
         """Make building the graph or any 3^d-bit vertex mask fail the test."""
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the graph or a vertex mask was built")
-
-        solver._graph.cache_clear()
         for name in ("build_graph", "vertex_of", "family_of"):
-            monkeypatch.setattr(solver, name, forbidden)
+            monkeypatch.setattr(solver, name, cls._forbidden)
 
     def test_warm_start_at_the_bound_builds_no_graph(self, monkeypatch):
         self._forbid_vertex_work(monkeypatch)
@@ -242,13 +241,38 @@ class TestMaxFamily:
         with pytest.raises(ResourceError):
             max_family(2, 5, memory_budget=10_000)
 
-    @pytest.mark.parametrize("d", [20, 25, 40])
-    def test_memory_guard_precedes_vertex_masks(self, monkeypatch, d):
-        # the warm start does not close (2, d); the guard must fire before a
-        # mask of 3^d bits is built (3^25 bits is ~106 GB)
+    @pytest.mark.parametrize(
+        "k,d", [pytest.param(2, d, id=str(d)) for d in (20, 25, 40)] + [(14, 28)]
+    )
+    def test_memory_guard_precedes_vertex_masks(self, monkeypatch, k, d):
+        # the warm start does not close (k, d); the guard must fire before a
+        # mask of 3^d bits is built (3^25 bits is ~106 GB), and before the
+        # warm start family (alon_product(14, 28) has 4.8 M members)
         self._forbid_vertex_work(monkeypatch)
+        for name in ("alon_product", "extremal_dminus1_family"):
+            monkeypatch.setattr(solver, name, self._forbidden)
         with pytest.raises(ResourceError):
-            max_family(2, d)
+            max_family(k, d)
+
+    def test_only_the_largest_warm_start_is_built(self, monkeypatch):
+        # the product and the d-1 family both have 196,608 members; the first wins
+        built = []
+
+        def counting(name):
+            builder = getattr(solver, name)
+            return lambda *args: built.append(name) or builder(*args)
+
+        for name in ("alon_product", "extremal_dminus1_family"):
+            monkeypatch.setattr(solver, name, counting(name))
+        res = max_family(17, 18)
+        assert (res.best_size, res.status, res.nodes_explored) == (196608, STATUS_OPTIMAL, 0)
+        assert built == ["alon_product"]
+
+    def test_warm_start_off_its_formula_trips_inconsistency(self, monkeypatch):
+        short = Family.of(5, 2, sorted(alon_product(2, 5))[1:], validated=True)
+        monkeypatch.setattr(solver, "alon_product", lambda k, d: short)
+        with pytest.raises(InconsistencyError, match="formula gives 12"):
+            max_family(2, 5, budget=Budget(node_limit=0))
 
     def test_monotonicity_on_certified_range(self):
         sizes = {}
@@ -336,7 +360,7 @@ class TestKernelTwins:
             g = build_graph(k, d)
             n = g.n
             roots = [(i, g.adjacency[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)]
-            args = (g.adjacency, n, roots, 1, 0, n + 1, None, None, n)
+            args = (g.adjacency, roots, 0, n + 1, None, None)
             py = get_kernel("python").solve_root(*args)
             cc = get_kernel("compiled").solve_root(*args)
             assert py == cc, (k, d)
@@ -390,25 +414,27 @@ class TestKernelTwins:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_orbit_pruning_needs_the_word_graph(self, kernel):
         # symbols are read off vertex indices, which only works for n = 3^d
-        adj, n, roots, *rest = _triangle_plus_edge()
+        adj, roots, *rest = _triangle_plus_edge()
         solve = get_kernel(kernel).solve_root
         with pytest.raises(ValueError, match="3\\^d"):
-            solve(adj, n, roots, *rest, 1, 3)
+            solve(adj, roots, *rest, 1, 3)
         with pytest.raises(ValueError, match=">= 0"):
-            solve(adj, n, roots, *rest, None, -1)
-        assert solve(adj, n, roots, *rest, 1, 0)[:2] == (3, 0b0111)
+            solve(adj, roots, *rest, None, -1)
+        assert solve(adj, roots, *rest, 1, 0)[:2] == (3, 0b0111)
 
     @requires_cc
     def test_compiled_rejects_vertices_outside_the_graph(self):
         # C would read past the adjacency; the wrapper refuses first
-        adj, n, roots, *rest = _triangle_plus_edge()
+        adj, roots, *rest = _triangle_plus_edge()
         solve = get_kernel("compiled").solve_root
         with pytest.raises(ValueError):
-            solve(adj, n, [(n, 0)], *rest)
+            solve(adj, [(len(adj), 0)], *rest)
         with pytest.raises(ValueError):
-            solve(adj, n, [(0, 1 << n)], *rest)
+            solve(adj, [(0, 1 << len(adj))], *rest)
         with pytest.raises(ValueError):
-            solve(adj[:-1], n, roots, *rest)
+            solve(adj[:-1], roots, *rest)
+        with pytest.raises(ValueError, match="incumbent"):
+            solve(adj, roots, 1 << len(adj), *rest[1:])
 
     @requires_cc
     @pytest.mark.parametrize("node_limit", [2**64, 2**64 + 1000])
@@ -460,7 +486,7 @@ def _triangle_plus_edge():
     """Vertices 0-1-2 form a triangle and 3 hangs off 2: one maximum clique."""
     adj = [0b0110, 0b0101, 0b1011, 0b0100]
     roots = [(i, adj[i] & (0b1111 << (i + 1))) for i in range(4)]
-    return (adj, 4, roots, 0, 0, 5, None, None, 4)
+    return (adj, roots, 0, 5, None, None)
 
 
 class TestKernelLoader:
@@ -577,7 +603,7 @@ class TestSymmetryInvariance:
                     (i, shuffled[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)
                 ]
                 size, mask, _, done = get_kernel("auto").solve_root(
-                    shuffled, n, roots, 1, 0, n + 1, None, None, n
+                    shuffled, roots, 0, n + 1, None, None
                 )
                 assert done and size == base, (k, d)
 
@@ -608,19 +634,20 @@ def brute_max_clique(n: int, adj: list[int]) -> int:
 
 class TestKernelsOnRandomGraphs:
     @given(small_random_graphs())
+    @example((3, [0, 0, 0]))  # edgeless: the kernel's lone-vertex clique
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_each_other_and_bruteforce(self, graph):
         n, adj = graph
         expected = brute_max_clique(n, adj)
         roots = [(i, adj[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)]
         results = [
-            get_kernel(name).solve_root(adj, n, roots, 1, 0, n + 1, None, None, n)
+            get_kernel(name).solve_root(adj, roots, 0, n + 1, None, None)
             for name in KERNELS
         ]
         for res in results:
             size, mask, nodes, completed = res
             assert completed
-            assert size == expected
+            assert size == expected == mask.bit_count()
         assert all(res == results[0] for res in results)
 
 
