@@ -24,9 +24,12 @@ from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .bounds import DyadicSum, ZERO, b_config_size
 from .core import Family, JokerVector, covers
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError
 
 AUDIT_DIMENSION_CAP = 20
+# hard ceiling on d whatever the cap: the audit holds several 2^d-bit sets
+# at once, and at d=24 each is 2 MB (the flip masks alone take 48 MB)
+AUDIT_DIMENSION_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -228,12 +231,17 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
     mask and three operations on 2^d-bit integers per member; a diameter
     check takes d-L-1 rounds of d flips.  A failed check names the lowest
     vector of the offending set.  d is capped (default 20) because every
-    set is 2^d bits wide.
+    set is 2^d bits wide; above AUDIT_DIMENSION_LIMIT (24) the audit raises
+    ResourceError whatever the cap.
     """
     _require_validated(family)
     d, k = family.d, family.k
     if d - k < 1:
         raise DomainError(f"audit requires d - k >= 1, got k={k} d={d}")
+    if d > AUDIT_DIMENSION_LIMIT:
+        raise ResourceError(
+            f"audit is exhaustive over 2^d vectors; d={d} exceeds the limit {AUDIT_DIMENSION_LIMIT}"
+        )
     if d > dimension_cap:
         raise DomainError(f"audit is exhaustive over 2^d vectors; d={d} exceeds cap {dimension_cap}")
 

@@ -15,7 +15,8 @@ Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including a file that cannot be opened, read or written,
 ``search --kernel compiled`` when the compiled kernel is not available,
 and a negative ``--max-nodes`` or a negative or NaN ``--max-seconds``;
-``inf`` means no time limit), 3 resource limit,
+``inf`` means no time limit), 3 resource limit (also ``verify
+--dimension-cap`` above 24 on a family with d > 24),
 141 (128 + SIGPIPE, what a shell reports for a program killed by a broken
 pipe) when stdout was closed before the output was written, e.g.
 ``neighborly table 40 40 | head -1``; that case prints nothing to stderr.
@@ -29,7 +30,7 @@ import sys
 from typing import Iterable, Optional, TextIO
 
 from . import bounds, reference
-from .analysis import AUDIT_DIMENSION_CAP, audit
+from .analysis import AUDIT_DIMENSION_CAP, AUDIT_DIMENSION_LIMIT, audit
 from .constructions import (
     alon_product,
     b_config_family,
@@ -128,7 +129,7 @@ def parse_family(lines: Iterable[str]) -> Family:
             continue
         if len(line) != d:
             raise ParseError(f"vector {line!r} has length {len(line)}, expected {d}", lineno)
-        if any(ch not in "01*" for ch in line):
+        if line.strip("01*"):
             raise ParseError(f"vector {line!r} has symbols outside 0, 1, *", lineno)
         if line in seen:
             raise ParseError(f"duplicate vector {line!r}", lineno)
@@ -386,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--dimension-cap", type=int, default=AUDIT_DIMENSION_CAP,
                    help="largest d the audit will attempt; it works on sets of 2^d "
-                        f"binary vectors (default {AUDIT_DIMENSION_CAP})")
+                        f"binary vectors (default {AUDIT_DIMENSION_CAP}; above "
+                        f"d={AUDIT_DIMENSION_LIMIT} it exits 3 whatever the cap)")
     p.set_defaults(func=cmd_verify, needs_kd=False)
 
     p = sub.add_parser("search", help="run the exact maximum-family search")

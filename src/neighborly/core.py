@@ -15,9 +15,26 @@ i.e. to character i of the string form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError, ValidationError
+
+
+def _quad_words() -> dict[int, str]:
+    """b | j << 4 -> the 4-symbol word with 1s at the bits of b and * at those of j."""
+    words = {0: ""}
+    for i in range(4):
+        words = {
+            key | add << i: word + symbol
+            for key, word in words.items()
+            for add, symbol in ((0, "0"), (1, "1"), (16, "*"))
+        }
+    return words
+
+
+_QUADS = _quad_words()
 
 
 @dataclass(frozen=True, order=True)
@@ -39,24 +56,22 @@ class JokerVector:
 
     @classmethod
     def from_string(cls, word: str) -> "JokerVector":
-        bits = jokers = 0
-        for i, ch in enumerate(word):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch == "*":
-                jokers |= 1 << i
-            elif ch != "0":
-                raise DomainError(f"invalid symbol {ch!r} in {word!r}")
+        bad = word.strip("01*")  # starts at the first symbol outside {0, 1, *}
+        if bad:
+            raise DomainError(f"invalid symbol {bad[0]!r} in {word!r}")
+        # reversed, so character i is bit i; "" becomes d=0 and is refused below
+        digits = word[::-1] or "0"
+        bits = int(digits.replace("*", "0"), 2)
+        jokers = int(digits.replace("1", "0").replace("*", "1"), 2)
         return cls(len(word), bits, jokers)
 
     def __str__(self) -> str:
-        out = []
-        for i in range(self.d):
-            if self.jokers >> i & 1:
-                out.append("*")
-            else:
-                out.append("1" if self.bits >> i & 1 else "0")
-        return "".join(out)
+        bits, jokers, word = self.bits, self.jokers, ""
+        while bits or jokers:
+            word += _QUADS[(bits & 15) | (jokers & 15) << 4]
+            bits >>= 4
+            jokers >>= 4
+        return word[: self.d].ljust(self.d, "0")
 
     def __repr__(self) -> str:
         return f"JokerVector({str(self)!r})"
@@ -178,11 +193,22 @@ class Family:
         The order is sorted once per family and handed on to its validated
         copy, so checking, auditing and writing a family sort it only once.
         """
+        return list(self._sorted()[0])
+
+    def _sorted(self) -> Tuple[Tuple[JokerVector, ...], str]:
+        """The sorted members and the rank strings they were sorted by, joined.
+
+        Member i's rank string (its word with * written as 2) is
+        ``ranks[i*d:(i+1)*d]``; each member is rendered once per family.
+        """
         order = self.__dict__.get("_order")
         if order is None:
-            order = tuple(sorted(self.members, key=_vector_sort_key))
+            by_rank = {_vector_sort_key(v): v for v in self.members}
+            ranks = sorted(by_rank)
+            order = tuple(map(by_rank.__getitem__, ranks))
             object.__setattr__(self, "_order", order)
-        return list(order)
+            object.__setattr__(self, "_ranks", "".join(ranks))
+        return order, self.__dict__["_ranks"]
 
     def check(self) -> NeighborlyCheck:
         return is_k_neighborly(self)
@@ -196,21 +222,19 @@ class Family:
                 f"pair ({u}, {v}) has distance {res.distance}, outside 1..{self.k}"
             )
         checked = Family(self.d, self.k, self.members, validated=True)
-        object.__setattr__(checked, "_order", self.__dict__.get("_order"))
+        order, ranks = self._sorted()
+        object.__setattr__(checked, "_order", order)
+        object.__setattr__(checked, "_ranks", ranks)
         return checked
 
 
-# symbol -> rank in the output order of members (0 < 1 < *)
-_RANKS = str.maketrans("01*", "012")
-
-
 def _vector_sort_key(v: JokerVector) -> str:
-    return str(v).translate(_RANKS)
+    """The word of v with * written as 2: its rank in the output order (0 < 1 < *)."""
+    return str(v).replace("*", "2")
 
 
-# symbol -> bit of the column masks in is_k_neighborly
-_ONES = str.maketrans("01*", "010")
-_ZEROS = str.maketrans("01*", "100")
+# members per block of is_k_neighborly; each block shifts the column masks once
+_BLOCK = 64
 
 
 def is_k_neighborly(family: Family) -> NeighborlyCheck:
@@ -222,35 +246,80 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
 
     The pairs are not visited one by one.  With the members indexed 0..n-1
     in sorted order, each coordinate c gets two n-bit masks: the members
-    holding a 1 there and those holding a 0.  For member i, the later
-    members that differ from it at a non-joker coordinate of i form one
-    such mask; counting those differences per later member with k+1
-    threshold masks (``at[j]``: distance >= j+1) takes O(d*k) big-integer
-    operations on n-bit integers, so the whole check costs O(n*d*k) of
-    them instead of n^2/2 distance evaluations.
+    holding a 1 there and those holding a 0.  For member u, the members
+    that differ from u at a non-joker coordinate of u form one such mask,
+    and a count over these masks decides every member at once.  The count
+    takes whichever side is cheaper:
+
+    - d-k < k: count the coordinates where a member does *not* differ
+      from u.  It is within distance k of u exactly when that count
+      reaches d-k-jokers(u), so a saturating counter with that many
+      threshold masks suffices.  A member u with at least d-k jokers
+      needs no counter, and one with d-k-1 needs only the intersection of
+      the masks.  O(d*min(k, d-k)) mask operations per member.
+    - otherwise: add the differences into a binary counter with
+      (k+1).bit_length() bit planes, preloaded so that it carries out of
+      its top plane exactly when the distance exceeds k.  O(d*log k)
+      mask operations per member.
+
+    In both modes the union of the masks rules out distance 0, and one
+    mask per member selects the members after it.  So the whole check
+    takes O(n*d*min(k, d-k)) or O(n*d*log k) operations on n-bit
+    integers instead of n^2/2 distance evaluations.  Every _BLOCK members
+    the masks drop the bits of the members already checked.
     """
-    members = family.sorted_members()
-    n, k = len(members), family.k
-    # column c of the words, read as an n-bit integer with member i at bit i
-    columns = ["".join(col)[::-1] for col in zip(*map(str, members))]
-    ones = [int(col.translate(_ONES), 2) for col in columns]
-    zeros = [int(col.translate(_ZEROS), 2) for col in columns]
-    for i, u in enumerate(members):
-        shift = i + 1  # bit j of the masks below is member shift + j
-        at = [0] * (k + 1)
-        top = 0  # at[j] is still empty for j > top
-        for c in range(family.d):
-            if u.jokers >> c & 1:
-                continue
-            differ = (zeros[c] if u.bits >> c & 1 else ones[c]) >> shift
-            for j in range(top, 0, -1):
-                at[j] |= at[j - 1] & differ
-            at[0] |= differ
-            if top < k:
-                top += 1
-        later = (1 << (n - shift)) - 1
-        bad = (later & ~at[0]) | at[k]
-        if bad:
-            v = members[shift + (bad & -bad).bit_length() - 1]
-            return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
+    members, ranks = family._sorted()
+    n, d, k = len(members), family.d, family.k
+    if n < 2:
+        return NeighborlyCheck(True, None, None)
+    # column c of the rank strings, read as an n-bit integer with member i at bit i
+    columns = [ranks[c::d][::-1] for c in range(d)]
+    ones = [int(col.replace("2", "0"), 2) for col in columns]
+    jokers = [int(col.replace("1", "0").replace("2", "1"), 2) for col in columns]
+    zeros = [((1 << n) - 1) ^ one ^ joker for one, joker in zip(ones, jokers)]
+    by_agreement = d - k < k
+    planes = (k + 1).bit_length()
+    preload = (1 << planes) - k - 1  # a count above k carries out of the top plane
+    for start in range(0, n, _BLOCK):
+        full = (1 << (n - start)) - 1  # bit j is member start + j from here on
+        # per column, the members differing from a word's symbol there ("2": none)
+        differing = [{"0": one >> start, "1": zero >> start} for one, zero in zip(ones, zeros)]
+        count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
+        for i in range(start, min(start + _BLOCK, n)):
+            rank = ranks[i * d:(i + 1) * d]
+            masks = [col[ch] for ch, col in zip(rank, differing) if ch != "2"]
+            good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
+            if by_agreement:
+                need = len(masks) - k  # coordinates not differing that keep v within k
+                if need == 1:
+                    good &= ~reduce(and_, masks)
+                elif need > 1:
+                    at = [0] * need  # at[j]: at least j+1 coordinates not differing
+                    top = 0  # at[j] is still empty for j > top
+                    for differ in masks:
+                        same = full ^ differ
+                        for j in range(top, 0, -1):
+                            at[j] |= at[j - 1] & same
+                        at[0] |= same
+                        if top < need - 1:
+                            top += 1
+                    good &= at[-1]
+            else:
+                count = count0[:]
+                over = 0  # distance > k
+                for carry in masks:
+                    for p in range(planes):
+                        plane = count[p]
+                        count[p] = plane ^ carry
+                        carry &= plane
+                        if not carry:
+                            break
+                    else:
+                        over |= carry
+                good &= ~over
+            later = full >> (i + 1 - start) << (i + 1 - start)
+            bad = later & ~good
+            if bad:
+                u, v = members[i], members[start + (bad & -bad).bit_length() - 1]
+                return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
     return NeighborlyCheck(True, None, None)

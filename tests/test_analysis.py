@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from neighborly import analysis
 from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile, weight
 from neighborly.bounds import DyadicSum, b_config_size
 from neighborly.constructions import (
@@ -14,7 +15,7 @@ from neighborly.constructions import (
     staircase_code,
 )
 from neighborly.core import Family, covers
-from neighborly.errors import DomainError, ValidationError
+from neighborly.errors import DomainError, ResourceError, ValidationError
 
 from conftest import all_binaries, fam, jv, random_family
 from oracles import enumerated_audit
@@ -144,6 +145,19 @@ class TestAudit:
         family = Family.from_strings(21, 20, ["0" * 21]).validate()
         with pytest.raises(DomainError):
             audit(family)
+
+    def test_dimension_limit_whatever_the_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit built a 2^d-bit set")
+
+        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_cover_map", refuse)
+        for d in (25, 30, 64):
+            family = Family.from_strings(d, d - 1, ["0" * d]).validate()
+            for cap in (d, 64, 10**6):
+                with pytest.raises(ResourceError, match=f"d={d} exceeds the limit 24"):
+                    audit(family, dimension_cap=cap)
+        assert analysis.AUDIT_DIMENSION_LIMIT == 24
 
     def test_b_config_at_d_eighteen(self):
         family = b_config_family(8, 18)

@@ -58,6 +58,12 @@ class TestFamilyFiles:
         with pytest.raises(ParseError):
             parse_family(io.StringIO("d=2 k=1\n0x\n"))
 
+    def test_bad_symbol_mid_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_family(io.StringIO("d=5 k=2\n01*01\n01x*1\n"))
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: vector '01x*1' has symbols outside 0, 1, *"
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse_family(io.StringIO(""))
@@ -226,6 +232,21 @@ class TestVerifyCommand:
         code, vout, _ = run_cli("verify", str(path))
         assert code == 0 and "PASS weight_identity" in vout
         assert len(keyed) == len(set(keyed)) == 3 * 2**6
+
+    def test_audit_above_dimension_limit_is_resource_error(self, tmp_family_file, monkeypatch):
+        # a 2^30-bit audit would need gigabytes; it must stop before building any set
+        from neighborly import analysis
+
+        def refuse(*args):
+            raise AssertionError("the audit built a 2^d-bit set")
+
+        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_cover_map", refuse)
+        path = tmp_family_file("d=30 k=29\n" + "0" * 30 + "\n")
+        code, out, err = run_cli("verify", path, "--dimension-cap", "64")
+        assert code == 3
+        assert out == "family of 1 vectors, d=30, k=29: k-neighborly\n"
+        assert err == "resource limit: audit is exhaustive over 2^d vectors; d=30 exceeds the limit 24\n"
 
     def test_audit_skipped_when_k_equals_d(self, tmp_family_file):
         path = tmp_family_file("d=2 k=2\n00\n11\n01\n")

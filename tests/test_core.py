@@ -1,6 +1,7 @@
 """Core vector arithmetic: distances, covers, complement/join, neighborliness."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from neighborly.core import (
     join,
 )
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
-from neighborly.errors import DimensionError, DomainError, ValidationError
+from neighborly.errors import DimensionError, DomainError, NeighborlyError, ValidationError
 
 from conftest import all_binaries, fam, jv, naive_distance, random_family
 from oracles import all_joker_vectors, pairwise_is_k_neighborly
@@ -47,6 +48,33 @@ class TestJokerVector:
     def test_rejects_bad_symbols(self):
         with pytest.raises(DomainError):
             jv("01x")
+
+    def test_from_string_round_trips_every_short_word(self):
+        for d in range(1, 6):
+            for word in map("".join, product("01*", repeat=d)):
+                v = JokerVector.from_string(word)
+                assert str(v) == word
+                assert v.bits == sum(1 << i for i, ch in enumerate(word) if ch == "1")
+                assert v.jokers == sum(1 << i for i, ch in enumerate(word) if ch == "*")
+
+    @pytest.mark.parametrize(
+        "word, error, message",
+        [
+            ("0x1", DomainError, "invalid symbol 'x' in '0x1'"),
+            ("2", DomainError, "invalid symbol '2' in '2'"),
+            ("", DimensionError, "vector length must be >= 1, got 0"),
+            # int() would accept these; the first symbol outside {0, 1, *} is named
+            ("0_1", DomainError, "invalid symbol '_' in '0_1'"),
+            ("01 ", DomainError, "invalid symbol ' ' in '01 '"),
+            ("x0y", DomainError, "invalid symbol 'x' in 'x0y'"),
+            ("0\uff11", DomainError, "invalid symbol '\uff11' in '0\uff11'"),
+        ],
+    )
+    def test_from_string_errors(self, word, error, message):
+        with pytest.raises(NeighborlyError) as info:
+            JokerVector.from_string(word)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_rejects_zero_length(self):
         with pytest.raises(DimensionError):
@@ -236,20 +264,66 @@ class TestBitSlicedCheck:
     """``is_k_neighborly`` against the nested pair loop it replaces."""
 
     def test_random_families_match_pair_loop(self):
+        # both counting modes: d-k < k counts the coordinates that do not
+        # differ, d-k >= k adds the differences into bit planes
         rng = random.Random(20261018)
-        outcomes = {"ok": 0, "too close": 0, "too far": 0}
-        for _ in range(1500):
+        outcomes = {
+            (mode, outcome): 0
+            for mode in ("d-k < k", "d-k >= k")
+            for outcome in ("ok", "too close", "too far")
+        }
+        for _ in range(2000):
             d = rng.randint(1, 9)
-            family = random_family(
-                rng, d, rng.randint(1, d), rng.randint(0, 40), rng.uniform(0.0, 0.6)
-            )
+            k = rng.randint(1, d)
+            if d - k < k:
+                family = random_family(rng, d, k, rng.randint(0, 30), rng.uniform(0.0, 0.3))
+            else:
+                family = random_family(rng, d, k, rng.randint(0, 12), rng.uniform(0.1, 0.7))
             got = is_k_neighborly(family)
             assert got == pairwise_is_k_neighborly(family), family
             if got:
-                outcomes["ok"] += 1
+                outcome = "ok"
             else:
-                outcomes["too close" if got.distance == 0 else "too far"] += 1
+                outcome = "too close" if got.distance == 0 else "too far"
+            outcomes["d-k < k" if d - k < k else "d-k >= k", outcome] += 1
         assert min(outcomes.values()) >= 100, outcomes
+
+    def test_members_with_at_least_d_minus_k_jokers(self):
+        # 0*00 and 0*0* have d-k = 1 jokers or more: only distance 0 can fail them
+        family = fam(4, 3, "0*00", "0*0*", "1111")
+        res = is_k_neighborly(family)
+        assert res == pairwise_is_k_neighborly(family)
+        assert [str(v) for v in res.pair] == ["0*00", "0*0*"]
+        assert res.distance == 0
+        family = fam(4, 3, "1***", "01**", "0000", "0010")
+        assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
+        assert is_k_neighborly(family)
+
+    def test_k_equal_to_d(self):
+        for d in range(1, 6):
+            everything = Family.of(d, d, all_binaries(d))
+            assert is_k_neighborly(everything)
+            with_joker = Family.of(d, d, [*all_binaries(d), jv("*" + "0" * (d - 1))])
+            res = is_k_neighborly(with_joker)
+            assert res == pairwise_is_k_neighborly(with_joker)
+            assert res.distance == 0
+
+    def test_zero_and_one_members(self):
+        for d in range(1, 6):
+            for k in range(1, d + 1):
+                for words in ((), ("*" * d,), ("0" * d,)):
+                    family = fam(d, k, *words)
+                    assert is_k_neighborly(family) == (True, None, None)
+
+    def test_validated_copy_reuses_sort_state(self):
+        family = alon_product(2, 5)
+        family = Family.of(family.d, family.k, family.members)
+        members, ranks = family._sorted()
+        checked = family.validate()
+        assert checked._sorted()[0] is members
+        assert checked._sorted()[1] is ranks
+        assert ranks == "".join(str(v).replace("*", "2") for v in members)
+        assert checked.sorted_members() == family.sorted_members() == list(members)
 
     def test_first_bad_pair_in_sorted_order(self):
         # sorted: 00, 01, 11, 1*; (00, 11) at distance 2 precedes (11, 1*) at 0
