@@ -15,8 +15,8 @@ Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including a file that cannot be opened, read or written,
 ``search --kernel compiled`` when the compiled kernel is not available,
 and a negative ``--max-nodes`` or a negative or NaN ``--max-seconds``;
-``inf`` means no time limit), 3 resource limit (also ``verify
---dimension-cap`` above 24 on a family with d > 24),
+``inf`` means no time limit), 3 resource limit (also ``verify`` on a family with
+d > 24 when ``--dimension-cap`` is at least d),
 141 (128 + SIGPIPE, what a shell reports for a program killed by a broken
 pipe) when stdout was closed before the output was written, e.g.
 ``neighborly table 40 40 | head -1``; that case prints nothing to stderr.
@@ -387,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--dimension-cap", type=int, default=AUDIT_DIMENSION_CAP,
                    help="largest d the audit will attempt; it works on sets of 2^d "
-                        f"binary vectors (default {AUDIT_DIMENSION_CAP}; above "
-                        f"d={AUDIT_DIMENSION_LIMIT} it exits 3 whatever the cap)")
+                        f"binary vectors (default {AUDIT_DIMENSION_CAP}; a d above the cap "
+                        f"is skipped, a d above {AUDIT_DIMENSION_LIMIT} within the cap "
+                        "exits 3)")
     p.set_defaults(func=cmd_verify, needs_kd=False)
 
     p = sub.add_parser("search", help="run the exact maximum-family search")

@@ -22,21 +22,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 from .errors import DimensionError, DomainError, ValidationError
 
 
-def _quad_words() -> dict[int, str]:
-    """b | j << 4 -> the 4-symbol word with 1s at the bits of b and * at those of j."""
-    words = {0: ""}
-    for i in range(4):
-        words = {
-            key | add << i: word + symbol
-            for key, word in words.items()
-            for add, symbol in ((0, "0"), (1, "1"), (16, "*"))
-        }
-    return words
-
-
-_QUADS = _quad_words()
-
-
 @dataclass(frozen=True, order=True)
 class JokerVector:
     """Immutable word over {0,1,*}; ``bits`` holds the 1-positions, ``jokers`` the *-positions."""
@@ -66,12 +51,13 @@ class JokerVector:
         return cls(len(word), bits, jokers)
 
     def __str__(self) -> str:
-        bits, jokers, word = self.bits, self.jokers, ""
-        while bits or jokers:
-            word += _QUADS[(bits & 15) | (jokers & 15) << 4]
-            bits >>= 4
-            jokers >>= 4
-        return word[: self.d].ljust(self.d, "0")
+        out = []
+        for i in range(self.d):
+            if self.jokers >> i & 1:
+                out.append("*")
+            else:
+                out.append("1" if self.bits >> i & 1 else "0")
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"JokerVector({str(self)!r})"
@@ -233,10 +219,6 @@ def _vector_sort_key(v: JokerVector) -> str:
     return str(v).replace("*", "2")
 
 
-# members per block of is_k_neighborly; each block shifts the column masks once
-_BLOCK = 64
-
-
 def is_k_neighborly(family: Family) -> NeighborlyCheck:
     """Check every unordered pair of distinct members for distance in {1..k}.
 
@@ -248,78 +230,55 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     in sorted order, each coordinate c gets two n-bit masks: the members
     holding a 1 there and those holding a 0.  For member u, the members
     that differ from u at a non-joker coordinate of u form one such mask,
-    and a count over these masks decides every member at once.  The count
-    takes whichever side is cheaper:
+    and the distance from u to every member at once is a count over these
+    masks.  Their union rules out distance 0.  Distance above k needs more
+    than k of the masks, so the count depends on how many u has:
 
-    - d-k < k: count the coordinates where a member does *not* differ
-      from u.  It is within distance k of u exactly when that count
-      reaches d-k-jokers(u), so a saturating counter with that many
-      threshold masks suffices.  A member u with at least d-k jokers
-      needs no counter, and one with d-k-1 needs only the intersection of
-      the masks.  O(d*min(k, d-k)) mask operations per member.
-    - otherwise: add the differences into a binary counter with
-      (k+1).bit_length() bit planes, preloaded so that it carries out of
-      its top plane exactly when the distance exceeds k.  O(d*log k)
-      mask operations per member.
+    - at most k (u has at least d-k jokers): no count is needed;
+    - exactly k+1: the intersection of the masks;
+    - more: a binary counter with (k+1).bit_length() bit planes,
+      preloaded so that it carries out of its top plane exactly when the
+      distance exceeds k.
 
-    In both modes the union of the masks rules out distance 0, and one
-    mask per member selects the members after it.  So the whole check
-    takes O(n*d*min(k, d-k)) or O(n*d*log k) operations on n-bit
-    integers instead of n^2/2 distance evaluations.  Every _BLOCK members
-    the masks drop the bits of the members already checked.
+    One mask per member selects the members after it.  So the whole check
+    takes O(n*d*log k) operations on n-bit integers, O(n*d) when
+    d-k <= 1, instead of n^2/2 distance evaluations.
     """
     members, ranks = family._sorted()
     n, d, k = len(members), family.d, family.k
     if n < 2:
         return NeighborlyCheck(True, None, None)
+    full = (1 << n) - 1
     # column c of the rank strings, read as an n-bit integer with member i at bit i
     columns = [ranks[c::d][::-1] for c in range(d)]
     ones = [int(col.replace("2", "0"), 2) for col in columns]
     jokers = [int(col.replace("1", "0").replace("2", "1"), 2) for col in columns]
-    zeros = [((1 << n) - 1) ^ one ^ joker for one, joker in zip(ones, jokers)]
-    by_agreement = d - k < k
+    # per column, the members differing from a word's symbol there ("2": none)
+    differing = [{"0": one, "1": full ^ one ^ joker} for one, joker in zip(ones, jokers)]
     planes = (k + 1).bit_length()
     preload = (1 << planes) - k - 1  # a count above k carries out of the top plane
-    for start in range(0, n, _BLOCK):
-        full = (1 << (n - start)) - 1  # bit j is member start + j from here on
-        # per column, the members differing from a word's symbol there ("2": none)
-        differing = [{"0": one >> start, "1": zero >> start} for one, zero in zip(ones, zeros)]
-        count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
-        for i in range(start, min(start + _BLOCK, n)):
-            rank = ranks[i * d:(i + 1) * d]
-            masks = [col[ch] for ch, col in zip(rank, differing) if ch != "2"]
-            good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
-            if by_agreement:
-                need = len(masks) - k  # coordinates not differing that keep v within k
-                if need == 1:
-                    good &= ~reduce(and_, masks)
-                elif need > 1:
-                    at = [0] * need  # at[j]: at least j+1 coordinates not differing
-                    top = 0  # at[j] is still empty for j > top
-                    for differ in masks:
-                        same = full ^ differ
-                        for j in range(top, 0, -1):
-                            at[j] |= at[j - 1] & same
-                        at[0] |= same
-                        if top < need - 1:
-                            top += 1
-                    good &= at[-1]
-            else:
-                count = count0[:]
-                over = 0  # distance > k
-                for carry in masks:
-                    for p in range(planes):
-                        plane = count[p]
-                        count[p] = plane ^ carry
-                        carry &= plane
-                        if not carry:
-                            break
-                    else:
-                        over |= carry
-                good &= ~over
-            later = full >> (i + 1 - start) << (i + 1 - start)
-            bad = later & ~good
-            if bad:
-                u, v = members[i], members[start + (bad & -bad).bit_length() - 1]
-                return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
+    count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
+    for i, u in enumerate(members):
+        masks = [col[ch] for ch, col in zip(ranks[i * d:(i + 1) * d], differing) if ch != "2"]
+        good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
+        need = len(masks) - k  # distance > k needs more than k of the masks
+        if need == 1:
+            good &= ~reduce(and_, masks)
+        elif need > 1:
+            count = count0[:]
+            over = 0  # distance > k
+            for carry in masks:
+                for p in range(planes):
+                    plane = count[p]
+                    count[p] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    over |= carry
+            good &= ~over
+        bad = full >> (i + 1) << (i + 1) & ~good
+        if bad:
+            v = members[(bad & -bad).bit_length() - 1]
+            return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
     return NeighborlyCheck(True, None, None)

@@ -264,8 +264,9 @@ class TestBitSlicedCheck:
     """``is_k_neighborly`` against the nested pair loop it replaces."""
 
     def test_random_families_match_pair_loop(self):
-        # both counting modes: d-k < k counts the coordinates that do not
-        # differ, d-k >= k adds the differences into bit planes
+        # both regimes: with d-k < k most members have at most k+1 difference
+        # masks (no count, or their intersection); with d-k >= k most have
+        # more and go through the bit planes
         rng = random.Random(20261018)
         outcomes = {
             (mode, outcome): 0
@@ -287,6 +288,34 @@ class TestBitSlicedCheck:
                 outcome = "too close" if got.distance == 0 else "too far"
             outcomes["d-k < k" if d - k < k else "d-k >= k", outcome] += 1
         assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [
+            (extremal_dminus1_family(8), "close"),
+            (alon_product(8, 10), "close"),
+            (b_config_family(7, 9), "close"),
+            (alon_product(7, 8), "far"),  # u has k+1 difference masks: their intersection
+            (alon_product(8, 10), "far"),  # u has k+2: the bit planes
+            (b_config_family(7, 9), "far"),  # u has k+2: the bit planes
+        ],
+    )
+    def test_late_failure_matches_pair_loop(self, family, kind):
+        # one forged member beside member 70 of a family of more than 128:
+        # the first bad pair starts past the first 64 members
+        m = family.sorted_members()[70]
+        free = [c for c in range(family.d) if not m.jokers >> c & 1]
+        if kind == "close":  # m with its last non-joker made a joker: distance 0 to m
+            forged = JokerVector(family.d, m.bits & ~(1 << free[-1]), m.jokers | 1 << free[-1])
+        else:  # m with its last k+1 non-jokers flipped: distance k+1 to m
+            flip = sum(1 << c for c in free[-(family.k + 1):])
+            forged = JokerVector(family.d, m.bits ^ flip, m.jokers)
+        assert forged not in family.members
+        bad = Family.of(family.d, family.k, [*family.members, forged])
+        res = is_k_neighborly(bad)
+        assert res == pairwise_is_k_neighborly(bad)
+        assert bad.sorted_members().index(res.pair[0]) >= 64
+        assert res.distance == (0 if kind == "close" else family.k + 1)
 
     def test_members_with_at_least_d_minus_k_jokers(self):
         # 0*00 and 0*0* have d-k = 1 jokers or more: only distance 0 can fail them
