@@ -77,8 +77,8 @@ def write_family(family: Family, stream: TextIO, comment: Optional[str] = None) 
     if comment:
         stream.write(f"# {comment}\n")
     stream.write(f"d={family.d} k={family.k}\n")
-    for member in family.sorted_members():
-        stream.write(f"{member}\n")
+    for word in family.sorted_words():
+        stream.write(f"{word}\n")
 
 
 def write_witness(path: str, family: Family, comment: str) -> None:

@@ -165,7 +165,20 @@ class Family:
 
     @classmethod
     def from_strings(cls, d: int, k: int, words: Iterable[str]) -> "Family":
-        return cls.of(d, k, (JokerVector.from_string(w) for w in words))
+        """The family of these words, sorted by their own rank strings.
+
+        No member is rendered: the words are the sort keys.  A word with a
+        symbol outside {0, 1, *} or of a length other than d raises the
+        error that building each member and then the family would.
+        """
+        words = list(words)
+        # before keying by rank, where "12" and "1*" would be one key
+        if any(len(word) != d or word.strip("01*") for word in words):
+            return cls.of(d, k, map(JokerVector.from_string, words))
+        by_rank = {word.replace("*", "2"): word for word in words}
+        ranks = sorted(by_rank)
+        order = tuple(JokerVector.from_string(by_rank[rank]) for rank in ranks)
+        return cls(d, k, frozenset(order))._with_order(order, "".join(ranks))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -181,20 +194,37 @@ class Family:
         """
         return list(self._sorted()[0])
 
+    def sorted_words(self) -> list[str]:
+        """The members' words in the output order, read off the rank strings."""
+        _, ranks = self._sorted()
+        text = ranks.replace("2", "*")
+        return [text[i:i + self.d] for i in range(0, len(text), self.d)]
+
     def _sorted(self) -> Tuple[Tuple[JokerVector, ...], str]:
         """The sorted members and the rank strings they were sorted by, joined.
 
         Member i's rank string (its word with * written as 2) is
-        ``ranks[i*d:(i+1)*d]``; each member is rendered once per family.
+        ``ranks[i*d:(i+1)*d]``.  A family read from words (``from_strings``)
+        or from vertex indices (``graph.family_of``) is built with this
+        state; any other family renders each member once, here.
         """
         order = self.__dict__.get("_order")
         if order is None:
             by_rank = {_vector_sort_key(v): v for v in self.members}
             ranks = sorted(by_rank)
             order = tuple(map(by_rank.__getitem__, ranks))
-            object.__setattr__(self, "_order", order)
-            object.__setattr__(self, "_ranks", "".join(ranks))
+            self._with_order(order, "".join(ranks))
         return order, self.__dict__["_ranks"]
+
+    def _with_order(self, order: Tuple[JokerVector, ...], ranks: str) -> "Family":
+        """Attach the sorted members and their joined rank strings; returns self.
+
+        The caller vouches that ``order`` is ``members`` in ascending rank
+        order and that ``ranks`` spells them.
+        """
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_ranks", ranks)
+        return self
 
     def check(self) -> NeighborlyCheck:
         return is_k_neighborly(self)
@@ -207,11 +237,7 @@ class Family:
             raise ValidationError(
                 f"pair ({u}, {v}) has distance {res.distance}, outside 1..{self.k}"
             )
-        checked = Family(self.d, self.k, self.members, validated=True)
-        order, ranks = self._sorted()
-        object.__setattr__(checked, "_order", order)
-        object.__setattr__(checked, "_ranks", ranks)
-        return checked
+        return Family(self.d, self.k, self.members, validated=True)._with_order(*self._sorted())
 
 
 def _vector_sort_key(v: JokerVector) -> str:

@@ -57,26 +57,27 @@ def vertex_of(v: JokerVector) -> int:
     return int(_vector_sort_key(v), 3)
 
 
-def word_of(i: int, d: int) -> JokerVector:
-    """The word of length d at vertex index i."""
-    bits = jokers = 0
-    for c in range(d - 1, -1, -1):  # the last symbol is the least significant digit
+def rank_of(i: int, d: int) -> str:
+    """The rank string of vertex i (its word with * written as 2): i in d base-3 digits."""
+    digits = []
+    for _ in range(d):  # the last symbol is the least significant digit
         i, digit = divmod(i, 3)
-        if digit == 1:
-            bits |= 1 << c
-        elif digit == 2:
-            jokers |= 1 << c
-    return JokerVector(d, bits, jokers)
+        digits.append("012"[digit])
+    return "".join(reversed(digits))
 
 
 def family_of(k: int, d: int, mask: int) -> Family:
-    """The validated family of the vertices set in ``mask``."""
-    members = []
+    """The validated family of the vertices set in ``mask``.
+
+    Vertex order is rank order, so the family is built already sorted.
+    """
+    ranks = []
     while mask:
         low = mask & -mask
-        members.append(word_of(low.bit_length() - 1, d))
+        ranks.append(rank_of(low.bit_length() - 1, d))
         mask ^= low
-    return Family.of(d, k, members).validate()
+    order = tuple(JokerVector.from_string(rank.replace("2", "*")) for rank in ranks)
+    return Family.of(d, k, order)._with_order(order, "".join(ranks)).validate()
 
 
 def joker_classes(d: int) -> List[int]:

@@ -37,15 +37,17 @@ def all_binaries(d: int) -> list[JokerVector]:
     return [JokerVector(d, bits, 0) for bits in range(1 << d)]
 
 
+def random_words(rng, d: int, size: int, joker_rate: float) -> list[str]:
+    """``size`` random words of length d, repeats possible."""
+    return [
+        "".join("*" if rng.random() < joker_rate else rng.choice("01") for _ in range(d))
+        for _ in range(size)
+    ]
+
+
 def random_family(rng, d: int, k: int, size: int, joker_rate: float, validated: bool = False) -> Family:
     """Up to ``size`` random words of length d; ``validated`` forges the flag unchecked."""
-    words = set()
-    for _ in range(size):
-        words.add(
-            "".join(
-                "*" if rng.random() < joker_rate else rng.choice("01") for _ in range(d)
-            )
-        )
+    words = set(random_words(rng, d, size, joker_rate))
     return Family.of(d, k, map(JokerVector.from_string, words), validated=validated)
 
 

@@ -213,6 +213,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("12\n1*\n", "line 2: vector '12' has symbols outside 0, 1, *"),
+            ("1*\n12\n", "line 3: vector '12' has symbols outside 0, 1, *"),
+            ("00\n010\n", "line 3: vector '010' has length 3, expected 2"),
+        ],
+    )
+    def test_bad_word_message(self, tmp_family_file, body, message):
+        path = tmp_family_file("d=2 k=1\n" + body)
+        assert run_cli("verify", path) == (1, "", f"parse error: {message}\n")
+
     def test_distance_violation_names_pair(self, tmp_family_file):
         path = tmp_family_file("d=2 k=1\n00\n11\n")
         code, _, err = run_cli("verify", path)
@@ -220,18 +232,25 @@ class TestVerifyCommand:
         assert "00" in err and "11" in err and "distance 2" in err
 
     def test_members_sorted_once(self, tmp_path, monkeypatch):
-        # the check and the audit share one sorted order of the members
+        # construct renders each member once, to sort it; verify renders none,
+        # because the words of a file are its sort keys
         from neighborly import core
 
-        _, out, _ = run_cli("construct", "corollary35", "8")
+        rendered, keyed = [], []
+        to_str, key = core.JokerVector.__str__, core._vector_sort_key
+        monkeypatch.setattr(core.JokerVector, "__str__", lambda v: rendered.append(v) or to_str(v))
+        monkeypatch.setattr(core, "_vector_sort_key", lambda v: keyed.append(v) or key(v))
+        code, out, _ = run_cli("construct", "corollary35", "8")
+        assert code == 0
+        assert len(rendered) == len(set(rendered)) == 3 * 2**6
+        assert len(keyed) == len(set(keyed)) == 3 * 2**6
         path = tmp_path / "fam.txt"
         path.write_text(out)
-        keyed = []
-        key = core._vector_sort_key
-        monkeypatch.setattr(core, "_vector_sort_key", lambda v: keyed.append(v) or key(v))
+        rendered.clear()
+        keyed.clear()
         code, vout, _ = run_cli("verify", str(path))
         assert code == 0 and "PASS weight_identity" in vout
-        assert len(keyed) == len(set(keyed)) == 3 * 2**6
+        assert rendered == keyed == []
 
     def test_audit_above_dimension_limit_is_resource_error(self, tmp_family_file, monkeypatch):
         # a 2^30-bit audit would need gigabytes; it must stop before building any set

@@ -19,7 +19,7 @@ from neighborly.core import (
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, NeighborlyError, ValidationError
 
-from conftest import all_binaries, fam, jv, naive_distance, random_family
+from conftest import all_binaries, fam, jv, naive_distance, random_family, random_words
 from oracles import all_joker_vectors, pairwise_is_k_neighborly
 
 
@@ -258,6 +258,56 @@ class TestFamily:
             for v in all_binaries(family.d):
                 coverers = [u for u in family if covers(u, v)]
                 assert len(coverers) <= 1
+
+
+class TestFromStrings:
+    """A family read from words is sorted by them; it must equal one built from vectors."""
+
+    def test_matches_family_of_vectors(self):
+        rng = random.Random(1212)
+        sizes = set()
+        for _ in range(600):
+            d = rng.randint(1, 8)
+            k = rng.randint(1, d)
+            words = random_words(rng, d, rng.choice((0, 1, 2, rng.randint(3, 40))),
+                                 rng.uniform(0.0, 0.6))
+            from_words = Family.from_strings(d, k, words)
+            from_vectors = Family.of(d, k, map(jv, words))
+            assert from_words == from_vectors
+            assert from_words._sorted() == from_vectors._sorted()
+            assert from_words.sorted_words() == [str(v) for v in from_vectors.sorted_members()]
+            assert is_k_neighborly(from_words) == is_k_neighborly(from_vectors)
+            sizes.add(min(len(from_words), 2))
+        assert sizes == {0, 1, 2}
+
+    def test_renders_no_member(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("a member was rendered")
+
+        monkeypatch.setattr(JokerVector, "__str__", refuse)
+        family = Family.from_strings(3, 2, ["1*0", "000", "101", "011"])
+        assert family.sorted_words() == ["000", "011", "101", "1*0"]
+        assert family.validate().validated
+
+    @pytest.mark.parametrize(
+        "d, words, error, message",
+        [
+            (2, ["12", "1*"], DomainError, "invalid symbol '2' in '12'"),
+            (2, ["1*", "12"], DomainError, "invalid symbol '2' in '12'"),
+            (3, ["010", "01"], DimensionError, "member 01 has length 2, family has d=3"),
+            (3, ["0101", "01x"], DomainError, "invalid symbol 'x' in '01x'"),
+            (1, ["", "0"], DimensionError, "vector length must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_words_raise_as_vectors_do(self, d, words, error, message):
+        # a rank collision ("12" and "1*" both rank 12) must not hide the bad symbol
+        for build in (
+            lambda: Family.from_strings(d, 1, words),
+            lambda: Family.of(d, 1, map(jv, words)),
+        ):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
 
 
 class TestBitSlicedCheck:

@@ -23,7 +23,7 @@ from neighborly.search import (
     max_family,
 )
 from neighborly.search import _kernel, solver
-from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
+from neighborly.search.graph import family_of, joker_classes, rank_of, vertex_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
@@ -49,7 +49,7 @@ class TestCompatGraph:
 
     def test_lexicographic_order(self):
         g = build_graph(1, 2)
-        words = [str(word_of(i, 2)) for i in range(g.n)]
+        words = [rank_of(i, 2).replace("2", "*") for i in range(g.n)]
         assert words == [str(v) for v in all_joker_vectors(2)]
         assert words == ["00", "01", "0*", "10", "11", "1*", "*0", "*1", "**"]
 
@@ -110,7 +110,7 @@ class TestVertexNumbering:
     def test_conversions_match_the_enumeration(self, d):
         words = all_joker_vectors(d)
         assert [vertex_of(v) for v in words] == list(range(3**d))
-        assert [word_of(i, d) for i in range(3**d)] == words
+        assert [rank_of(i, d) for i in range(3**d)] == [str(v).replace("*", "2") for v in words]
         classes = joker_classes(d)
         assert len(classes) == d + 1
         for t, mask in enumerate(classes):
@@ -124,6 +124,31 @@ class TestVertexNumbering:
         bad = 1 << vertex_of(jv("00")) | 1 << vertex_of(jv("11"))  # distance 2 > k
         with pytest.raises(ValidationError):
             family_of(1, 2, bad)
+
+    def test_family_of_matches_family_of_vectors(self):
+        # vertex order is rank order: the decoded family needs no sort
+        rng = random.Random(1213)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            k = rng.randint(1, d)
+            mask = sum(1 << i for i in rng.sample(range(3**d), rng.randint(0, min(6, 3**d))))
+            vertices = [i for i in range(3**d) if mask >> i & 1]
+            words = [rank_of(i, d).replace("2", "*") for i in vertices]
+            try:
+                expected = Family.of(d, k, map(jv, words)).validate()
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    family_of(k, d, mask)
+                assert str(info.value) == str(exc)
+                outcomes.add("invalid")
+                continue
+            got = family_of(k, d, mask)
+            assert got.validated and got == expected
+            assert got._sorted() == expected._sorted()
+            assert [vertex_of(v) for v in got.sorted_members()] == vertices
+            outcomes.add("valid")
+        assert outcomes == {"valid", "invalid"}
 
 
 class TestBruteForceOracle:
