@@ -167,18 +167,16 @@ class Family:
     def from_strings(cls, d: int, k: int, words: Iterable[str]) -> "Family":
         """The family of these words, sorted by their own rank strings.
 
-        No member is rendered: the words are the sort keys.  A word with a
-        symbol outside {0, 1, *} or of a length other than d raises the
-        error that building each member and then the family would.
+        No member is rendered: the words are the sort keys.  Every word is
+        built and the family checked before any is keyed by rank, where
+        "12" and "1*" would be one key.
         """
         words = list(words)
-        # before keying by rank, where "12" and "1*" would be one key
-        if any(len(word) != d or word.strip("01*") for word in words):
-            return cls.of(d, k, map(JokerVector.from_string, words))
-        by_rank = {word.replace("*", "2"): word for word in words}
+        vectors = list(map(JokerVector.from_string, words))
+        family = cls.of(d, k, vectors)
+        by_rank = dict(zip((word.replace("*", "2") for word in words), vectors))
         ranks = sorted(by_rank)
-        order = tuple(JokerVector.from_string(by_rank[rank]) for rank in ranks)
-        return cls(d, k, frozenset(order))._with_order(order, "".join(ranks))
+        return family._with_order(tuple(map(by_rank.__getitem__, ranks)), "".join(ranks))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -205,8 +203,8 @@ class Family:
 
         Member i's rank string (its word with * written as 2) is
         ``ranks[i*d:(i+1)*d]``.  A family read from words (``from_strings``)
-        or from vertex indices (``graph.family_of``) is built with this
-        state; any other family renders each member once, here.
+        is built with this state; any other family renders each member
+        once, here.
         """
         order = self.__dict__.get("_order")
         if order is None:

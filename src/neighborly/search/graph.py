@@ -57,27 +57,23 @@ def vertex_of(v: JokerVector) -> int:
     return int(_vector_sort_key(v), 3)
 
 
-def rank_of(i: int, d: int) -> str:
-    """The rank string of vertex i (its word with * written as 2): i in d base-3 digits."""
-    digits = []
+def word_of(i: int, d: int) -> str:
+    """The word of vertex index i: i in d base-3 digits, 2 written as *."""
+    symbols = []
     for _ in range(d):  # the last symbol is the least significant digit
         i, digit = divmod(i, 3)
-        digits.append("012"[digit])
-    return "".join(reversed(digits))
+        symbols.append("01*"[digit])
+    return "".join(reversed(symbols))
 
 
 def family_of(k: int, d: int, mask: int) -> Family:
-    """The validated family of the vertices set in ``mask``.
-
-    Vertex order is rank order, so the family is built already sorted.
-    """
-    ranks = []
+    """The validated family of the vertices set in ``mask``."""
+    words = []
     while mask:
         low = mask & -mask
-        ranks.append(rank_of(low.bit_length() - 1, d))
+        words.append(word_of(low.bit_length() - 1, d))
         mask ^= low
-    order = tuple(JokerVector.from_string(rank.replace("2", "*")) for rank in ranks)
-    return Family.of(d, k, order)._with_order(order, "".join(ranks)).validate()
+    return Family.from_strings(d, k, words).validate()
 
 
 def joker_classes(d: int) -> List[int]:

@@ -160,9 +160,8 @@ def max_family(
             f"warm start for (k={k}, d={d}) has {len(built)} members, "
             f"its formula gives {best_size}"
         )
-    # every warm start is validated at some distance <= k, so it is valid at k too;
-    # one built for k itself keeps its sorted order
-    warm = built if built.k == k else Family.of(d, k, built.members, validated=True)
+    # every warm start is validated at some distance <= k, so it is valid at k too
+    warm = Family.of(d, k, built.members, validated=True)
 
     def _finish(status: str, nodes: int, witness: Family) -> SearchResult:
         size = len(witness)

@@ -23,7 +23,7 @@ from neighborly.search import (
     max_family,
 )
 from neighborly.search import _kernel, solver
-from neighborly.search.graph import family_of, joker_classes, rank_of, vertex_of
+from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
     STATUS_OPTIMAL,
@@ -49,7 +49,7 @@ class TestCompatGraph:
 
     def test_lexicographic_order(self):
         g = build_graph(1, 2)
-        words = [rank_of(i, 2).replace("2", "*") for i in range(g.n)]
+        words = [word_of(i, 2) for i in range(g.n)]
         assert words == [str(v) for v in all_joker_vectors(2)]
         assert words == ["00", "01", "0*", "10", "11", "1*", "*0", "*1", "**"]
 
@@ -110,7 +110,7 @@ class TestVertexNumbering:
     def test_conversions_match_the_enumeration(self, d):
         words = all_joker_vectors(d)
         assert [vertex_of(v) for v in words] == list(range(3**d))
-        assert [rank_of(i, d) for i in range(3**d)] == [str(v).replace("*", "2") for v in words]
+        assert [word_of(i, d) for i in range(3**d)] == [str(v) for v in words]
         classes = joker_classes(d)
         assert len(classes) == d + 1
         for t, mask in enumerate(classes):
@@ -126,7 +126,7 @@ class TestVertexNumbering:
             family_of(1, 2, bad)
 
     def test_family_of_matches_family_of_vectors(self):
-        # vertex order is rank order: the decoded family needs no sort
+        # the decoded family is sorted by its words, in vertex order
         rng = random.Random(1213)
         outcomes = set()
         for _ in range(300):
@@ -134,7 +134,7 @@ class TestVertexNumbering:
             k = rng.randint(1, d)
             mask = sum(1 << i for i in rng.sample(range(3**d), rng.randint(0, min(6, 3**d))))
             vertices = [i for i in range(3**d) if mask >> i & 1]
-            words = [rank_of(i, d).replace("2", "*") for i in vertices]
+            words = [word_of(i, d) for i in vertices]
             try:
                 expected = Family.of(d, k, map(jv, words)).validate()
             except ValidationError as exc:
