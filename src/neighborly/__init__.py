@@ -10,7 +10,6 @@ a branch-and-bound clique search that certifies small exact values.
 
 from .bounds import (
     BoundReport,
-    DyadicSum,
     agkp_upper,
     alon_lower,
     alon_upper,

@@ -14,15 +14,19 @@ v of the integer.  A member covers the subcube ``cube << bits``, where
 coordinate j of every vector of a set is a masked swap of the 2^d/2^(j+1)
 blocks of 2^j bits, so mirrors and Hamming neighbourhoods take d such
 swaps each.  Every check is then a handful of whole-set operations.
+
+Weights, caps and sums of weights are exact ``fractions.Fraction``
+values; failure messages write a weight as num/2^e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Set, Tuple
 
-from .bounds import DyadicSum, ZERO, b_config_size
+from .bounds import b_config_size
 from .core import Family, JokerVector, covers
 from .errors import DomainError, ResourceError, ValidationError
 
@@ -41,11 +45,8 @@ class CoverProfile:
     complement_classes: Dict[int, Set[JokerVector]]
     uncovered: Set[JokerVector]
 
-    def total_weight(self) -> DyadicSum:
-        total = ZERO
-        for t, cls in self.classes.items():
-            total = total + DyadicSum(len(cls), t)
-        return total
+    def total_weight(self) -> Fraction:
+        return sum((Fraction(len(cls), 1 << t) for t, cls in self.classes.items()), Fraction(0))
 
 
 def _require_validated(family: Family) -> None:
@@ -157,7 +158,7 @@ def cover_profile(family: Family) -> CoverProfile:
     return CoverProfile(family, classes, complement_classes, uncovered)
 
 
-def weight(v: JokerVector, family: Family) -> DyadicSum:
+def weight(v: JokerVector, family: Family) -> Fraction:
     """1/2^t when a t-joker member covers binary v, else 0."""
     _require_validated(family)
     if v.d != family.d:
@@ -166,8 +167,8 @@ def weight(v: JokerVector, family: Family) -> DyadicSum:
         raise DomainError("weights are defined on binary vectors only")
     for u in family.members:
         if (u.bits ^ v.bits) & ~u.jokers == 0:
-            return DyadicSum.half_power(u.joker_count)
-    return ZERO
+            return Fraction(1, 1 << u.joker_count)
+    return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class AuditReport:
 
     family_size: int
     checks: Dict[str, CheckResult]
-    total_weight: DyadicSum
+    total_weight: Fraction
 
     @property
     def passed(self) -> bool:
@@ -267,18 +268,23 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
         checks[name] = CheckResult(failure is None, failure)
 
     # double-counting identity; it fails exactly when some vector is covered twice
-    total = ZERO
-    for t, cls in classes.items():
-        total = total + DyadicSum(cls.bit_count(), t)
-    ok = total == DyadicSum.integer(len(family))
+    total = sum((Fraction(cls.bit_count(), 1 << t) for t, cls in classes.items()), Fraction(0))
+    ok = total == len(family)
     failure = None
     if not ok:
-        failure = f"sum of weights is {total}, family size is {len(family)}"
+        failure = f"sum of weights is {_dyadic(total)}, family size is {len(family)}"
         if cover.collision is not None:
             failure += f"; {cover.collision[0]} is covered more than once"
     checks["weight_identity"] = CheckResult(ok, failure)
 
     return AuditReport(len(family), checks, total)
+
+
+def _dyadic(value: Fraction) -> str:
+    """A weight as num/2^e, or as num when it is an integer."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/2^{value.denominator.bit_length() - 1}"
 
 
 def _disjoint_mirror_failure(d, classes, mirrored, depths) -> Optional[str]:
@@ -333,7 +339,7 @@ def _mirror_weight_failure(d, k, classes, mirrored, depths) -> Optional[str]:
             t = next(t for t, cls in classes.items() if cls >> v & 1)
             return (
                 f"mirror of {JokerVector(d, v ^ ((1 << d) - 1), 0)} has weight "
-                f"{DyadicSum.half_power(t)} > 1/2^{d - k - i}"
+                f"{_dyadic(Fraction(1, 1 << t))} > 1/2^{d - k - i}"
             )
     return None
 
@@ -344,8 +350,8 @@ def _pair_weight_failure(d, k, cover, mirrored) -> Optional[str]:
     for cls in mirrored.values():
         mirror_covered |= cls
     # (f on the set, the set, its mirror), the uncovered vectors at weight 0
-    parts = [(DyadicSum.half_power(t), cls, mirrored[t]) for t, cls in cover.classes.items()]
-    parts.append((ZERO, everything & ~cover.covered, everything & ~mirror_covered))
+    parts = [(Fraction(1, 1 << t), cls, mirrored[t]) for t, cls in cover.classes.items()]
+    parts.append((Fraction(0), everything & ~cover.covered, everything & ~mirror_covered))
     gap = d - k
     pair_depths = list(range(0, (gap - 2) // 2 + 1))
     if gap % 2 == 1:
@@ -353,9 +359,9 @@ def _pair_weight_failure(d, k, cover, mirrored) -> Optional[str]:
     for i in pair_depths:
         terminal = gap % 2 == 1 and i == (gap - 1) // 2
         cap = (
-            DyadicSum.half_power(i)
+            Fraction(1, 1 << i)
             if terminal
-            else DyadicSum.half_power(i + 1) + DyadicSum.half_power(d - k - i - 1)
+            else Fraction(1, 1 << (i + 1)) + Fraction(1, 1 << (d - k - i - 1))
         )
         excluded = 0
         for s in range(i + 1):
@@ -373,7 +379,7 @@ def _pair_weight_failure(d, k, cover, mirrored) -> Optional[str]:
         if worst is not None:
             v, got = worst
             return (
-                f"f(v)+f(~v) = {got} exceeds the depth-{i} cap for "
+                f"f(v)+f(~v) = {_dyadic(got)} exceeds the depth-{i} cap for "
                 f"v={JokerVector(d, v, 0)}"
             )
     return None

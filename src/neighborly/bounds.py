@@ -1,9 +1,10 @@
 """Exact upper/lower bound formulas for n(k,d), the largest k-neighborly family.
 
-Every formula is evaluated in exact integer or dyadic-rational arithmetic
-(numerator over a power of two) and floored once at the end; no floating
-point is involved anywhere.  ``report`` aggregates all applicable bounds
-for a single (k, d) cell together with embedded exact values.
+Every formula is evaluated exactly, in ints and ``fractions.Fraction``
+(the weighted-cover sums are dyadic: each denominator is a power of two),
+and floored once at the end; no floating point is involved anywhere.
+``report`` aggregates all applicable bounds for a single (k, d) cell
+together with embedded exact values.
 
 Naming follows the established literature: Alon's product/polynomial
 bounds, the Huang-Sudakov rank bound, the AGKP halfcube-plus-ball bound,
@@ -18,81 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 from typing import Optional
 
 from .errors import DomainError
 from . import reference
-
-
-@dataclass(frozen=True)
-class DyadicSum:
-    """Exact value num / 2**exp; normalized so num is odd or exp is 0."""
-
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if self.exp < 0:
-            raise DomainError("dyadic exponent must be nonnegative")
-        num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    @classmethod
-    def integer(cls, n: int) -> "DyadicSum":
-        return cls(n, 0)
-
-    @classmethod
-    def half_power(cls, e: int) -> "DyadicSum":
-        """1 / 2**e."""
-        return cls(1, e)
-
-    def __add__(self, other: "DyadicSum") -> "DyadicSum":
-        e = max(self.exp, other.exp)
-        return DyadicSum(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __sub__(self, other: "DyadicSum") -> "DyadicSum":
-        e = max(self.exp, other.exp)
-        return DyadicSum(
-            (self.num << (e - self.exp)) - (other.num << (e - other.exp)), e
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return DyadicSum(self.num * other, self.exp)
-        return DyadicSum(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def _cmp_key(self, other: "DyadicSum") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def floor(self) -> int:
-        return self.num >> self.exp
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
-
-
-ZERO = DyadicSum(0, 0)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -176,20 +107,20 @@ def agkp_upper(k: int, d: int) -> int:
     )
 
 
-def _shell_coefficient(k: int, d: int, j: int) -> DyadicSum:
+def _shell_coefficient(k: int, d: int, j: int) -> Fraction:
     """Weight (1/2^(j+1) - 1/2^(d-k-j)) applied to |B_(k+2j)|."""
-    return DyadicSum.half_power(j + 1) - DyadicSum.half_power(d - k - j)
+    return Fraction(1, 1 << (j + 1)) - Fraction(1, 1 << (d - k - j))
 
 
-def _shell_sum(k: int, d: int, j_lo: int, j_hi: int) -> DyadicSum:
-    """Sum of coefficient * |B_(k+2j)| for j in [j_lo, j_hi]; empty when j_lo > j_hi."""
-    total = ZERO
+def _shell_sum(k: int, d: int, j_lo: int, j_hi: int) -> Fraction:
+    """Sum of coefficient * |B_(k+2j)| for j in [j_lo, j_hi]; 0 when j_lo > j_hi."""
+    total = Fraction(0)
     for j in range(j_lo, j_hi + 1):
-        total = total + _shell_coefficient(k, d, j) * b_config_size(k + 2 * j, d)
+        total += _shell_coefficient(k, d, j) * b_config_size(k + 2 * j, d)
     return total
 
 
-def g_function(k: int, d: int, i: int) -> DyadicSum:
+def g_function(k: int, d: int, i: int) -> Fraction:
     """Exact dyadic value of the parameterized weighted-cover bound g(i).
 
     For 0 <= i <= (d-k-2)/2 this is the generic form
@@ -200,40 +131,28 @@ def g_function(k: int, d: int, i: int) -> DyadicSum:
     _require(1 <= k <= d - 1, f"need 1 <= k <= d-1, got k={k} d={d}")
     gap = d - k
     if gap % 2 == 1 and i == (gap - 1) // 2:
-        tail = DyadicSum.half_power(gap - i) * b_config_size(k + 2 * i, d)
-        return (
-            _shell_sum(k, d, 0, i - 1)
-            + tail
-            + DyadicSum.integer(1 << ((d + k - 1) // 2))
-        )
+        return _tail_after(k, d, -1)
     _require(0 <= i <= (gap - 2) // 2, f"shell index i={i} out of range for k={k} d={d}")
-    return (
-        _shell_sum(k, d, 0, i)
-        + DyadicSum.integer((1 << (d - i - 2)) + (1 << (k + i)))
-    )
+    return _shell_sum(k, d, 0, i) + (1 << (d - i - 2)) + (1 << (k + i))
 
 
 def main_upper(k: int, d: int) -> int:
     """Weighted-cover upper bound: g at its optimal (largest admissible) shell."""
     _require(1 <= k <= d - 1, f"need 1 <= k <= d-1, got k={k} d={d}")
-    gap = d - k
-    i = (gap - 2) // 2 if gap % 2 == 0 else (gap - 1) // 2
-    return g_function(k, d, i).floor()
+    return floor(_tail_after(k, d, -1))
 
 
-def _tail_after(k: int, d: int, h: int) -> DyadicSum:
-    """The shell sum of main_upper restricted to shells j > h."""
+def _tail_after(k: int, d: int, h: int) -> Fraction:
+    """The shell sum of main_upper restricted to shells j > h.
+
+    h = -1 keeps every shell: that is main_upper's own sum, and g at the
+    largest admissible shell.
+    """
     gap = d - k
     if gap % 2 == 0:
-        return _shell_sum(k, d, h + 1, (gap - 2) // 2) + DyadicSum.integer(
-            1 << ((d + k) // 2)
-        )
-    last = DyadicSum.half_power((gap + 1) // 2) * b_config_size(d - 1, d)
-    return (
-        _shell_sum(k, d, h + 1, (gap - 3) // 2)
-        + last
-        + DyadicSum.integer(1 << ((d + k - 1) // 2))
-    )
+        return _shell_sum(k, d, h + 1, (gap - 2) // 2) + (1 << ((d + k) // 2))
+    last = Fraction(b_config_size(d - 1, d), 1 << ((gap + 1) // 2))
+    return _shell_sum(k, d, h + 1, (gap - 3) // 2) + last + (1 << ((d + k - 1) // 2))
 
 
 def main2_upper(k: int, d: int) -> int:
@@ -244,7 +163,7 @@ def main2_upper(k: int, d: int) -> int:
     starts at j = 1); the bound is the max of the two floored branches.
     """
     _require(1 <= k <= d - 1, f"need 1 <= k <= d-1, got k={k} d={d}")
-    return max(ball_size(d, k), _tail_after(k, d, 0).floor())
+    return max(ball_size(d, k), floor(_tail_after(k, d, 0)))
 
 
 def refined_h_range(k: int, d: int) -> range:
@@ -271,7 +190,7 @@ def refined_upper(k: int, d: int) -> int:
         if gap % 2 == 1 and h == (gap - 1) // 2:
             tail_branch = 1 << ((d + k - 1) // 2)
         else:
-            tail_branch = _tail_after(k, d, h).floor()
+            tail_branch = floor(_tail_after(k, d, h))
         value = max(ball_branch, tail_branch)
         if best is None or value < best:
             best = value

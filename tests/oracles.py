@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from typing import Dict, Set
 
 from neighborly.analysis import AuditReport, CheckResult, _require_validated
-from neighborly.bounds import DyadicSum, ZERO, b_config_size
+from neighborly.bounds import ball_size, b_config_size
 from neighborly.core import (
     Family,
     JokerVector,
@@ -102,7 +103,9 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
                               (terminal odd depth: <= 1/2^i)
       weight_identity         sum of f over {0,1}^d equals |family| exactly
 
-    Enumeration is exhaustive, so d is capped (default 16).
+    Weights are integer numerators over 2^d (f(v) = 2^(d-t) for a vector
+    covered by a t-joker member), compared as integers and printed by
+    ``_dyadic_text``.  Enumeration is exhaustive, so d is capped (default 16).
     """
     _require_validated(family)
     d, k = family.d, family.k
@@ -129,9 +132,9 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     for bits, t in t_of.items():
         classes.setdefault(t, set()).add(bits)
 
-    def f(bits: int) -> DyadicSum:
+    def f(bits: int) -> int:
         t = t_of.get(bits)
-        return ZERO if t is None else DyadicSum.half_power(t)
+        return 0 if t is None else 1 << (d - t)
 
     depths = range(0, (d - k - 1) // 2 + 1)
 
@@ -181,13 +184,13 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     # weight cap on mirrored classes
     failure = None
     for i in depths:
-        cap = DyadicSum.half_power(d - k - i)
+        cap = 1 << (k + i)  # 1/2^(d-k-i)
         for bits in classes.get(i, set()):
             mirrored = bits ^ full
             if not f(mirrored) <= cap:
                 failure = (
-                    f"mirror of {JokerVector(d, bits, 0)} has weight {f(mirrored)} "
-                    f"> 1/2^{d - k - i}"
+                    f"mirror of {JokerVector(d, bits, 0)} has weight "
+                    f"{_dyadic_text(f(mirrored), d)} > 1/2^{d - k - i}"
                 )
                 break
         if failure:
@@ -202,11 +205,8 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
         pair_depths.append((gap - 1) // 2)
     for i in pair_depths:
         terminal = gap % 2 == 1 and i == (gap - 1) // 2
-        cap = (
-            DyadicSum.half_power(i)
-            if terminal
-            else DyadicSum.half_power(i + 1) + DyadicSum.half_power(d - k - i - 1)
-        )
+        # 1/2^i, else 1/2^(i+1) + 1/2^(d-k-i-1)
+        cap = (1 << (d - i)) if terminal else (1 << (d - i - 1)) + (1 << (k + i + 1))
         excluded = set()
         for s in range(i + 1):
             for bits in classes.get(s, set()):
@@ -218,7 +218,7 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
             got = f(bits) + f(bits ^ full)
             if not got <= cap:
                 failure = (
-                    f"f(v)+f(~v) = {got} exceeds the depth-{i} cap for "
+                    f"f(v)+f(~v) = {_dyadic_text(got, d)} exceeds the depth-{i} cap for "
                     f"v={JokerVector(d, bits, 0)}"
                 )
                 break
@@ -227,12 +227,76 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     checks["pair_weight_cap"] = CheckResult(failure is None, failure)
 
     # double-counting identity
-    total = ZERO
-    for t, cls in classes.items():
-        total = total + DyadicSum(len(cls), t)
-    ok = total == DyadicSum.integer(len(family))
-    checks["weight_identity"] = CheckResult(
-        ok, None if ok else f"sum of weights is {total}, family size is {len(family)}"
-    )
+    total = sum(len(cls) << (d - t) for t, cls in classes.items())
+    ok = total == len(family) << d
+    failure = f"sum of weights is {_dyadic_text(total, d)}, family size is {len(family)}"
+    checks["weight_identity"] = CheckResult(ok, None if ok else failure)
 
-    return AuditReport(len(family), checks, total)
+    return AuditReport(len(family), checks, Fraction(total, 1 << d))
+
+
+def _dyadic_text(num: int, d: int) -> str:
+    """num/2^d in lowest terms, written num/2^e, or num when it is an integer."""
+    exp = d
+    while exp and num % 2 == 0:
+        num //= 2
+        exp -= 1
+    return f"{num}/2^{exp}" if exp else str(num)
+
+
+# The weighted-cover bounds as integer numerators over 2^d: every weight
+# there is 1/2^e with e <= d, so 2^d times each sum is an integer, and the
+# bound is that integer shifted right by d.
+
+
+def _shell_numerator(k: int, d: int, j: int) -> int:
+    """2^d (1/2^(j+1) - 1/2^(d-k-j)) |B_(k+2j)|."""
+    return ((1 << (d - j - 1)) - (1 << (k + j))) * b_config_size(k + 2 * j, d)
+
+
+def g_shells(k: int, d: int) -> list[int]:
+    """The admissible shells i of g: 0..(d-k-2)/2, plus (d-k-1)/2 when d-k is odd."""
+    gap = d - k
+    shells = list(range((gap - 2) // 2 + 1))
+    if gap % 2 == 1:
+        shells.append((gap - 1) // 2)
+    return shells
+
+
+def g_numerator(k: int, d: int, i: int) -> int:
+    """2^d g(i) for an admissible shell i.
+
+    g(i) sums the shells j <= i and adds 2^(d-i-2) + 2^(k+i); at the
+    terminal i = (d-k-1)/2 of an odd d-k the shell i enters with weight
+    1/2^(d-k-i) alone and the additive term is 2^((d+k-1)/2).
+    """
+    gap = d - k
+    if gap % 2 == 1 and i == (gap - 1) // 2:
+        shells = sum(_shell_numerator(k, d, j) for j in range(i))
+        return shells + (b_config_size(k + 2 * i, d) << (k + i)) + (1 << (d + (d + k - 1) // 2))
+    shells = sum(_shell_numerator(k, d, j) for j in range(i + 1))
+    return shells + (1 << (2 * d - i - 2)) + (1 << (d + k + i))
+
+
+def weighted_cover_uppers(k: int, d: int) -> tuple[int, int, int]:
+    """(main, main2, refined) at 1 <= k < d, in integers only.
+
+    main is g minimized over its shells.  The split bounds take g at the
+    last shell, which sums every shell, and drop the shells j <= h:
+    main2 is h = 0 against a radius-k ball, refined the best h against
+    2^h radius-k balls in dimension d-h, where the terminal h of an odd
+    d-k keeps only the power term 2^((d+k-1)/2).
+    """
+    gap = d - k
+    shells = g_shells(k, d)
+    main = min(g_numerator(k, d, i) for i in shells) >> d
+    whole = g_numerator(k, d, shells[-1])
+
+    def tail(h: int) -> int:
+        if gap % 2 == 1 and h == (gap - 1) // 2:
+            return 1 << ((d + k - 1) // 2)
+        return (whole - sum(_shell_numerator(k, d, j) for j in range(h + 1))) >> d
+
+    main2 = max(ball_size(d, k), tail(0))
+    refined = min(max((1 << h) * ball_size(d - h, k), tail(h)) for h in shells)
+    return main, main2, refined

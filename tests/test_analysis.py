@@ -2,12 +2,13 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from neighborly import analysis
 from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile, weight
-from neighborly.bounds import DyadicSum, b_config_size
+from neighborly.bounds import b_config_size
 from neighborly.constructions import (
     alon_product,
     b_config_family,
@@ -55,7 +56,7 @@ class TestCoverProfile:
     def test_weight_sum_equals_size(self):
         family = alon_product(1, 3)
         profile = cover_profile(family)
-        assert profile.total_weight() == DyadicSum.integer(4)
+        assert profile.total_weight() == 4
 
     def test_mirror_classes_same_size(self):
         for family in (alon_product(2, 5), extremal_dminus1_family(5)):
@@ -73,10 +74,10 @@ class TestCoverProfile:
         for d in (11, 12):
             family = extremal_dminus1_family(d)
             profile = cover_profile(family)
-            assert profile.total_weight() == DyadicSum.integer(len(family))
+            assert profile.total_weight() == len(family)
         family = alon_product(4, 12)
         profile = cover_profile(family)
-        assert profile.total_weight() == DyadicSum.integer(len(family))
+        assert profile.total_weight() == len(family)
 
     def test_requires_validated(self):
         family = fam(2, 1, "00", "01")
@@ -87,15 +88,15 @@ class TestCoverProfile:
 class TestWeight:
     def test_binary_member(self):
         family = fam(2, 1, "00", "01").validate()
-        assert weight(jv("00"), family) == DyadicSum.integer(1)
+        assert weight(jv("00"), family) == 1
 
     def test_one_joker_member(self):
         family = fam(2, 1, "0*", "10").validate()
-        assert weight(jv("01"), family) == DyadicSum.half_power(1)
+        assert weight(jv("01"), family) == Fraction(1, 2)
 
     def test_uncovered(self):
         family = fam(2, 1, "00", "01").validate()
-        assert weight(jv("11"), family) == DyadicSum.integer(0)
+        assert weight(jv("11"), family) == 0
 
     def test_dimension_checks(self):
         family = fam(2, 1, "00", "01").validate()
@@ -109,12 +110,12 @@ class TestAudit:
     def test_published_families_pass(self):
         report = audit(extremal_dminus1_family(4))
         assert report.passed
-        assert report.total_weight == DyadicSum.integer(12)
+        assert report.total_weight == 12
         assert set(report.checks) == set(AUDIT_CHECKS)
 
         report = audit(alon_product(3, 6))
         assert report.passed
-        assert report.total_weight == DyadicSum.integer(27)
+        assert report.total_weight == 27
 
     def test_constructions_always_pass(self):
         for d in range(2, 7):
@@ -163,7 +164,7 @@ class TestAudit:
         family = b_config_family(8, 18)
         report = audit(family)
         assert report.passed, report.failures()
-        assert report.total_weight == DyadicSum.integer(len(family)) == DyadicSum.integer(4048)
+        assert report.total_weight == len(family) == 4048
 
     def test_detects_forged_distance_violation(self):
         # 000 and 111 are 3 > k=1 apart; a forged validated flag must not
@@ -187,8 +188,32 @@ class TestAudit:
         family = Family.of(3, 2, [jv("000"), jv("00*")], validated=True)
         report = audit(family)
         assert not report.checks["weight_identity"].passed
-        assert report.total_weight == DyadicSum(3, 1)
+        assert report.total_weight == Fraction(3, 2)
         assert "000" in assert_names_vector(report, "weight_identity", 3)
+
+    @pytest.mark.parametrize(
+        "d, k, words, check, text, enumerated_text",
+        [
+            (3, 1, ["000", "111"], "mirror_weight_cap",
+             "mirror of 111 has weight 1 > 1/2^2",
+             "mirror of 000 has weight 1 > 1/2^2"),
+            (3, 1, ["0*1", "110"], "mirror_weight_cap",
+             "mirror of 110 has weight 1/2^1 > 1/2^2",
+             "mirror of 110 has weight 1/2^1 > 1/2^2"),
+            (5, 1, ["0*1*1", "100*0"], "pair_weight_cap",
+             "f(v)+f(~v) = 3/2^2 exceeds the depth-0 cap for v=10000",
+             "f(v)+f(~v) = 3/2^2 exceeds the depth-0 cap for v=10000"),
+            (3, 2, ["000", "00*"], "weight_identity",
+             "sum of weights is 3/2^1, family size is 2; 000 is covered more than once",
+             "sum of weights is 3/2^1, family size is 2"),
+        ],
+        ids=["weight-one", "weight-half", "pair-sum", "total"],
+    )
+    def test_forged_weight_failure_text(self, d, k, words, check, text, enumerated_text):
+        # a weight prints as num/2^e in lowest terms, or as num when it is an integer
+        family = Family.of(d, k, map(jv, words), validated=True)
+        assert audit(family).checks[check].counterexample == text
+        assert enumerated_audit(family).checks[check].counterexample == enumerated_text
 
     def test_forged_failures_name_vectors(self):
         # one forged family per check, failing at least that check

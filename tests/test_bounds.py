@@ -1,13 +1,12 @@
 """Bound formulas against frozen paper values and independent mini-oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from neighborly import bounds
 from neighborly.bounds import (
-    DyadicSum,
     agkp_upper,
     alon_lower,
     alon_upper,
@@ -25,43 +24,7 @@ from neighborly.bounds import (
 from neighborly.errors import DomainError
 
 from conftest import pascal_binomial
-
-
-dyadics = st.builds(
-    DyadicSum,
-    st.integers(min_value=-(10**9), max_value=10**9),
-    st.integers(min_value=0, max_value=40),
-)
-
-
-class TestDyadicSum:
-    @given(dyadics, dyadics)
-    def test_add_matches_fractions(self, a, b):
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-
-    @given(dyadics, dyadics)
-    def test_sub_and_compare_match_fractions(self, a, b):
-        assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a <= b) == (a.as_fraction() <= b.as_fraction())
-
-    @given(dyadics, st.integers(min_value=-(10**6), max_value=10**6))
-    def test_int_multiply(self, a, c):
-        assert (a * c).as_fraction() == a.as_fraction() * c
-
-    @given(dyadics)
-    def test_floor_is_exact(self, a):
-        import math
-
-        assert a.floor() == math.floor(a.as_fraction())
-
-    def test_normalization(self):
-        assert DyadicSum(4, 2) == DyadicSum(1, 0)
-        assert DyadicSum(6, 3) == DyadicSum(3, 2)
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(DomainError):
-            DyadicSum(1, -1)
+from oracles import g_numerator, g_shells, weighted_cover_uppers
 
 
 class TestBallAndKleitman:
@@ -140,13 +103,13 @@ class TestClassicBounds:
 class TestWeightedCoverBounds:
     def test_g_at_first_shell(self):
         g = g_function(5, 7, 0)
-        assert g.as_fraction() == 75
-        assert g.floor() == 75
+        assert g == 75
+        assert math.floor(g) == 75
 
     def test_g_terminal_odd_shell(self):
         g = g_function(2, 7, 2)
-        assert g.as_fraction() == Fraction(531, 16)  # 33.1875
-        assert g.floor() == 33
+        assert g == Fraction(531, 16)  # 33.1875
+        assert math.floor(g) == 33
 
     def test_g_monotone_sample(self):
         vals = [g_function(2, 9, i) for i in range(3)]
@@ -162,8 +125,10 @@ class TestWeightedCoverBounds:
     def test_g_is_exact_dyadic(self):
         for (k, d, i) in [(5, 7, 0), (2, 7, 2), (3, 10, 2), (4, 12, 1)]:
             g = g_function(k, d, i)
-            assert isinstance(g.num, int) and isinstance(g.exp, int)
-            assert g.exp <= d - k + 1
+            assert isinstance(g, Fraction)
+            den = g.denominator
+            assert den & (den - 1) == 0  # a power of two
+            assert den <= 1 << (d - k + 1)
 
     def test_main_upper_paper_values(self):
         expected = {
@@ -191,6 +156,23 @@ class TestWeightedCoverBounds:
         for fn in (main_upper, main2_upper, refined_upper):
             with pytest.raises(DomainError):
                 fn(5, 5)
+
+
+class TestIntegerNumeratorOracle:
+    """The weighted-cover bounds against ``oracles``, which sums integer
+    numerators over 2^d and floors by a right shift."""
+
+    def test_g_exact_at_every_shell(self):
+        for d in range(2, 41):
+            for k in range(1, d):
+                for i in g_shells(k, d):
+                    assert g_function(k, d, i) * (1 << d) == g_numerator(k, d, i), (k, d, i)
+
+    def test_floored_bounds(self):
+        for d in range(2, 41):
+            for k in range(1, d):
+                got = (main_upper(k, d), main2_upper(k, d), refined_upper(k, d))
+                assert got == weighted_cover_uppers(k, d), (k, d)
 
 
 class TestReport:
