@@ -9,11 +9,13 @@ re-proves every step of that machinery on a concrete family over all of
 this package and any family file a user supplies.
 
 Subsets of {0,1}^d are held as 2^d-bit integers: binary vector v is bit
-v of the integer.  A member covers the subcube ``cube << bits``, where
-``cube`` is built from its joker mask by one shift-OR per joker; flipping
-coordinate j of every vector of a set is a masked swap of the 2^d/2^(j+1)
-blocks of 2^j bits, so mirrors and Hamming neighbourhoods take d such
-swaps each.  Every check is then a handful of whole-set operations.
+v of the integer.  ``cover_profile`` returns the partition in this form,
+as a ``CoverProfile``, and the audit reads the same map.  A member covers
+the subcube ``cube << bits``, where ``cube`` is built from its joker mask
+by one shift-OR per joker; flipping coordinate j of every vector of a set
+is a masked swap of the 2^d/2^(j+1) blocks of 2^j bits, so mirrors and
+Hamming neighbourhoods take d such swaps each.  Every check is then a
+handful of whole-set operations.
 
 Weights, caps and sums of weights are exact ``fractions.Fraction``
 values; failure messages write a weight as num/2^e.
@@ -24,29 +26,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-from .bounds import b_config_size
+from .bounds import b_config_size, shell_depths
 from .core import Family, JokerVector, covers
 from .errors import DomainError, ResourceError, ValidationError
 
 AUDIT_DIMENSION_CAP = 20
-# hard ceiling on d whatever the cap: the audit holds several 2^d-bit sets
-# at once, and at d=24 each is 2 MB (the flip masks alone take 48 MB)
+# hard ceiling on d for the audit whatever its cap, and for cover_profile:
+# both hold several 2^d-bit sets at once, and at d=24 each is 2 MB (the
+# flip masks alone take 48 MB)
 AUDIT_DIMENSION_LIMIT = 24
 
 
 @dataclass(frozen=True)
 class CoverProfile:
-    """Partition of {0,1}^d by the joker count of the covering member."""
+    """Partition of {0,1}^d by the joker count of the covering member.
+
+    Every set is a 2^d-bit integer (see the module docstring).
+    ``classes[t]`` is V(t), the binary vectors whose first covering member
+    in sorted order has t jokers, and ``mirrored[t]`` is {~v : v in V(t)}.
+    ``covered`` is the union of the classes; the uncovered vectors are its
+    complement within 2^d bits.  ``collision`` is None when no vector is
+    covered twice; otherwise it holds the lowest vector covered by the
+    first member (in sorted order) that meets an earlier one, that earlier
+    member and the later one.
+    """
 
     family: Family
-    classes: Dict[int, Set[JokerVector]]
-    complement_classes: Dict[int, Set[JokerVector]]
-    uncovered: Set[JokerVector]
+    classes: Dict[int, int]
+    mirrored: Dict[int, int]
+    covered: int
+    collision: Optional[Tuple[JokerVector, JokerVector, JokerVector]]
 
     def total_weight(self) -> Fraction:
-        return sum((Fraction(len(cls), 1 << t) for t, cls in self.classes.items()), Fraction(0))
+        """Sum of f over {0,1}^d: |V(t)|/2^t over the classes."""
+        return sum((Fraction(c.bit_count(), 1 << t) for t, c in self.classes.items()), Fraction(0))
 
 
 def _require_validated(family: Family) -> None:
@@ -54,22 +69,14 @@ def _require_validated(family: Family) -> None:
         raise ValidationError("operation requires a validated family; call validate() first")
 
 
-class _CoverMap(NamedTuple):
-    """The cover classes of a family as 2^d-bit sets.
-
-    ``classes[t]`` is V(t), the binary vectors whose first covering member
-    in sorted order has t jokers; ``covered`` is their union.
-    ``collision`` is None when no vector is covered twice; otherwise it
-    holds the lowest vector covered by the first member (in sorted order)
-    that meets an earlier one, that earlier member and the later one.
-    """
-
-    classes: Dict[int, int]
-    covered: int
-    collision: Optional[Tuple[JokerVector, JokerVector, JokerVector]]
+def _require_within_limit(d: int, what: str) -> None:
+    if d > AUDIT_DIMENSION_LIMIT:
+        raise ResourceError(
+            f"{what} is exhaustive over 2^d vectors; d={d} exceeds the limit {AUDIT_DIMENSION_LIMIT}"
+        )
 
 
-def _cover_map(family: Family) -> _CoverMap:
+def _cover_map(family: Family) -> CoverProfile:
     members = family.sorted_members()
     cubes: Dict[int, int] = {}  # joker mask -> subcube of the vector 0...0
     classes: Dict[int, int] = {}
@@ -94,7 +101,9 @@ def _cover_map(family: Family) -> _CoverMap:
         t = u.joker_count
         classes[t] = classes.get(t, 0) | cell
         covered |= cell
-    return _CoverMap(classes, covered, collision)
+    masks = _flip_masks(family.d)
+    mirrored = {t: _mirror(cls, masks) for t, cls in classes.items()}
+    return CoverProfile(family, classes, mirrored, covered, collision)
 
 
 def _lowest(s: int) -> int:
@@ -132,30 +141,21 @@ def _neighbourhood(s: int, radius: int, masks: Tuple[int, ...]) -> int:
     return s
 
 
-def _vectors(d: int, s: int) -> Set[JokerVector]:
-    return {JokerVector(d, v, 0) for v, bit in enumerate(bin(s)[:1:-1]) if bit == "1"}
-
-
 def cover_profile(family: Family) -> CoverProfile:
-    """Compute the cover classes, their mirrors, and the uncovered remainder.
+    """Compute the cover classes, their mirrors, and the covered set.
 
     Covering members are unique for a validated family; a collision is
     reported as a ValidationError since it means the family (or this
-    package) is broken.
+    package) is broken.  Above AUDIT_DIMENSION_LIMIT (24) it raises
+    ResourceError before building any set.
     """
     _require_validated(family)
-    d = family.d
-    cover = _cover_map(family)
-    if cover.collision is not None:
-        v, prev, u = cover.collision
+    _require_within_limit(family.d, "cover profile")
+    profile = _cover_map(family)
+    if profile.collision is not None:
+        v, prev, u = profile.collision
         raise ValidationError(f"{v} covered by both {prev} and {u}")
-    masks = _flip_masks(d)
-    classes = {t: _vectors(d, cls) for t, cls in cover.classes.items()}
-    complement_classes = {
-        t: _vectors(d, _mirror(cls, masks)) for t, cls in cover.classes.items()
-    }
-    uncovered = _vectors(d, ((1 << (1 << d)) - 1) & ~cover.covered)
-    return CoverProfile(family, classes, complement_classes, uncovered)
+    return profile
 
 
 def weight(v: JokerVector, family: Family) -> Fraction:
@@ -229,54 +229,50 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
         for a live v in V(s) with ~v in V(s') only when they exceed it;
       - the weight identity reads the class sizes.
     Building the cover map takes one shift-OR per joker per distinct joker
-    mask and three operations on 2^d-bit integers per member; a diameter
-    check takes d-L-1 rounds of d flips.  A failed check names the lowest
-    vector of the offending set.  d is capped (default 20) because every
-    set is 2^d bits wide; above AUDIT_DIMENSION_LIMIT (24) the audit raises
-    ResourceError whatever the cap.
+    mask, three operations on 2^d-bit integers per member and d flips per
+    class for the mirrors; a diameter check takes d-L-1 rounds of d flips.
+    A failed check names the lowest vector of the offending set.  d is
+    capped (default 20) because every set is 2^d bits wide; above
+    AUDIT_DIMENSION_LIMIT (24) the audit raises ResourceError whatever the
+    cap.
     """
     _require_validated(family)
     d, k = family.d, family.k
     if d - k < 1:
         raise DomainError(f"audit requires d - k >= 1, got k={k} d={d}")
-    if d > AUDIT_DIMENSION_LIMIT:
-        raise ResourceError(
-            f"audit is exhaustive over 2^d vectors; d={d} exceeds the limit {AUDIT_DIMENSION_LIMIT}"
-        )
+    _require_within_limit(d, "audit")
     if d > dimension_cap:
         raise DomainError(f"audit is exhaustive over 2^d vectors; d={d} exceeds cap {dimension_cap}")
 
     cover = _cover_map(family)
-    masks = _flip_masks(d)
-    classes = cover.classes
-    mirrored = {t: _mirror(cls, masks) for t, cls in classes.items()}
-    depths = range(0, (d - k - 1) // 2 + 1)
+    classes, mirrored = cover.classes, cover.mirrored
+    depths = shell_depths(k, d)
 
     collision = None
     if cover.collision is not None:
         v, prev, u = cover.collision
         collision = f"{v} covered by {prev} and {u}"
-    checks: Dict[str, CheckResult] = {
-        "unique_cover": CheckResult(collision is None, collision)
-    }
-    for name, failure in (
-        ("disjoint_mirror_classes", _disjoint_mirror_failure(d, classes, mirrored, depths)),
-        ("prefix_diameter_bound", _prefix_diameter_failure(d, k, classes, mirrored, depths, masks)),
-        ("mirror_weight_cap", _mirror_weight_failure(d, k, classes, mirrored, depths)),
-        ("pair_weight_cap", _pair_weight_failure(d, k, cover, mirrored)),
-    ):
-        checks[name] = CheckResult(failure is None, failure)
 
     # double-counting identity; it fails exactly when some vector is covered twice
-    total = sum((Fraction(cls.bit_count(), 1 << t) for t, cls in classes.items()), Fraction(0))
-    ok = total == len(family)
-    failure = None
-    if not ok:
-        failure = f"sum of weights is {_dyadic(total)}, family size is {len(family)}"
+    total = cover.total_weight()
+    identity = None
+    if total != len(family):
+        identity = f"sum of weights is {_dyadic(total)}, family size is {len(family)}"
         if cover.collision is not None:
-            failure += f"; {cover.collision[0]} is covered more than once"
-    checks["weight_identity"] = CheckResult(ok, failure)
+            identity += f"; {cover.collision[0]} is covered more than once"
 
+    failures = (  # in the order of AUDIT_CHECKS
+        collision,
+        _disjoint_mirror_failure(d, classes, mirrored, depths),
+        _prefix_diameter_failure(d, k, classes, mirrored, depths, _flip_masks(d)),
+        _mirror_weight_failure(d, k, classes, mirrored, depths),
+        _pair_weight_failure(d, k, cover, depths),
+        identity,
+    )
+    checks = {
+        name: CheckResult(failure is None, failure)
+        for name, failure in zip(AUDIT_CHECKS, failures, strict=True)
+    }
     return AuditReport(len(family), checks, total)
 
 
@@ -344,28 +340,23 @@ def _mirror_weight_failure(d, k, classes, mirrored, depths) -> Optional[str]:
     return None
 
 
-def _pair_weight_failure(d, k, cover, mirrored) -> Optional[str]:
+def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
     everything = (1 << (1 << d)) - 1
     mirror_covered = 0
-    for cls in mirrored.values():
+    for cls in cover.mirrored.values():
         mirror_covered |= cls
     # (f on the set, the set, its mirror), the uncovered vectors at weight 0
-    parts = [(Fraction(1, 1 << t), cls, mirrored[t]) for t, cls in cover.classes.items()]
+    parts = [(Fraction(1, 1 << t), cls, cover.mirrored[t]) for t, cls in cover.classes.items()]
     parts.append((Fraction(0), everything & ~cover.covered, everything & ~mirror_covered))
-    gap = d - k
-    pair_depths = list(range(0, (gap - 2) // 2 + 1))
-    if gap % 2 == 1:
-        pair_depths.append((gap - 1) // 2)
-    for i in pair_depths:
-        terminal = gap % 2 == 1 and i == (gap - 1) // 2
+    for i in depths:
         cap = (
             Fraction(1, 1 << i)
-            if terminal
+            if 2 * i + 1 == d - k  # the terminal odd shell
             else Fraction(1, 1 << (i + 1)) + Fraction(1, 1 << (d - k - i - 1))
         )
         excluded = 0
         for s in range(i + 1):
-            excluded |= cover.classes.get(s, 0) | mirrored.get(s, 0)
+            excluded |= cover.classes.get(s, 0) | cover.mirrored.get(s, 0)
         live = everything & ~excluded
         worst = None  # (v, f(v) + f(~v)) with the lowest v over the class pairs
         for weight_v, cls, _ in parts:

@@ -107,6 +107,14 @@ def agkp_upper(k: int, d: int) -> int:
     )
 
 
+def shell_depths(k: int, d: int) -> range:
+    """Shells 0 <= i <= (d-k-1)/2 of g, refined_upper's h and the audit.
+
+    When d-k is odd the last one, 2i+1 = d-k, is the terminal odd shell.
+    """
+    return range((d - k + 1) // 2)
+
+
 def _shell_coefficient(k: int, d: int, j: int) -> Fraction:
     """Weight (1/2^(j+1) - 1/2^(d-k-j)) applied to |B_(k+2j)|."""
     return Fraction(1, 1 << (j + 1)) - Fraction(1, 1 << (d - k - j))
@@ -129,10 +137,9 @@ def g_function(k: int, d: int, i: int) -> Fraction:
     weight 1/2^(d-k-i) and whose additive term is 2^((d+k-1)/2).
     """
     _require(1 <= k <= d - 1, f"need 1 <= k <= d-1, got k={k} d={d}")
-    gap = d - k
-    if gap % 2 == 1 and i == (gap - 1) // 2:
+    _require(i in shell_depths(k, d), f"shell index i={i} out of range for k={k} d={d}")
+    if 2 * i + 1 == d - k:
         return _tail_after(k, d, -1)
-    _require(0 <= i <= (gap - 2) // 2, f"shell index i={i} out of range for k={k} d={d}")
     return _shell_sum(k, d, 0, i) + (1 << (d - i - 2)) + (1 << (k + i))
 
 
@@ -166,14 +173,6 @@ def main2_upper(k: int, d: int) -> int:
     return max(ball_size(d, k), floor(_tail_after(k, d, 0)))
 
 
-def refined_h_range(k: int, d: int) -> range:
-    """Admissible h for refined_upper (terminal odd h included)."""
-    gap = d - k
-    if gap % 2 == 0:
-        return range(0, (gap - 2) // 2 + 1)
-    return range(0, (gap - 1) // 2 + 1)
-
-
 def refined_upper(k: int, d: int) -> int:
     """Weighted-cover bound split on members with at most h jokers, minimized over h.
 
@@ -183,11 +182,10 @@ def refined_upper(k: int, d: int) -> int:
     h = (d-k-1)/2 replaces branch two by the bare power term.
     """
     _require(1 <= k <= d - 1, f"need 1 <= k <= d-1, got k={k} d={d}")
-    gap = d - k
     best: Optional[int] = None
-    for h in refined_h_range(k, d):
+    for h in shell_depths(k, d):
         ball_branch = (1 << h) * ball_size(d - h, k)
-        if gap % 2 == 1 and h == (gap - 1) // 2:
+        if 2 * h + 1 == d - k:
             tail_branch = 1 << ((d + k - 1) // 2)
         else:
             tail_branch = floor(_tail_after(k, d, h))

@@ -15,43 +15,67 @@ from neighborly.constructions import (
     extremal_dminus1_family,
     staircase_code,
 )
-from neighborly.core import Family, covers
+from neighborly.core import Family, covered_vectors
 from neighborly.errors import DomainError, ResourceError, ValidationError
 
-from conftest import all_binaries, fam, jv, random_family
+from conftest import fam, jv, random_family
 from oracles import enumerated_audit
 
 
 def brute_force_classes(family):
-    """Independent cover classes via point queries over all of {0,1}^d."""
-    classes = {}
-    uncovered = set()
-    for v in all_binaries(family.d):
-        coverers = [u for u in family if covers(u, v)]
-        assert len(coverers) <= 1
-        if coverers:
-            classes.setdefault(coverers[0].joker_count, set()).add(v)
-        else:
-            uncovered.add(v)
-    return classes, uncovered
+    """Independent cover classes, vector by vector, as 2^d-bit sets.
+
+    Returns (classes, mirrored, covered): V(t), {~v : v in V(t)} and the
+    union of the classes, each binary vector v being bit v.
+    """
+    full = (1 << family.d) - 1
+    classes, mirrored, covered = {}, {}, 0
+    for u in family:
+        t = u.joker_count
+        for v in covered_vectors(u):
+            assert not covered >> v.bits & 1, f"{v} covered twice"
+            covered |= 1 << v.bits
+            classes[t] = classes.get(t, 0) | 1 << v.bits
+            mirrored[t] = mirrored.get(t, 0) | 1 << (v.bits ^ full)
+    return classes, mirrored, covered
+
+
+def assert_matches_enumeration(family):
+    profile = cover_profile(family)
+    classes, mirrored, covered = brute_force_classes(family)
+    assert profile.family is family
+    assert profile.classes == classes
+    assert profile.mirrored == mirrored
+    assert profile.covered == covered
+    assert profile.collision is None
+    assert profile.total_weight() == len(family)
+    return profile
+
+
+def random_validated_families(rng, count):
+    """``count`` random validated families with d <= 10."""
+    families = []
+    while len(families) < count:
+        d = rng.randint(2, 10)
+        k = rng.randint(max(1, d - 4), d - 1)
+        family = random_family(rng, d, k, rng.randint(1, 12), rng.uniform(0.0, 0.6))
+        if family.check().ok:
+            families.append(family.validate())
+    return families
 
 
 class TestCoverProfile:
     def test_published_family_profile(self):
         family = extremal_dminus1_family(4)
-        profile = cover_profile(family)
-        expected_classes, expected_uncovered = brute_force_classes(family)
-        assert {t: cls for t, cls in profile.classes.items()} == expected_classes
-        assert profile.uncovered == expected_uncovered
-        assert len(profile.classes[0]) == 8
-        assert len(profile.classes[1]) == 8
-        assert not profile.uncovered
+        profile = assert_matches_enumeration(family)
+        assert profile.classes[0].bit_count() == 8
+        assert profile.classes[1].bit_count() == 8
+        assert profile.covered == (1 << 2**4) - 1  # nothing is uncovered
 
     def test_all_binary_family(self):
         family = b_config_family(2, 4)
-        profile = cover_profile(family)
-        assert profile.classes[0] == family.members
-        assert set(profile.classes) == {0}
+        profile = assert_matches_enumeration(family)
+        assert profile.classes == {0: sum(1 << u.bits for u in family)}
 
     def test_weight_sum_equals_size(self):
         family = alon_product(1, 3)
@@ -60,15 +84,16 @@ class TestCoverProfile:
 
     def test_mirror_classes_same_size(self):
         for family in (alon_product(2, 5), extremal_dminus1_family(5)):
-            profile = cover_profile(family)
+            profile = assert_matches_enumeration(family)
+            assert profile.mirrored.keys() == profile.classes.keys()
             for t, cls in profile.classes.items():
-                assert len(profile.complement_classes[t]) == len(cls)
+                assert profile.mirrored[t].bit_count() == cls.bit_count()
 
     def test_kleitman_tightness_of_zero_class(self):
         # an all-binary b_config family puts exactly the isodiametric count in V(0)
         for (k, d) in [(2, 4), (3, 5), (5, 7)]:
-            profile = cover_profile(b_config_family(k, d))
-            assert len(profile.classes[0]) == b_config_size(k, d)
+            profile = assert_matches_enumeration(b_config_family(k, d))
+            assert profile.classes[0].bit_count() == b_config_size(k, d)
 
     def test_weight_identity_up_to_d_twelve(self):
         for d in (11, 12):
@@ -83,6 +108,40 @@ class TestCoverProfile:
         family = fam(2, 1, "00", "01")
         with pytest.raises(ValidationError):
             cover_profile(family)
+
+    def test_random_validated_families_match_enumeration(self):
+        families = random_validated_families(random.Random(20261019), 300)
+        assert any(any(u.jokers for u in family) for family in families)
+        for family in families:
+            assert_matches_enumeration(family)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_constructions_match_enumeration(self, d):
+        families = [extremal_dminus1_family(d), Family.of(d, 1, staircase_code(d), validated=True)]
+        for k in range(1, d):
+            families += [alon_product(k, d), b_config_family(k, d)]
+        for family in families:
+            assert_matches_enumeration(family)
+
+    def test_weight_identity_at_d_eighteen(self):
+        assert cover_profile(alon_product(6, 18)).total_weight() == 4096
+
+    def test_collision_is_validation_error(self):
+        # 00* covers 000, which is also a member
+        family = Family.of(3, 2, [jv("000"), jv("00*")], validated=True)
+        with pytest.raises(ValidationError, match="000 covered by both 000 and 00\\*"):
+            cover_profile(family)
+
+    def test_dimension_limit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cover_profile built a 2^d-bit set")
+
+        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_cover_map", refuse)
+        for d in (25, 30, 64):
+            family = Family.from_strings(d, d - 1, ["0" * d]).validate()
+            with pytest.raises(ResourceError, match=f"d={d} exceeds the limit 24"):
+                cover_profile(family)
 
 
 class TestWeight:
@@ -111,7 +170,7 @@ class TestAudit:
         report = audit(extremal_dminus1_family(4))
         assert report.passed
         assert report.total_weight == 12
-        assert set(report.checks) == set(AUDIT_CHECKS)
+        assert list(report.checks) == list(AUDIT_CHECKS)
 
         report = audit(alon_product(3, 6))
         assert report.passed

@@ -122,6 +122,15 @@ class TestWeightedCoverBounds:
         with pytest.raises(DomainError):
             g_function(2, 7, 3)
 
+    def test_shell_depths(self):
+        # one schedule for g, refined_upper's h and the audit's depths
+        for d in range(2, 60):
+            for k in range(1, d):
+                depths = bounds.shell_depths(k, d)
+                assert list(depths) == g_shells(k, d), (k, d)
+                with pytest.raises(DomainError, match=f"shell index i={len(depths)} out of range"):
+                    g_function(k, d, len(depths))
+
     def test_g_is_exact_dyadic(self):
         for (k, d, i) in [(5, 7, 0), (2, 7, 2), (3, 10, 2), (4, 12, 1)]:
             g = g_function(k, d, i)
