@@ -250,13 +250,39 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     carries the first bad pair (u, v) in sorted member order, u before v,
     and its distance.
 
-    The pairs are not visited one by one.  With the members indexed 0..n-1
-    in sorted order, each coordinate c gets two n-bit masks: the members
-    holding a 1 there and those holding a 0.  For member u, the members
-    that differ from u at a non-joker coordinate of u form one such mask,
-    and the distance from u to every member at once is a count over these
-    masks.  Their union rules out distance 0.  Distance above k needs more
-    than k of the masks, so the count depends on how many u has:
+    The pairs are not visited one by one: see ``_first_bad_pair``, which
+    tests each member against all later ones at once on bit masks.  Its
+    compiled twin in the kernel library (``search/_kernel_c.c``) runs
+    whenever that library loaded; both return the same pair.
+    """
+    from .search import _kernel  # at call time: search imports core
+
+    members, ranks = family._sorted()
+    n = len(members)
+    if n < 2:
+        return NeighborlyCheck(True, None, None)
+    if _kernel.HAVE_COMPILED:
+        first_bad_pair = _kernel.get_kernel("compiled").first_bad_pair
+    else:
+        first_bad_pair = _first_bad_pair
+    pair = first_bad_pair(ranks, n, family.d, family.k)
+    if pair is None:
+        return NeighborlyCheck(True, None, None)
+    u, v = members[pair[0]], members[pair[1]]
+    return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
+
+
+def _first_bad_pair(ranks: str, n: int, d: int, k: int) -> Optional[Tuple[int, int]]:
+    """Indices (i, j), i < j, of the first pair at a distance outside 1..k, or None.
+
+    ``ranks`` joins the rank strings of n sorted members of length d, as
+    ``Family._sorted`` holds them.  Each coordinate c gets two n-bit masks,
+    member i at bit i: the members holding a 1 there and those holding a
+    0.  For member u, the members that differ from u at a non-joker
+    coordinate of u form one such mask, and the distance from u to every
+    member at once is a count over these masks.  Their union rules out
+    distance 0.  Distance above k needs more than k of the masks, so the
+    count depends on how many u has:
 
     - at most k (u has at least d-k jokers): no count is needed;
     - exactly k+1: the intersection of the masks;
@@ -266,12 +292,12 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
 
     One mask per member selects the members after it.  So the whole check
     takes O(n*d*log k) operations on n-bit integers, O(n*d) when
-    d-k <= 1, instead of n^2/2 distance evaluations.
+    d-k <= 1, instead of n^2/2 distance evaluations.  This is the pure
+    twin of the kernel library's ``neighborly_first_bad_pair`` and the
+    oracle it is tested against.
     """
-    members, ranks = family._sorted()
-    n, d, k = len(members), family.d, family.k
     if n < 2:
-        return NeighborlyCheck(True, None, None)
+        return None
     full = (1 << n) - 1
     # column c of the rank strings, read as an n-bit integer with member i at bit i
     columns = [ranks[c::d][::-1] for c in range(d)]
@@ -282,7 +308,7 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     planes = (k + 1).bit_length()
     preload = (1 << planes) - k - 1  # a count above k carries out of the top plane
     count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
-    for i, u in enumerate(members):
+    for i in range(n - 1):
         masks = [col[ch] for ch, col in zip(ranks[i * d:(i + 1) * d], differing) if ch != "2"]
         good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
         need = len(masks) - k  # distance > k needs more than k of the masks
@@ -303,6 +329,5 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
             good &= ~over
         bad = full >> (i + 1) << (i + 1) & ~good
         if bad:
-            v = members[(bad & -bad).bit_length() - 1]
-            return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
-    return NeighborlyCheck(True, None, None)
+            return i, (bad & -bad).bit_length() - 1
+    return None

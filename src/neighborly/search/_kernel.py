@@ -1,14 +1,19 @@
-"""Select the clique kernel at import: the C kernel if it builds, else pure Python.
+"""Load the compiled kernel library at import, or fall back to pure Python.
 
-The C kernel (``_kernel_c.c``, plain C99) is compiled on first import with
-the C compiler this interpreter was built with, into
+One C file, ``_kernel_c.c`` (plain C99), holds two entry points: the
+clique kernel ``neighborly_solve``, twin of ``_kernel_py.solve_root``, and
+the k-neighborly pair check ``neighborly_first_bad_pair``, twin of
+``core._first_bad_pair``.  It is compiled on first import with the C
+compiler this interpreter was built with, into
 ``$XDG_CACHE_HOME/neighborly/`` (default ``~/.cache/neighborly/``), under a
 name keyed by the sha256 of the source and the compile command; later
 imports load the cached library through ``ctypes``.  When anything on that
-path fails the package runs the pure-Python twin and keeps the reason in
-``COMPILED_ERROR``.  Both kernels traverse the same tree and return
+path fails the package runs the pure-Python twins and keeps the reason in
+``COMPILED_ERROR``.  Both clique kernels traverse the same tree and return
 identical results; ``get_kernel`` lets callers (tests, benchmarks, the
-CLI's ``--kernel``) pin one explicitly.
+CLI's ``--kernel``) pin one explicitly.  Both pair checks return the same
+pair; ``core.is_k_neighborly`` takes the compiled one whenever
+``HAVE_COMPILED``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import _kernel_py
+from .. import core
 
 # The interpreter's own sha256: hashlib's loads OpenSSL, which adds about
 # 3.5 MB of resident memory and 4 ms to every import of the package.
@@ -36,8 +42,9 @@ SOURCE = Path(__file__).with_name("_kernel_c.c")
 FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 300
 
-# neighborly_solve's return codes (see _kernel_c.c)
+# the return codes of neighborly_solve and neighborly_first_bad_pair (see _kernel_c.c)
 _COMPLETED, _BUDGET, _NO_LEVELS, _NO_MEMORY = 0, 1, -1, -2
+_ALL_GOOD, _BAD_PAIR = 0, 1
 
 
 class _CompileError(Exception):
@@ -45,7 +52,7 @@ class _CompileError(Exception):
 
 
 class CompiledKernel:
-    """The C kernel behind the pure kernel's ``solve_root`` contract."""
+    """The C library behind ``_kernel_py.solve_root`` and ``core._first_bad_pair``."""
 
     KERNEL_NAME = "compiled"
 
@@ -67,6 +74,32 @@ class CompiledKernel:
         ]
         solve.restype = ctypes.c_int
         self._solve = solve
+        pair = library.neighborly_first_bad_pair
+        pair.argtypes = [
+            ctypes.c_char_p,  # the joined rank strings
+            ctypes.c_int,  # n
+            ctypes.c_int,  # d
+            ctypes.c_int,  # k
+            ctypes.POINTER(ctypes.c_int64),  # u, out
+            ctypes.POINTER(ctypes.c_int64),  # v, out
+        ]
+        pair.restype = ctypes.c_int
+        self._first_bad_pair = pair
+
+    def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
+        """``core._first_bad_pair``'s contract, and its answer when the C
+        buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2."""
+        if len(ranks) != n * d or ranks.strip("012"):
+            raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
+        u, v = ctypes.c_int64(), ctypes.c_int64()
+        status = self._first_bad_pair(
+            ranks.encode("ascii"), n, d, k, ctypes.byref(u), ctypes.byref(v)
+        )
+        if status == _NO_MEMORY:
+            return core._first_bad_pair(ranks, n, d, k)
+        if status not in (_ALL_GOOD, _BAD_PAIR):
+            raise RuntimeError(f"compiled pair check failed with status {status}")
+        return (u.value, v.value) if status == _BAD_PAIR else None
 
     def solve_root(
         self,

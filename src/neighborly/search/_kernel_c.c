@@ -1,13 +1,15 @@
-/* Branch-and-bound maximum clique kernel on multi-word bit sets.
+/* The compiled kernels: branch-and-bound maximum clique on multi-word bit
+   sets (neighborly_solve), and the bit-sliced k-neighborly pair check
+   (neighborly_first_bad_pair, at the end of the file).
 
-   Twin of _kernel_py.py: the same greedy-colouring bound (the bitboard
-   colouring of San Segundo et al., Computers & OR 2011), the same
-   lowest-bit-first order, the same orbit pruning and the same node
-   accounting, so both kernels return identical sizes, witnesses and node
-   counts on identical inputs.
+   neighborly_solve is the twin of _kernel_py.py: the same greedy-colouring
+   bound (the bitboard colouring of San Segundo et al., Computers & OR
+   2011), the same lowest-bit-first order, the same orbit pruning and the
+   same node accounting, so both kernels return identical sizes, witnesses
+   and node counts on identical inputs.
 
    Plain C99 with no Python C-API: _kernel.py compiles this file into a
-   shared library and calls neighborly_solve through ctypes.  A vertex set
+   shared library and calls both entry points through ctypes.  A vertex set
    is `words` 64-bit words, vertex v being bit v % 64 of word v / 64; the
    adjacency is n such rows, one after another, read in place.
 
@@ -48,7 +50,7 @@
 #include <string.h>
 #include <time.h>
 
-/* neighborly_solve's results; _kernel.py maps them to Python. */
+/* The entry points' results; _kernel.py maps them to Python. */
 enum {
     COMPLETED = 0,   /* every root exhausted, or the target reached */
     BUDGET = 1,      /* the node or time budget ran out */
@@ -57,6 +59,8 @@ enum {
     MISALIGNED = -3, /* a bit-set buffer is not 8-byte aligned */
     NOT_WORDS = -4   /* orbit pruning asked for on a graph with n != 3^d */
 };
+
+enum { ALL_GOOD = 0, BAD_PAIR = 1 };  /* neighborly_first_bad_pair's results */
 
 enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS */
 
@@ -371,5 +375,112 @@ done:
     free(st.first);
     free(st.next);
     free(st.head);
+    return result;
+}
+
+/* The k-neighborly check, twin of core._first_bad_pair: the first pair of
+   members, in sorted order, whose distance lies outside 1..k.
+
+   ranks holds the n members' rank strings, d bytes each, one after
+   another: '0', '1' and '2' for 0, 1 and *.  A member set is `words`
+   64-bit words, member i being bit i % 64 of word i / 64.  Per word w and
+   column c there are two masks: the members holding a 1 at c, which
+   differ there from a 0, and the members holding a 0, which differ from a
+   1.  Member u's non-joker symbols pick m of these masks.  A member is at
+   distance >= 1 from u when one of them holds it, and at distance > k when
+   more than k do.  So with need = m - k:
+
+   - need <= 0 (u has at least d-k jokers): the union decides;
+   - need == 1: the union without the intersection;
+   - need > 1: the masks are added into a carry-save counter of
+     (k+1).bit_length() bit planes, preloaded so that it carries out of its
+     top plane exactly when the count exceeds k.
+
+   Only the members after u matter, so u's test starts at the word of
+   member u + 1 and runs one word at a time.  The lowest bad bit of the
+   first word that has one is the first bad pair in sorted order, u before
+   v.  Returns ALL_GOOD, or BAD_PAIR with *u < *v the pair's indices, or
+   NO_MEMORY. */
+int neighborly_first_bad_pair(const char *ranks, int n, int d, int k,
+                              int64_t *u, int64_t *v)
+{
+    *u = *v = -1;
+    if (n < 2)
+        return ALL_GOOD;
+    const int words = (n + 63) >> 6;
+    int planes = 0;
+    while (((int64_t)k + 1) >> planes)
+        planes++;
+    const uint64_t preload = ((uint64_t)1 << planes) - (uint64_t)k - 1;
+    const uint64_t last = (n & 63) ? BIT(n) - 1 : ~(uint64_t)0;  /* members of the last word */
+
+    /* word w, column c: masks[2 * (w * d + c)] holds the 1s, the next the 0s */
+    uint64_t *masks = calloc((size_t)words * d * 2, sizeof *masks);
+    int *picked = malloc((size_t)d * sizeof *picked);
+    int result = ALL_GOOD;
+    if (!masks || !picked) {
+        result = NO_MEMORY;
+        goto done;
+    }
+    for (int i = 0; i < n; i++) {
+        const char *row = ranks + (size_t)i * d;
+        uint64_t *col = masks + (size_t)(i >> 6) * d * 2;
+        for (int c = 0; c < d; c++) {
+            if (row[c] == '1')
+                col[2 * c] |= BIT(i);
+            else if (row[c] == '0')
+                col[2 * c + 1] |= BIT(i);
+        }
+    }
+
+    for (int i = 0; i + 1 < n; i++) {
+        const char *row = ranks + (size_t)i * d;
+        int m = 0;
+        for (int c = 0; c < d; c++)
+            if (row[c] != '2')
+                picked[m++] = 2 * c + (row[c] == '1');
+        const int64_t need = (int64_t)m - k;
+        const int start = (i + 1) >> 6;
+        for (int w = start; w < words; w++) {
+            const uint64_t *col = masks + (size_t)w * d * 2;
+            uint64_t good = 0;  /* differ somewhere: distance >= 1 */
+            for (int j = 0; j < m; j++)
+                good |= col[picked[j]];
+            if (need == 1) {
+                uint64_t all = ~(uint64_t)0;
+                for (int j = 0; j < m; j++)
+                    all &= col[picked[j]];
+                good &= ~all;
+            } else if (need > 1) {
+                uint64_t count[64], over = 0;  /* over: distance > k */
+                for (int p = 0; p < planes; p++)
+                    count[p] = (preload >> p & 1) ? ~(uint64_t)0 : 0;
+                for (int j = 0; j < m; j++) {
+                    uint64_t carry = col[picked[j]];
+                    for (int p = 0; p < planes && carry; p++) {
+                        const uint64_t plane = count[p];
+                        count[p] = plane ^ carry;
+                        carry &= plane;
+                    }
+                    over |= carry;
+                }
+                good &= ~over;
+            }
+            uint64_t after = w == start ? ~(uint64_t)0 << ((i + 1) & 63) : ~(uint64_t)0;
+            if (w == words - 1)
+                after &= last;
+            const uint64_t bad = after & ~good;
+            if (bad) {
+                *u = i;
+                *v = ((int64_t)w << 6) + __builtin_ctzll(bad);
+                result = BAD_PAIR;
+                goto done;
+            }
+        }
+    }
+
+done:
+    free(masks);
+    free(picked);
     return result;
 }

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from neighborly.core import Family, JokerVector
+from neighborly.search import _kernel
+
+# Where a C compiler exists the compiled kernel library must have built:
+# its tests fail rather than skip when it did not.
+HAVE_CC = shutil.which(_kernel.default_compiler()[0]) is not None
+requires_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 
 
 def jv(word: str) -> JokerVector:

@@ -6,9 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from neighborly import core
 from neighborly.core import (
     Family,
     JokerVector,
+    NeighborlyCheck,
     complement,
     covered_vectors,
     covers,
@@ -18,8 +20,9 @@ from neighborly.core import (
 )
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, NeighborlyError, ValidationError
+from neighborly.search import _kernel
 
-from conftest import all_binaries, fam, jv, naive_distance, random_family, random_words
+from conftest import HAVE_CC, all_binaries, fam, jv, naive_distance, random_family, random_words
 from oracles import all_joker_vectors, pairwise_is_k_neighborly
 
 
@@ -310,8 +313,57 @@ class TestFromStrings:
             assert str(info.value) == message
 
 
+# The pair check's two paths: the Python twin, and the kernel library's
+# compiled check wherever a C compiler exists (it must have built there).
+PAIR_CHECKS = ("python", "compiled") if HAVE_CC else ("python",)
+
+
+def _twin_must_not_run(*args):
+    raise AssertionError("the Python twin ran on the compiled path")
+
+
+def check_on(path: str, family: Family) -> NeighborlyCheck:
+    """``is_k_neighborly`` pinned to one path of PAIR_CHECKS."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "python":
+            mp.setattr(_kernel, "HAVE_COMPILED", False)
+        else:
+            mp.setattr(core, "_first_bad_pair", _twin_must_not_run)
+        return is_k_neighborly(family)
+
+
+def checked(family: Family) -> NeighborlyCheck:
+    """``is_k_neighborly`` on every path of PAIR_CHECKS, which must agree."""
+    first, *others = (check_on(path, family) for path in PAIR_CHECKS)
+    assert all(res == first for res in others), family
+    return first
+
+
+def scrambled(family: Family, rng: random.Random) -> Family:
+    """The family under a random coordinate permutation and random 0/1 swaps."""
+    d = family.d
+    perm = rng.sample(range(d), d)
+    swap = [rng.random() < 0.5 for _ in range(d)]
+    flip = str.maketrans("01", "10")
+    words = [
+        "".join(w[perm[c]].translate(flip) if swap[c] else w[perm[c]] for c in range(d))
+        for w in family.sorted_words()
+    ]
+    return fam(d, family.k, *words)
+
+
+def forged(family: Family, m: JokerVector, kind: str) -> JokerVector:
+    """m with its last non-joker made a joker ("close": distance 0 to m), or
+    with its last k+1 non-jokers flipped ("far": distance k+1 to m)."""
+    free = [c for c in range(family.d) if not m.jokers >> c & 1]
+    if kind == "close":
+        return JokerVector(family.d, m.bits & ~(1 << free[-1]), m.jokers | 1 << free[-1])
+    flip = sum(1 << c for c in free[-(family.k + 1):])
+    return JokerVector(family.d, m.bits ^ flip, m.jokers)
+
+
 class TestBitSlicedCheck:
-    """``is_k_neighborly`` against the nested pair loop it replaces."""
+    """``is_k_neighborly`` on both paths against the nested pair loop it replaces."""
 
     def test_random_families_match_pair_loop(self):
         # both regimes: with d-k < k most members have at most k+1 difference
@@ -330,7 +382,7 @@ class TestBitSlicedCheck:
                 family = random_family(rng, d, k, rng.randint(0, 30), rng.uniform(0.0, 0.3))
             else:
                 family = random_family(rng, d, k, rng.randint(0, 12), rng.uniform(0.1, 0.7))
-            got = is_k_neighborly(family)
+            got = checked(family)
             assert got == pairwise_is_k_neighborly(family), family
             if got:
                 outcome = "ok"
@@ -353,16 +405,10 @@ class TestBitSlicedCheck:
     def test_late_failure_matches_pair_loop(self, family, kind):
         # one forged member beside member 70 of a family of more than 128:
         # the first bad pair starts past the first 64 members
-        m = family.sorted_members()[70]
-        free = [c for c in range(family.d) if not m.jokers >> c & 1]
-        if kind == "close":  # m with its last non-joker made a joker: distance 0 to m
-            forged = JokerVector(family.d, m.bits & ~(1 << free[-1]), m.jokers | 1 << free[-1])
-        else:  # m with its last k+1 non-jokers flipped: distance k+1 to m
-            flip = sum(1 << c for c in free[-(family.k + 1):])
-            forged = JokerVector(family.d, m.bits ^ flip, m.jokers)
-        assert forged not in family.members
-        bad = Family.of(family.d, family.k, [*family.members, forged])
-        res = is_k_neighborly(bad)
+        extra = forged(family, family.sorted_members()[70], kind)
+        assert extra not in family.members
+        bad = Family.of(family.d, family.k, [*family.members, extra])
+        res = checked(bad)
         assert res == pairwise_is_k_neighborly(bad)
         assert bad.sorted_members().index(res.pair[0]) >= 64
         assert res.distance == (0 if kind == "close" else family.k + 1)
@@ -370,20 +416,20 @@ class TestBitSlicedCheck:
     def test_members_with_at_least_d_minus_k_jokers(self):
         # 0*00 and 0*0* have d-k = 1 jokers or more: only distance 0 can fail them
         family = fam(4, 3, "0*00", "0*0*", "1111")
-        res = is_k_neighborly(family)
+        res = checked(family)
         assert res == pairwise_is_k_neighborly(family)
         assert [str(v) for v in res.pair] == ["0*00", "0*0*"]
         assert res.distance == 0
         family = fam(4, 3, "1***", "01**", "0000", "0010")
-        assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
-        assert is_k_neighborly(family)
+        assert checked(family) == pairwise_is_k_neighborly(family)
+        assert checked(family)
 
     def test_k_equal_to_d(self):
         for d in range(1, 6):
             everything = Family.of(d, d, all_binaries(d))
-            assert is_k_neighborly(everything)
+            assert checked(everything)
             with_joker = Family.of(d, d, [*all_binaries(d), jv("*" + "0" * (d - 1))])
-            res = is_k_neighborly(with_joker)
+            res = checked(with_joker)
             assert res == pairwise_is_k_neighborly(with_joker)
             assert res.distance == 0
 
@@ -392,7 +438,7 @@ class TestBitSlicedCheck:
             for k in range(1, d + 1):
                 for words in ((), ("*" * d,), ("0" * d,)):
                     family = fam(d, k, *words)
-                    assert is_k_neighborly(family) == (True, None, None)
+                    assert checked(family) == (True, None, None)
 
     def test_validated_copy_reuses_sort_state(self):
         family = alon_product(2, 5)
@@ -407,7 +453,7 @@ class TestBitSlicedCheck:
     def test_first_bad_pair_in_sorted_order(self):
         # sorted: 00, 01, 11, 1*; (00, 11) at distance 2 precedes (11, 1*) at 0
         family = fam(2, 1, "1*", "11", "01", "00")
-        res = is_k_neighborly(family)
+        res = checked(family)
         assert res == pairwise_is_k_neighborly(family)
         assert [str(v) for v in res.pair] == ["00", "11"]
         assert res.distance == 2
@@ -416,11 +462,101 @@ class TestBitSlicedCheck:
         for d in range(2, 9):
             for k in range(1, d):
                 for family in (alon_product(k, d), b_config_family(k, d)):
-                    assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
+                    assert checked(family) == pairwise_is_k_neighborly(family)
             family = extremal_dminus1_family(d)
-            assert is_k_neighborly(family) == pairwise_is_k_neighborly(family)
+            assert checked(family) == pairwise_is_k_neighborly(family)
             # one coordinate's worth too strict: the first pair at distance k breaks it
             if d >= 3:
                 strict = Family.of(d, d - 2, family.members)
-                assert not is_k_neighborly(strict)
-                assert is_k_neighborly(strict) == pairwise_is_k_neighborly(strict)
+                assert not checked(strict)
+                assert checked(strict) == pairwise_is_k_neighborly(strict)
+
+    @pytest.mark.parametrize("k", [7, 11])  # 12 non-jokers: bit planes at 7, intersection at 11
+    @pytest.mark.parametrize(
+        "n, p, kind, pair",
+        [
+            (63, 0, "far", (0, 62)),
+            (64, 62, "far", (62, 63)),
+            (65, 63, "far", (63, 64)),
+            (128, 64, "far", (64, 127)),
+            (129, 63, "far", (63, 128)),
+            (129, 64, "far", (64, 128)),
+            (65, 62, "close", (62, 64)),
+            (128, 63, "close", (62, 64)),
+            (129, 64, "close", (64, 66)),
+        ],
+    )
+    def test_word_boundaries(self, k, n, p, kind, pair):
+        # n-1 words 00000xxxxxxx, pairwise at distance 1..7, plus one forged
+        # from word p: its last k+1 symbols flipped (distance k+1 to p, at
+        # most k to the others, sorted last), or its last symbol made a joker
+        # (distance 0 to p and p^1, sorted right after both)
+        base = [f"00000{i:07b}" for i in range(n - 1)]
+        word = base[p]
+        if kind == "far":
+            extra = word[:11 - k] + word[11 - k:].translate(str.maketrans("01", "10"))
+        else:
+            extra = word[:-1] + "*"
+        family = fam(12, k, *base, extra)
+        res = checked(family)
+        assert res == pairwise_is_k_neighborly(family)
+        members = family.sorted_members()
+        assert (members.index(res.pair[0]), members.index(res.pair[1])) == pair
+
+    def test_no_64_column_limit(self):
+        # the product of a 3-neighborly family in 6 coordinates and a
+        # 2-neighborly one in 64 (58 constant columns, then alon_product(2, 6)
+        # in columns 64..69) is 5-neighborly in 70
+        tail = [jv("0" * 58 + str(v)) for v in alon_product(2, 6)]
+        family = Family.of(70, 5, (u.concat(v) for u in alon_product(3, 6) for v in tail))
+        assert len(family) == 27 * 16
+        assert checked(family) == pairwise_is_k_neighborly(family) == (True, None, None)
+        # a member past the first 64 with no joker in column 69, so the
+        # forged flips reach past column 63
+        m = next(v for v in family.sorted_members()[64:] if not v.jokers >> 69 & 1)
+        extra = forged(family, m, "far")
+        bad = Family.of(70, 5, [*family.members, extra])
+        res = checked(bad)
+        assert not res and res == pairwise_is_k_neighborly(bad)
+        assert extra in res.pair
+
+    @pytest.mark.parametrize("kind", ["close", "far"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scrambled_constructions_with_one_forged_member(self, seed, kind):
+        rng = random.Random(seed)
+        family = rng.choice(
+            [alon_product(3, 8), b_config_family(4, 9), extremal_dminus1_family(7)]
+        )
+        family = scrambled(family, rng)
+        assert checked(family) == (True, None, None)
+        # every other pair is good, so the first bad pair holds the forged member
+        eligible = [m for m in family.members if family.d - m.joker_count > family.k]
+        extra = forged(family, rng.choice(sorted(eligible)), kind)
+        assert extra not in family.members
+        bad = Family.of(family.d, family.k, [*family.members, extra])
+        res = checked(bad)
+        assert res == pairwise_is_k_neighborly(bad)
+        assert extra in res.pair
+        if kind == "close":  # one more joker than a member: never too far
+            assert res.distance == 0
+
+    def test_random_valid_families_match_pair_loop(self):
+        # random subsets of scrambled constructions are valid; one k lower,
+        # the pairs at distance k break them
+        rng = random.Random(20261019)
+        sources = [
+            *(alon_product(k, d) for d, k in [(5, 2), (6, 3), (7, 3), (8, 4)]),
+            *(b_config_family(k, d) for d, k in [(6, 2), (8, 3), (9, 4)]),
+            extremal_dminus1_family(6),
+        ]
+        outcomes = {"ok": 0, "too far": 0}
+        for _ in range(150):
+            source = scrambled(rng.choice(sources), rng)
+            words = rng.sample(source.sorted_words(), rng.randint(0, min(len(source), 40)))
+            family = fam(source.d, source.k, *words)
+            assert checked(family) == pairwise_is_k_neighborly(family) == (True, None, None)
+            stricter = fam(source.d, source.k - 1, *words)
+            res = checked(stricter)
+            assert res == pairwise_is_k_neighborly(stricter)
+            outcomes["ok" if res else "too far"] += 1
+        assert min(outcomes.values()) >= 20, outcomes

@@ -2,7 +2,6 @@
 
 import os
 import random
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neighborly import bounds, reference
+from neighborly import bounds, core, reference
 from neighborly.analysis import audit
 from neighborly.constructions import alon_product, b_config_family
-from neighborly.core import Family, JokerVector, hamming_distance
+from neighborly.core import Family, JokerVector, hamming_distance, is_k_neighborly
 from neighborly.errors import DomainError, InconsistencyError, ResourceError, ValidationError
 from neighborly.search import (
     Budget,
@@ -31,13 +30,9 @@ from neighborly.search.solver import (
     SYMMETRY_DEPTH,
 )
 
-from conftest import jv, pascal_binomial
+from conftest import HAVE_CC, fam, jv, pascal_binomial, requires_cc
 from oracles import all_joker_vectors, max_family_bruteforce, pairwise_adjacency
 
-# Where a C compiler exists the compiled kernel must have built: its tests
-# fail rather than skip when it did not.
-HAVE_CC = shutil.which(_kernel.default_compiler()[0]) is not None
-requires_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 KERNELS = ("python", "compiled") if HAVE_CC else ("python",)
 
 
@@ -524,6 +519,10 @@ class TestKernelLoader:
         args = _triangle_plus_edge()
         assert kernel.solve_root(*args) == get_kernel("python").solve_root(*args)
         assert kernel.solve_root(*args)[:2] == (3, 0b0111)
+        # sorted 00, 01, 11, 1*: (00, 11) at distance 2 is the first bad pair
+        members, ranks = fam(2, 1, "1*", "11", "01", "00")._sorted()
+        assert kernel.first_bad_pair(ranks, 4, 2, 1) == core._first_bad_pair(ranks, 4, 2, 1)
+        assert kernel.first_bad_pair(ranks, 4, 2, 1) == (0, 2)
 
         def no_build(*args):
             raise AssertionError("a cached library was built again")
@@ -531,6 +530,18 @@ class TestKernelLoader:
         monkeypatch.setattr(_kernel, "_build", no_build)
         kernel, reason = _kernel.load_compiled(tmp_path)
         assert reason is None and kernel.KERNEL_NAME == "compiled"
+
+    @requires_cc
+    def test_source_compiles_without_warnings(self, tmp_path):
+        strict = ("-Wall", "-Wextra", "-pedantic", "-Werror")
+        library = tmp_path / "strict.so"
+        proc = subprocess.run(
+            [*_kernel.default_compiler(), *_kernel.FLAGS, *strict, "-o", str(library),
+             str(_kernel.SOURCE)],
+            capture_output=True, text=True, timeout=_kernel.BUILD_TIMEOUT_S,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert library.is_file()
 
     def test_missing_compiler_falls_back(self, tmp_path):
         kernel, reason = _kernel.load_compiled(tmp_path, ["/nonexistent/cc"])
@@ -569,6 +580,52 @@ class TestKernelLoader:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "python", "True"]
+
+
+class TestCompiledPairCheck:
+    """``is_k_neighborly`` on the kernel library's ``neighborly_first_bad_pair``."""
+
+    @staticmethod
+    def _no_twin(*args):
+        raise AssertionError("the Python twin ran")
+
+    @requires_cc
+    def test_validate_takes_the_compiled_path(self, monkeypatch):
+        assert _kernel.HAVE_COMPILED, _kernel.COMPILED_ERROR
+        monkeypatch.setattr(core, "_first_bad_pair", self._no_twin)
+        family = alon_product(3, 8)
+        assert Family.of(family.d, family.k, family.members).validate().validated
+        strict = Family.of(family.d, family.k - 1, family.members)
+        with pytest.raises(ValidationError, match="has distance 3, outside 1..2"):
+            strict.validate()
+
+    @requires_cc
+    def test_no_memory_falls_back_to_the_twin(self, monkeypatch):
+        families = [alon_product(3, 8), Family.of(8, 2, alon_product(3, 8).members)]
+        with monkeypatch.context() as m:
+            m.setattr(_kernel, "HAVE_COMPILED", False)
+            expected = [is_k_neighborly(family) for family in families]
+        assert expected[0] and not expected[1]
+        twin, calls = core._first_bad_pair, []
+
+        def counted_twin(*args):
+            calls.append(args)
+            return twin(*args)
+
+        monkeypatch.setattr(core, "_first_bad_pair", counted_twin)
+        compiled = get_kernel("compiled")
+        monkeypatch.setattr(compiled, "_first_bad_pair", lambda *args: _kernel._NO_MEMORY)
+        assert [is_k_neighborly(family) for family in families] == expected
+        assert len(calls) == 2
+
+    @requires_cc
+    def test_ranks_must_spell_n_members(self):
+        check = get_kernel("compiled").first_bad_pair
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            check("0120", 2, 3, 1)
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            check("01*0", 2, 2, 1)
+        assert check("0110", 2, 2, 1) == (0, 1)  # 01 and 10 at distance 2
 
 
 def apply_symmetry(vec: JokerVector, perm: list[int], flips: int) -> JokerVector:
