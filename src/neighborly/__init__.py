@@ -38,7 +38,6 @@ from .constructions import (
     alon_product,
     b_config,
     b_config_family,
-    cartesian,
     extremal_dminus1_family,
     hamming_ball,
     staircase_code,

@@ -77,31 +77,35 @@ def _require_within_limit(d: int, what: str) -> None:
 
 
 def _cover_map(family: Family) -> CoverProfile:
-    members = family.sorted_members()
-    cubes: Dict[int, int] = {}  # joker mask -> subcube of the vector 0...0
+    d, ranks = family.d, family.ranks
+    cubes: Dict[str, Tuple[int, int]] = {}  # joker pattern -> (t, subcube of 0...0)
     classes: Dict[int, int] = {}
     covered = 0
     collision = None
-    for u in members:
-        cube = cubes.get(u.jokers)
-        if cube is None:
-            cube, rest = 1, u.jokers
+    for start in range(0, len(ranks), d):
+        rank = ranks[start:start + d][::-1]  # character i is bit i
+        pattern = rank.replace("1", "0")
+        entry = cubes.get(pattern)
+        if entry is None:
+            cube, rest = 1, int(pattern.replace("2", "1"), 2)
+            t = rest.bit_count()
             while rest:
                 step = rest & -rest
                 cube |= cube << step
                 rest ^= step
-            cubes[u.jokers] = cube
-        cell = cube << u.bits
+            entry = cubes[pattern] = (t, cube)
+        t, cube = entry
+        cell = cube << int(rank.replace("2", "0"), 2)
         clash = covered & cell
         if clash:
             if collision is None:
-                v = JokerVector(family.d, _lowest(clash), 0)
-                collision = (v, next(w for w in members if covers(w, v)), u)
+                v = JokerVector(d, _lowest(clash), 0)
+                u = JokerVector.from_string(rank[::-1].replace("2", "*"))
+                collision = (v, next(w for w in family if covers(w, v)), u)
             cell &= ~covered  # an earlier member keeps what it covers
-        t = u.joker_count
         classes[t] = classes.get(t, 0) | cell
         covered |= cell
-    masks = _flip_masks(family.d)
+    masks = _flip_masks(d)
     mirrored = {t: _mirror(cls, masks) for t, cls in classes.items()}
     return CoverProfile(family, classes, mirrored, covered, collision)
 

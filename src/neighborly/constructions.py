@@ -1,19 +1,36 @@
 """Generators for the extremal configurations.
 
-Everything here returns plain sets of vectors or validated families:
-Hamming balls, the isodiametric extremal set, Cartesian products, the
-staircase distance-1 code, the block product realizing the product lower
-bound, and the {11,10,0*} x cube family attaining n(d-1, d).
+Hamming balls, the isodiametric extremal set, the staircase distance-1
+code, the block product realizing the product lower bound, and the
+{11,10,0*} x cube family attaining n(d-1, d).  Each is generated as words
+over {0,1,*}; a product of families is the product of their word lists,
+each word of the first followed by each word of the next.  The families
+are built from those words (``Family.from_strings``) and come validated;
+``hamming_ball``, ``b_config`` and ``staircase_code`` return sets of
+vectors.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Set
+from itertools import combinations, product
+from typing import Iterable, List, Sequence, Set
 
 from .core import Family, JokerVector
 from .errors import DimensionError, DomainError
 from .bounds import b_config_size
+
+
+def _ball_words(center: str, t: int) -> List[str]:
+    """The binary words within distance t of a binary word."""
+    flip = {"0": "1", "1": "0"}
+    out = []
+    for r in range(t + 1):
+        for flips in combinations(range(len(center)), r):
+            word = list(center)
+            for i in flips:
+                word[i] = flip[word[i]]
+            out.append("".join(word))
+    return out
 
 
 def hamming_ball(d: int, t: int, center: JokerVector) -> Set[JokerVector]:
@@ -24,18 +41,29 @@ def hamming_ball(d: int, t: int, center: JokerVector) -> Set[JokerVector]:
         raise DimensionError(f"center has length {center.d}, expected {d}")
     if center.jokers:
         raise DimensionError("ball center must be binary")
-    out = set()
-    for r in range(t + 1):
-        for flips in combinations(range(d), r):
-            mask = 0
-            for i in flips:
-                mask |= 1 << i
-            out.add(JokerVector(d, center.bits ^ mask, 0))
-    return out
+    return set(map(JokerVector.from_string, _ball_words(str(center), t)))
 
 
 def zero_vector(d: int) -> JokerVector:
     return JokerVector(d, 0, 0)
+
+
+def _products(blocks: Sequence[Iterable[str]]) -> List[str]:
+    """Every concatenation of one word from each block, in order."""
+    return list(map("".join, product(*blocks)))
+
+
+def _b_config_words(k: int, d: int) -> List[str]:
+    """The words of b_config(k, d); see there."""
+    if not 0 <= k <= d:
+        raise DomainError(f"need 0 <= k <= d, got k={k} d={d}")
+    t, odd = divmod(k, 2)
+    if odd:
+        words = _products([("0", "1"), _ball_words("0" * (d - 1), t)])
+    else:
+        words = _ball_words("0" * d, t)
+    assert len(words) == b_config_size(k, d)
+    return words
 
 
 def b_config(k: int, d: int) -> Set[JokerVector]:
@@ -44,37 +72,19 @@ def b_config(k: int, d: int) -> Set[JokerVector]:
     Even k = 2t: the radius-t ball around 0.  Odd k = 2t+1: {0,1} times
     the radius-t ball around 0 in dimension d-1.
     """
-    if not 0 <= k <= d:
-        raise DomainError(f"need 0 <= k <= d, got k={k} d={d}")
-    t, odd = divmod(k, 2)
-    if odd:
-        bit = {JokerVector.from_string("0"), JokerVector.from_string("1")}
-        if d == 1:
-            out = bit
-        else:
-            out = cartesian(bit, hamming_ball(d - 1, t, zero_vector(d - 1)))
-    else:
-        out = hamming_ball(d, t, zero_vector(d))
-    assert len(out) == b_config_size(k, d)
-    return out
+    return set(map(JokerVector.from_string, _b_config_words(k, d)))
 
 
-def cartesian(xs: Iterable[JokerVector], ys: Iterable[JokerVector]) -> Set[JokerVector]:
-    """All concatenations (x, y); sizes multiply."""
-    xs = set(xs)
-    ys = set(ys)
-    if len({x.d for x in xs}) > 1 or len({y.d for y in ys}) > 1:
-        raise DimensionError("ragged input lengths in Cartesian product")
-    return {x.concat(y) for x in xs for y in ys}
+def _staircase_words(m: int) -> List[str]:
+    """The m+1 words 1^j 0 *^(m-1-j) (j < m) plus 1^m."""
+    if m < 1:
+        raise DomainError(f"staircase block size must be >= 1, got {m}")
+    return ["1" * j + "0" + "*" * (m - 1 - j) for j in range(m)] + ["1" * m]
 
 
 def staircase_code(m: int) -> Set[JokerVector]:
     """The m+1 vectors 1^j 0 *^(m-1-j) (j < m) plus 1^m; pairwise distance exactly 1."""
-    if m < 1:
-        raise DomainError(f"staircase block size must be >= 1, got {m}")
-    words = ["1" * j + "0" + "*" * (m - 1 - j) for j in range(m)]
-    words.append("1" * m)
-    return {JokerVector.from_string(w) for w in words}
+    return set(map(JokerVector.from_string, _staircase_words(m)))
 
 
 def alon_product(k: int, d: int) -> Family:
@@ -86,28 +96,20 @@ def alon_product(k: int, d: int) -> Family:
     """
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
-    blocks = [staircase_code((d + i) // k) for i in range(k)]
-    acc = blocks[0]
-    for blk in blocks[1:]:
-        acc = cartesian(acc, blk)
-    return Family.of(d, k, acc, validated=True)
+    blocks = [_staircase_words((d + i) // k) for i in range(k)]
+    return Family.from_strings(d, k, _products(blocks), validated=True)
 
 
 def extremal_dminus1_family(d: int) -> Family:
     """The family {11, 10, 0*} x {0,1}^(d-2) attaining n(d-1, d) = 3*2^(d-2)."""
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
-    seed = {JokerVector.from_string(w) for w in ("11", "10", "0*")}
-    if d == 2:
-        members = seed
-    else:
-        cube = {JokerVector(d - 2, bits, 0) for bits in range(1 << (d - 2))}
-        members = cartesian(seed, cube)
-    return Family.of(d, d - 1, members, validated=True)
+    blocks = [("11", "10", "0*")] + [("0", "1")] * (d - 2)
+    return Family.from_strings(d, d - 1, _products(blocks), validated=True)
 
 
 def b_config_family(k: int, d: int) -> Family:
     """b_config viewed as an all-binary family (distinct binaries are >= 1 apart)."""
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
-    return Family.of(d, k, b_config(k, d), validated=True)
+    return Family.from_strings(d, k, _b_config_words(k, d), validated=True)

@@ -6,16 +6,19 @@ distance.  A set of joker vectors whose pairwise distances all lie in
 {1, ..., k} is exactly a k-neighborly family in the box picture, so this
 module is the data model everything else builds on.
 
-Vectors are stored as two parallel bit masks (values and joker positions)
-so that distances reduce to a couple of word operations; the search module
-evaluates millions of them.  Bit i of a mask corresponds to coordinate i,
-i.e. to character i of the string form.
+A vector is stored as two parallel bit masks (values and joker positions),
+so that the distance of two vectors takes a couple of word operations.
+Bit i of a mask corresponds to coordinate i, i.e. to character i of the
+string form.  A family is stored as text instead: the sorted rank strings
+of its members (each word with * written as 2), joined.  The pair check,
+the audit, the search and the file writer read that string; vectors are
+built from it only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -70,13 +73,6 @@ class JokerVector:
     def is_binary(self) -> bool:
         return self.jokers == 0
 
-    def concat(self, other: "JokerVector") -> "JokerVector":
-        return JokerVector(
-            self.d + other.d,
-            self.bits | other.bits << self.d,
-            self.jokers | other.jokers << self.d,
-        )
-
 
 def _check_same_length(u: JokerVector, v: JokerVector) -> None:
     if u.d != v.d:
@@ -115,18 +111,6 @@ def join(v: JokerVector, u: JokerVector) -> JokerVector:
     return JokerVector(v.d, v.bits | u.bits, 0)
 
 
-def covered_vectors(u: JokerVector) -> Iterator[JokerVector]:
-    """All 2^t binary vectors covered by u (t = joker count of u)."""
-    base = u.bits
-    jm = u.jokers
-    sub = 0
-    while True:
-        yield JokerVector(u.d, base | sub, 0)
-        if sub == jm:
-            return
-        sub = (sub - jm) & jm
-
-
 class NeighborlyCheck(NamedTuple):
     """Outcome of a pairwise-distance check; falsy when a pair violates it."""
 
@@ -142,87 +126,76 @@ class NeighborlyCheck(NamedTuple):
 class Family:
     """A set of equal-length joker vectors with the distance-in-{1..k} contract attached.
 
+    A family is stored as its rank strings: each member's word with * written
+    as 2, so that string order is the output order (0 < 1 < *), sorted,
+    without repeats and joined into ``ranks``.  Member i is
+    ``ranks[i*d:(i+1)*d]``.  ``of`` (vectors in) and ``from_strings`` (words
+    in) are the two ways to build one; both sort, and both take the
+    ``validated`` flag as given.  ``JokerVector``s are built from the words
+    only when asked for (``members``, iteration, ``sorted_members``).
+
     A freshly built Family is unchecked; ``validate()`` returns a copy marked
-    validated after verifying every pair.  Operations that rely on the
-    pairwise constraint (cover profiles, audits) require a validated family.
+    validated, holding the same ``ranks``, after verifying every pair.
+    Operations that rely on the pairwise constraint (cover profiles, audits)
+    require a validated family.
     """
 
     d: int
     k: int
-    members: frozenset[JokerVector]
+    ranks: str
     validated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.d:
-            raise DomainError(f"need 1 <= k <= d, got k={self.k} d={self.d}")
-        for m in self.members:
-            if m.d != self.d:
-                raise DimensionError(f"member {m} has length {m.d}, family has d={self.d}")
+        _check_k(self.d, self.k)
 
     @classmethod
     def of(cls, d: int, k: int, members: Iterable[JokerVector], validated: bool = False) -> "Family":
-        return cls(d, k, frozenset(members), validated)
+        members = list(members)
+        _check_k(d, k)
+        for m in members:
+            if m.d != d:
+                raise DimensionError(f"member {m} has length {m.d}, family has d={d}")
+        return cls(d, k, _joined(map(_vector_sort_key, members)), validated)
 
     @classmethod
-    def from_strings(cls, d: int, k: int, words: Iterable[str]) -> "Family":
+    def from_strings(cls, d: int, k: int, words: Iterable[str], validated: bool = False) -> "Family":
         """The family of these words, sorted by their own rank strings.
 
-        No member is rendered: the words are the sort keys.  Every word is
-        built and the family checked before any is keyed by rank, where
-        "12" and "1*" would be one key.
+        Errors come as ``of`` raises them on the words' vectors: a bad
+        symbol or an empty word (the first in input order), then k out of
+        range, then a word of the wrong length.  "12" and "1*" would share
+        a rank string, so the symbols are checked before any word is ranked.
         """
         words = list(words)
-        vectors = list(map(JokerVector.from_string, words))
-        family = cls.of(d, k, vectors)
-        by_rank = dict(zip((word.replace("*", "2") for word in words), vectors))
-        ranks = sorted(by_rank)
-        return family._with_order(tuple(map(by_rank.__getitem__, ranks)), "".join(ranks))
+        text = "".join(words)
+        if sum(map(text.count, "01*")) != len(text) or not all(words):
+            for word in words:
+                JokerVector.from_string(word)  # raises for the first bad word
+        _check_k(d, k)
+        if set(map(len, words)) - {d}:
+            word = next(word for word in words if len(word) != d)
+            raise DimensionError(f"member {word} has length {len(word)}, family has d={d}")
+        return cls(d, k, _joined(word.replace("*", "2") for word in words), validated)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ranks) // self.d
 
     def __iter__(self) -> Iterator[JokerVector]:
-        return iter(self.members)
+        """The members in output order, each built from its word."""
+        return map(JokerVector.from_string, self.sorted_words())
+
+    @cached_property
+    def members(self) -> frozenset[JokerVector]:
+        return frozenset(self)
 
     def sorted_members(self) -> list[JokerVector]:
-        """Members in the deterministic output order (string form, 0 < 1 < *).
-
-        The order is sorted once per family and handed on to its validated
-        copy, so checking, auditing and writing a family sort it only once.
-        """
-        return list(self._sorted()[0])
+        """Members in the deterministic output order (string form, 0 < 1 < *)."""
+        return list(self)
 
     def sorted_words(self) -> list[str]:
         """The members' words in the output order, read off the rank strings."""
-        _, ranks = self._sorted()
-        text = ranks.replace("2", "*")
+        text = self.ranks.replace("2", "*")
         return [text[i:i + self.d] for i in range(0, len(text), self.d)]
-
-    def _sorted(self) -> Tuple[Tuple[JokerVector, ...], str]:
-        """The sorted members and the rank strings they were sorted by, joined.
-
-        Member i's rank string (its word with * written as 2) is
-        ``ranks[i*d:(i+1)*d]``.  A family read from words (``from_strings``)
-        is built with this state; any other family renders each member
-        once, here.
-        """
-        order = self.__dict__.get("_order")
-        if order is None:
-            by_rank = {_vector_sort_key(v): v for v in self.members}
-            ranks = sorted(by_rank)
-            order = tuple(map(by_rank.__getitem__, ranks))
-            self._with_order(order, "".join(ranks))
-        return order, self.__dict__["_ranks"]
-
-    def _with_order(self, order: Tuple[JokerVector, ...], ranks: str) -> "Family":
-        """Attach the sorted members and their joined rank strings; returns self.
-
-        The caller vouches that ``order`` is ``members`` in ascending rank
-        order and that ``ranks`` spells them.
-        """
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_ranks", ranks)
-        return self
 
     def check(self) -> NeighborlyCheck:
         return is_k_neighborly(self)
@@ -235,7 +208,19 @@ class Family:
             raise ValidationError(
                 f"pair ({u}, {v}) has distance {res.distance}, outside 1..{self.k}"
             )
-        return Family(self.d, self.k, self.members, validated=True)._with_order(*self._sorted())
+        return replace(self, validated=True)
+
+
+def _check_k(d: int, k: int) -> None:
+    if not 1 <= k <= d:
+        raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
+
+
+def _joined(ranks: Iterable[str]) -> str:
+    """Rank strings of one length, sorted without repeats and joined."""
+    # repeats are dropped after sorting, so input that comes sorted (a word
+    # product, a vertex mask) is sorted in linear time
+    return "".join(dict.fromkeys(sorted(ranks)))
 
 
 def _vector_sort_key(v: JokerVector) -> str:
@@ -248,7 +233,7 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
 
     Families of size 0 or 1 pass vacuously.  On failure the returned record
     carries the first bad pair (u, v) in sorted member order, u before v,
-    and its distance.
+    and its distance; they are the only members built as vectors.
 
     The pairs are not visited one by one: see ``_first_bad_pair``, which
     tests each member against all later ones at once on bit masks.  Its
@@ -257,18 +242,18 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     """
     from .search import _kernel  # at call time: search imports core
 
-    members, ranks = family._sorted()
-    n = len(members)
+    n = len(family)
     if n < 2:
         return NeighborlyCheck(True, None, None)
     if _kernel.HAVE_COMPILED:
         first_bad_pair = _kernel.get_kernel("compiled").first_bad_pair
     else:
         first_bad_pair = _first_bad_pair
-    pair = first_bad_pair(ranks, n, family.d, family.k)
+    pair = first_bad_pair(family.ranks, n, family.d, family.k)
     if pair is None:
         return NeighborlyCheck(True, None, None)
-    u, v = members[pair[0]], members[pair[1]]
+    words = family.sorted_words()
+    u, v = (JokerVector.from_string(words[i]) for i in pair)
     return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
 
 
@@ -276,7 +261,7 @@ def _first_bad_pair(ranks: str, n: int, d: int, k: int) -> Optional[Tuple[int, i
     """Indices (i, j), i < j, of the first pair at a distance outside 1..k, or None.
 
     ``ranks`` joins the rank strings of n sorted members of length d, as
-    ``Family._sorted`` holds them.  Each coordinate c gets two n-bit masks,
+    ``Family.ranks`` holds them.  Each coordinate c gets two n-bit masks,
     member i at bit i: the members holding a 1 there and those holding a
     0.  For member u, the members that differ from u at a non-joker
     coordinate of u form one such mask, and the distance from u to every

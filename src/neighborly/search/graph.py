@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
-from ..core import Family, JokerVector, _vector_sort_key
+from ..core import Family
 from ..errors import DomainError, ResourceError
 
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
@@ -52,9 +52,12 @@ class CompatGraph:
         return self.adjacency[i].bit_count()
 
 
-def vertex_of(v: JokerVector) -> int:
-    """The vertex index of word v: its symbols read as base-3 digits."""
-    return int(_vector_sort_key(v), 3)
+def vertex_of(word: str) -> int:
+    """The vertex index of a word: its symbols read as base-3 digits.
+
+    A rank string (the word with * written as 2) gives the same index.
+    """
+    return int(word.replace("*", "2"), 3)
 
 
 def word_of(i: int, d: int) -> str:

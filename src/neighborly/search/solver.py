@@ -19,12 +19,12 @@ start and kernel traversal are all fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Optional
 
 from .. import bounds, reference
-from ..core import Family, JokerVector
+from ..core import Family
 from ..errors import DomainError, InconsistencyError, ResourceError
 from ..constructions import alon_product, extremal_dminus1_family
 from . import _kernel
@@ -161,7 +161,7 @@ def max_family(
             f"its formula gives {best_size}"
         )
     # every warm start is validated at some distance <= k, so it is valid at k too
-    warm = Family.of(d, k, built.members, validated=True)
+    warm = replace(built, k=k, validated=True)
 
     def _finish(status: str, nodes: int, witness: Family) -> SearchResult:
         size = len(witness)
@@ -196,10 +196,11 @@ def max_family(
     active = (1 << n) - 1
     roots: list[tuple[int, int]] = []
     for t in range(d):
-        r = vertex_of(JokerVector(d, 0, ((1 << t) - 1) << (d - t)))
+        r = vertex_of("0" * (d - t) + "*" * t)
         roots.append((r, adj[r] & active))
         active &= ~classes[t]
-    best_mask = sum(1 << vertex_of(v) for v in warm)
+    ranks = warm.ranks
+    best_mask = sum(1 << vertex_of(ranks[i:i + d]) for i in range(0, len(ranks), d))
 
     remaining = None
     if deadline is not None:

@@ -4,23 +4,74 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Set
+from typing import Dict, Iterable, Iterator, Set
 
 from neighborly.analysis import AuditReport, CheckResult, _require_validated
 from neighborly.bounds import ball_size, b_config_size
-from neighborly.core import (
-    Family,
-    JokerVector,
-    NeighborlyCheck,
-    covered_vectors,
-    hamming_distance,
-)
-from neighborly.errors import DomainError
+from neighborly.constructions import staircase_code
+from neighborly.core import Family, JokerVector, NeighborlyCheck, hamming_distance
+from neighborly.errors import DimensionError, DomainError
 
 
 def all_joker_vectors(d: int) -> list[JokerVector]:
     """All 3^d words of length d, listed in vertex order (lexicographic, 0 < 1 < *)."""
     return [JokerVector.from_string("".join(w)) for w in product("01*", repeat=d)]
+
+
+def covered_vectors(u: JokerVector) -> Iterator[JokerVector]:
+    """All 2^t binary vectors covered by u (t = joker count of u)."""
+    base = u.bits
+    jm = u.jokers
+    sub = 0
+    while True:
+        yield JokerVector(u.d, base | sub, 0)
+        if sub == jm:
+            return
+        sub = (sub - jm) & jm
+
+
+def concat(x: JokerVector, y: JokerVector) -> JokerVector:
+    """The word of x followed by the word of y, on the bit masks."""
+    return JokerVector(x.d + y.d, x.bits | y.bits << x.d, x.jokers | y.jokers << x.d)
+
+
+def cartesian(xs: Iterable[JokerVector], ys: Iterable[JokerVector]) -> Set[JokerVector]:
+    """All concatenations (x, y) as a set of vectors; sizes multiply."""
+    xs = set(xs)
+    ys = set(ys)
+    if len({x.d for x in xs}) > 1 or len({y.d for y in ys}) > 1:
+        raise DimensionError("ragged input lengths in Cartesian product")
+    return {concat(x, y) for x in xs for y in ys}
+
+
+def alon_product_by_sets(k: int, d: int) -> Family:
+    """``alon_product`` as the product of k staircase codes, taken on sets of vectors."""
+    acc = staircase_code(d // k)
+    for i in range(1, k):
+        acc = cartesian(acc, staircase_code((d + i) // k))
+    return Family.of(d, k, acc, validated=True)
+
+
+def extremal_dminus1_by_sets(d: int) -> Family:
+    """``extremal_dminus1_family``: {11, 10, 0*} x {0,1}^(d-2) on sets of vectors."""
+    members = {JokerVector.from_string(w) for w in ("11", "10", "0*")}
+    if d > 2:
+        cube = {JokerVector(d - 2, bits, 0) for bits in range(1 << (d - 2))}
+        members = cartesian(members, cube)
+    return Family.of(d, d - 1, members, validated=True)
+
+
+def b_config_family_by_sets(k: int, d: int) -> Family:
+    """``b_config_family``: a ball around 0, times {0,1} when k is odd, on sets of vectors."""
+    t, odd = divmod(k, 2)
+    bit = {JokerVector(1, 0, 0), JokerVector(1, 1, 0)}
+    if odd and d == 1:
+        return Family.of(1, k, bit, validated=True)
+    m = d - odd
+    members = {JokerVector(m, bits, 0) for bits in range(1 << m) if bits.bit_count() <= t}
+    if odd:
+        members = cartesian(bit, members)
+    return Family.of(d, k, members, validated=True)
 
 
 def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:

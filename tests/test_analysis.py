@@ -15,11 +15,11 @@ from neighborly.constructions import (
     extremal_dminus1_family,
     staircase_code,
 )
-from neighborly.core import Family, covered_vectors
+from neighborly.core import Family
 from neighborly.errors import DomainError, ResourceError, ValidationError
 
 from conftest import fam, jv, random_family
-from oracles import enumerated_audit
+from oracles import covered_vectors, enumerated_audit
 
 
 def brute_force_classes(family):

@@ -178,6 +178,34 @@ class TestConstructVerify:
             code, _, verr = run_cli("verify", str(path), "--dimension-cap", "6")
             assert code == 0, (argv, verr)
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (("staircase", "2"), "0* 10 11"),
+            (("alon-product", "2", "4"), "0*0* 0*10 0*11 100* 1010 1011 110* 1110 1111"),
+            (("corollary35", "3"), "0*0 0*1 100 101 110 111"),
+            (("b-config", "3", "4"), "0000 0001 0010 0100 1000 1001 1010 1100"),
+        ],
+    )
+    def test_construct_output_bytes(self, argv, words):
+        # the words of a product come out in rank order (0 < 1 < *)
+        d = len(words.split()[0])
+        k = argv[1] if len(argv) == 3 else {"staircase": "1", "corollary35": str(d - 1)}[argv[0]]
+        expected = f"# construction: {argv[0]}\nd={d} k={k}\n" + words.replace(" ", "\n") + "\n"
+        assert run_cli("construct", *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("alon-product", "5", "4"), "need 1 <= k <= d, got k=5 d=4"),
+            (("b-config", "4", "3"), "need 1 <= k <= d, got k=4 d=3"),
+            (("corollary35", "1"), "need d >= 2, got 1"),
+            (("staircase", "0"), "staircase block size must be >= 1, got 0"),
+        ],
+    )
+    def test_construct_domain_error_text(self, argv, message):
+        assert run_cli("construct", *argv) == (2, "", f"error: {message}\n")
+
     def test_unknown_name_is_usage_error(self):
         code, _, _ = run_cli("construct", "nonesuch", "3", "4")
         assert code == 2
@@ -231,9 +259,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "00" in err and "11" in err and "distance 2" in err
 
+    def test_corrupted_member_text(self, tmp_family_file):
+        # corollary35 3, scrambled, plus 1*1: the first bad pair in sorted order is named
+        path = tmp_family_file("d=3 k=2\n010\n00*\n111\n10*\n011\n1*1\n110\n")
+        assert run_cli("verify", path) == (
+            1, "", "invalid family: pair (10*, 1*1) has distance 0, outside 1..2\n"
+        )
+
     def test_members_sorted_once(self, tmp_path, monkeypatch):
-        # construct renders each member once, to sort it; verify renders none,
-        # because the words of a file are its sort keys
+        # construct builds the family from words and verify reads words: the
+        # words are the sort keys, so neither renders a member
         from neighborly import core
 
         rendered, keyed = [], []
@@ -241,13 +276,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(core.JokerVector, "__str__", lambda v: rendered.append(v) or to_str(v))
         monkeypatch.setattr(core, "_vector_sort_key", lambda v: keyed.append(v) or key(v))
         code, out, _ = run_cli("construct", "corollary35", "8")
-        assert code == 0
-        assert len(rendered) == len(set(rendered)) == 3 * 2**6
-        assert len(keyed) == len(set(keyed)) == 3 * 2**6
+        assert code == 0 and out.count("\n") == 2 + 3 * 2**6
+        assert rendered == keyed == []
         path = tmp_path / "fam.txt"
         path.write_text(out)
-        rendered.clear()
-        keyed.clear()
         code, vout, _ = run_cli("verify", str(path))
         assert code == 0 and "PASS weight_identity" in vout
         assert rendered == keyed == []
@@ -340,6 +372,14 @@ class TestSearchCommand:
         code, out, _ = run_cli("search", "2", "4", "--kernel", "python")
         assert code == 0
         assert "kernel=python" in out
+
+    def test_warm_start_closes_17_18(self):
+        # alon_product(17, 18) meets the formula bound: 196,608 members, no search
+        code, out, err = run_cli("search", "17", "18", "--max-nodes", "0")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "196608 optimal"
+        assert lines[1].startswith("nodes=0 ") and lines[1].endswith(" formula_upper=196608")
 
     def test_warm_start_closes_9_10_without_a_graph(self):
         # n(9,10) = 3 * 2^8; the 3^10-vertex graph exceeds the memory budget

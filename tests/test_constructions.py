@@ -7,7 +7,6 @@ from neighborly.constructions import (
     alon_product,
     b_config,
     b_config_family,
-    cartesian,
     extremal_dminus1_family,
     hamming_ball,
     staircase_code,
@@ -17,6 +16,12 @@ from neighborly.core import hamming_distance, is_k_neighborly
 from neighborly.errors import DimensionError, DomainError
 
 from conftest import jv
+from oracles import (
+    alon_product_by_sets,
+    b_config_family_by_sets,
+    cartesian,
+    extremal_dminus1_by_sets,
+)
 
 
 def pairwise_distances(vectors):
@@ -69,6 +74,8 @@ class TestBConfig:
 
 
 class TestCartesian:
+    """The set product of vectors, kept in ``oracles`` to check the word products."""
+
     def test_size_product(self):
         bit = {jv("0"), jv("1")}
         ball = hamming_ball(3, 1, zero_vector(3))
@@ -87,6 +94,31 @@ class TestCartesian:
     def test_ragged_inputs_rejected(self):
         with pytest.raises(DimensionError):
             cartesian({jv("0"), jv("01")}, {jv("1")})
+
+
+class TestWordProducts:
+    """The constructions are products of words; the set products of vectors must agree."""
+
+    @staticmethod
+    def assert_same(family, oracle):
+        assert family == oracle
+        assert family.validated and (family.d, family.k) == (oracle.d, oracle.k)
+        assert family.sorted_words() == oracle.sorted_words()
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_alon_product(self, d):
+        for k in range(1, d + 1):
+            self.assert_same(alon_product(k, d), alon_product_by_sets(k, d))
+
+    def test_extremal_dminus1_family(self):
+        for d in range(2, 13):
+            self.assert_same(extremal_dminus1_family(d), extremal_dminus1_by_sets(d))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_b_config_family(self, d):
+        for k in range(1, d + 1):
+            self.assert_same(b_config_family(k, d), b_config_family_by_sets(k, d))
+            assert {str(v) for v in b_config(k, d)} == set(b_config_family(k, d).sorted_words())
 
 
 class TestStaircase:

@@ -12,7 +12,6 @@ from neighborly.core import (
     JokerVector,
     NeighborlyCheck,
     complement,
-    covered_vectors,
     covers,
     hamming_distance,
     is_k_neighborly,
@@ -23,7 +22,7 @@ from neighborly.errors import DimensionError, DomainError, NeighborlyError, Vali
 from neighborly.search import _kernel
 
 from conftest import HAVE_CC, all_binaries, fam, jv, naive_distance, random_family, random_words
-from oracles import all_joker_vectors, pairwise_is_k_neighborly
+from oracles import all_joker_vectors, covered_vectors, pairwise_is_k_neighborly
 
 
 def binary_vectors(d):
@@ -267,6 +266,9 @@ class TestFromStrings:
     """A family read from words is sorted by them; it must equal one built from vectors."""
 
     def test_matches_family_of_vectors(self):
+        # repeated words collapse into one member
+        assert len(Family.from_strings(2, 1, ["00", "00"])) == 1
+        assert Family.from_strings(2, 1, ["00", "00"]) == Family.of(2, 1, [jv("00")])
         rng = random.Random(1212)
         sizes = set()
         for _ in range(600):
@@ -277,7 +279,7 @@ class TestFromStrings:
             from_words = Family.from_strings(d, k, words)
             from_vectors = Family.of(d, k, map(jv, words))
             assert from_words == from_vectors
-            assert from_words._sorted() == from_vectors._sorted()
+            assert from_words.ranks == from_vectors.ranks
             assert from_words.sorted_words() == [str(v) for v in from_vectors.sorted_members()]
             assert is_k_neighborly(from_words) == is_k_neighborly(from_vectors)
             sizes.add(min(len(from_words), 2))
@@ -440,15 +442,29 @@ class TestBitSlicedCheck:
                     family = fam(d, k, *words)
                     assert checked(family) == (True, None, None)
 
-    def test_validated_copy_reuses_sort_state(self):
+    def test_validated_copy_reuses_sort_state(self, monkeypatch):
         family = alon_product(2, 5)
         family = Family.of(family.d, family.k, family.members)
-        members, ranks = family._sorted()
+        members = family.sorted_members()
+        ranks = family.ranks
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("validate() sorted again")
+
+        monkeypatch.setattr(core, "sorted", no_sort, raising=False)
         checked = family.validate()
-        assert checked._sorted()[0] is members
-        assert checked._sorted()[1] is ranks
+        assert checked.validated and not family.validated
+        assert checked.ranks is ranks
         assert ranks == "".join(str(v).replace("*", "2") for v in members)
-        assert checked.sorted_members() == family.sorted_members() == list(members)
+        assert checked.sorted_members() == family.sorted_members() == members
+        monkeypatch.undo()
+        # validated=True is taken as given by both entry points: no pair is checked
+        monkeypatch.setattr(core, "is_k_neighborly", _twin_must_not_run)
+        bad = ["00", "11"]  # distance 2 > k = 1
+        for forged_family in (Family.from_strings(2, 1, bad, validated=True),
+                              Family.of(2, 1, map(jv, bad), validated=True)):
+            assert forged_family.validated
+            assert forged_family.ranks == "0011"
 
     def test_first_bad_pair_in_sorted_order(self):
         # sorted: 00, 01, 11, 1*; (00, 11) at distance 2 precedes (11, 1*) at 0
@@ -507,8 +523,8 @@ class TestBitSlicedCheck:
         # the product of a 3-neighborly family in 6 coordinates and a
         # 2-neighborly one in 64 (58 constant columns, then alon_product(2, 6)
         # in columns 64..69) is 5-neighborly in 70
-        tail = [jv("0" * 58 + str(v)) for v in alon_product(2, 6)]
-        family = Family.of(70, 5, (u.concat(v) for u in alon_product(3, 6) for v in tail))
+        tail = ["0" * 58 + w for w in alon_product(2, 6).sorted_words()]
+        family = fam(70, 5, *(u + v for u in alon_product(3, 6).sorted_words() for v in tail))
         assert len(family) == 27 * 16
         assert checked(family) == pairwise_is_k_neighborly(family) == (True, None, None)
         # a member past the first 64 with no joker in column 69, so the

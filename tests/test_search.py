@@ -104,7 +104,7 @@ class TestVertexNumbering:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_conversions_match_the_enumeration(self, d):
         words = all_joker_vectors(d)
-        assert [vertex_of(v) for v in words] == list(range(3**d))
+        assert [vertex_of(str(v)) for v in words] == list(range(3**d))
         assert [word_of(i, d) for i in range(3**d)] == [str(v) for v in words]
         classes = joker_classes(d)
         assert len(classes) == d + 1
@@ -113,10 +113,10 @@ class TestVertexNumbering:
 
     def test_family_of_decodes_and_validates(self):
         family = alon_product(2, 4)
-        mask = sum(1 << vertex_of(v) for v in family)
+        mask = sum(1 << vertex_of(w) for w in family.sorted_words())
         decoded = family_of(2, 4, mask)
         assert decoded.validated and decoded == family
-        bad = 1 << vertex_of(jv("00")) | 1 << vertex_of(jv("11"))  # distance 2 > k
+        bad = 1 << vertex_of("00") | 1 << vertex_of("11")  # distance 2 > k
         with pytest.raises(ValidationError):
             family_of(1, 2, bad)
 
@@ -140,8 +140,8 @@ class TestVertexNumbering:
                 continue
             got = family_of(k, d, mask)
             assert got.validated and got == expected
-            assert got._sorted() == expected._sorted()
-            assert [vertex_of(v) for v in got.sorted_members()] == vertices
+            assert got.ranks == expected.ranks
+            assert [vertex_of(w) for w in got.sorted_words()] == vertices
             outcomes.add("valid")
         assert outcomes == {"valid", "invalid"}
 
@@ -520,7 +520,7 @@ class TestKernelLoader:
         assert kernel.solve_root(*args) == get_kernel("python").solve_root(*args)
         assert kernel.solve_root(*args)[:2] == (3, 0b0111)
         # sorted 00, 01, 11, 1*: (00, 11) at distance 2 is the first bad pair
-        members, ranks = fam(2, 1, "1*", "11", "01", "00")._sorted()
+        ranks = fam(2, 1, "1*", "11", "01", "00").ranks
         assert kernel.first_bad_pair(ranks, 4, 2, 1) == core._first_bad_pair(ranks, 4, 2, 1)
         assert kernel.first_bad_pair(ranks, 4, 2, 1) == (0, 2)
 
