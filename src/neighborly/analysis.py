@@ -10,15 +10,19 @@ this package and any family file a user supplies.
 
 Subsets of {0,1}^d are held as 2^d-bit integers: binary vector v is bit
 v of the integer.  ``cover_profile`` returns the partition in this form,
-as a ``CoverProfile``, and the audit reads the same map.  A member covers
-the subcube ``cube << bits``, where ``cube`` is built from its joker mask
-by one shift-OR per joker; flipping coordinate j of every vector of a set
-is a masked swap of the 2^d/2^(j+1) blocks of 2^j bits, so mirrors and
-Hamming neighbourhoods take d such swaps each.  Every check is then a
-handful of whole-set operations.
+as a ``CoverProfile``, and the audit reads the same map.  The classes are
+built by the kernel library's ``neighborly_cover_map``, which walks each
+member's subcube vector by vector, or by its pure twin ``_cover_sets``
+when the library did not load.  Flipping coordinate j of every vector of
+a set is a masked swap of the 2^d/2^(j+1) blocks of 2^j bits, so a Hamming
+neighbourhood takes d such swaps per unit of radius.  Complementing every
+vector of a set reverses its 2^d bits, so a mirror is one byte-wise bit
+reversal.  Every check is then a handful of whole-set operations.
 
-Weights, caps and sums of weights are exact ``fractions.Fraction``
-values; failure messages write a weight as num/2^e.
+The audit compares weights as integer numerators over 2^d: a vector
+covered by a t-joker member weighs 2^(d-t).  ``fractions.Fraction`` only
+carries the reported sums of weights and renders failure messages, which
+write a weight as num/2^e.
 """
 
 from __future__ import annotations
@@ -61,7 +65,13 @@ class CoverProfile:
 
     def total_weight(self) -> Fraction:
         """Sum of f over {0,1}^d: |V(t)|/2^t over the classes."""
-        return sum((Fraction(c.bit_count(), 1 << t) for t, c in self.classes.items()), Fraction(0))
+        return Fraction(_weight_numerator(self), 1 << self.family.d)
+
+
+def _weight_numerator(cover: CoverProfile) -> int:
+    """2^d times the sum of f over {0,1}^d: |V(t)|*2^(d-t) over the classes."""
+    d = cover.family.d
+    return sum(c.bit_count() << (d - t) for t, c in cover.classes.items())
 
 
 def _require_validated(family: Family) -> None:
@@ -77,13 +87,48 @@ def _require_within_limit(d: int, what: str) -> None:
 
 
 def _cover_map(family: Family) -> CoverProfile:
-    d, ranks = family.d, family.ranks
+    """The cover map of ``cover_profile``, collision included.
+
+    The sets come from the kernel library's ``neighborly_cover_map``
+    whenever that library loaded, else from its twin ``_cover_sets``; both
+    give the same sets and the same clash.  The mirrors are built here.
+    """
+    from .search import _kernel  # at call time: search imports core
+
+    d, n = family.d, len(family)
+    cover_sets = _kernel.get_kernel("compiled").cover_map if _kernel.HAVE_COMPILED else _cover_sets
+    classes, covered, clash = cover_sets(family.ranks, n, d)
+    collision = None
+    if clash is not None:
+        i, lowest = clash
+        v = JokerVector(d, lowest, 0)
+        u = JokerVector.from_string(family.ranks[i * d:(i + 1) * d].replace("2", "*"))
+        collision = (v, next(w for w in family if covers(w, v)), u)
+    mirrored = {t: _mirror(cls, d) for t, cls in classes.items()}
+    return CoverProfile(family, classes, mirrored, covered, collision)
+
+
+def _cover_sets(
+    ranks: str, n: int, d: int
+) -> Tuple[Dict[int, int], int, Optional[Tuple[int, int]]]:
+    """(classes, covered, clash) of n sorted members, as ``CoverProfile`` holds them.
+
+    ``ranks`` joins the members' rank strings as ``Family.ranks`` holds
+    them.  ``classes`` is keyed by joker count in order of first appearance.
+    ``clash`` is None when no vector is covered twice; otherwise it is
+    (i, v): member i is the first that meets an earlier one, and v is the
+    lowest vector they share.  An earlier member keeps what it covers.
+    Member i covers the subcube ``cube << bits``, where ``cube`` is built
+    from its joker mask by one shift-OR per joker.  This is the pure twin
+    of the kernel library's ``neighborly_cover_map`` and the oracle it is
+    tested against.
+    """
     cubes: Dict[str, Tuple[int, int]] = {}  # joker pattern -> (t, subcube of 0...0)
     classes: Dict[int, int] = {}
     covered = 0
-    collision = None
-    for start in range(0, len(ranks), d):
-        rank = ranks[start:start + d][::-1]  # character i is bit i
+    clash = None
+    for i in range(n):
+        rank = ranks[i * d:(i + 1) * d][::-1]  # character c is bit c
         pattern = rank.replace("1", "0")
         entry = cubes.get(pattern)
         if entry is None:
@@ -96,18 +141,14 @@ def _cover_map(family: Family) -> CoverProfile:
             entry = cubes[pattern] = (t, cube)
         t, cube = entry
         cell = cube << int(rank.replace("2", "0"), 2)
-        clash = covered & cell
-        if clash:
-            if collision is None:
-                v = JokerVector(d, _lowest(clash), 0)
-                u = JokerVector.from_string(rank[::-1].replace("2", "*"))
-                collision = (v, next(w for w in family if covers(w, v)), u)
+        shared = covered & cell
+        if shared:
+            if clash is None:
+                clash = (i, _lowest(shared))
             cell &= ~covered  # an earlier member keeps what it covers
         classes[t] = classes.get(t, 0) | cell
         covered |= cell
-    masks = _flip_masks(d)
-    mirrored = {t: _mirror(cls, masks) for t, cls in classes.items()}
-    return CoverProfile(family, classes, mirrored, covered, collision)
+    return classes, covered, clash
 
 
 def _lowest(s: int) -> int:
@@ -128,11 +169,22 @@ def _flip_masks(d: int) -> Tuple[int, ...]:
     return tuple(masks)
 
 
-def _mirror(s: int, masks: Tuple[int, ...]) -> int:
-    """{~v : v in s}: flip every coordinate in turn."""
-    for j, low in enumerate(masks):
-        s = ((s & low) << (1 << j)) | ((s >> (1 << j)) & low)
-    return s
+def _reversed_bits() -> bytes:
+    """Entry b is byte b with its 8 bits in reverse order."""
+    table = [0]
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):  # bit j of an index is bit 7-j of its entry
+        table += [entry | bit for entry in table]
+    return bytes(table)
+
+
+_REVERSED_BITS = _reversed_bits()
+
+
+def _mirror(s: int, d: int) -> int:
+    """{~v : v in s}: ~v is 2^d-1-v, so the 2^d bits of s read backwards."""
+    size = max(1, (1 << d) >> 3)  # bytes; below d=3 the set sits in the low bits of one
+    backwards = s.to_bytes(size, "big").translate(_REVERSED_BITS)
+    return int.from_bytes(backwards, "little") >> (8 * size - (1 << d))
 
 
 def _neighbourhood(s: int, radius: int, masks: Tuple[int, ...]) -> int:
@@ -232,9 +284,10 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
         (s, s'), the uncovered set counting as weight 0, once, and looks
         for a live v in V(s) with ~v in V(s') only when they exceed it;
       - the weight identity reads the class sizes.
-    Building the cover map takes one shift-OR per joker per distinct joker
-    mask, three operations on 2^d-bit integers per member and d flips per
-    class for the mirrors; a diameter check takes d-L-1 rounds of d flips.
+    Building the cover map takes one step per covered vector of each
+    member and one bit reversal per class for the mirrors; a diameter
+    check takes d-L-1 rounds of d flips.  Weights and caps are numerators
+    over 2^d.
     A failed check names the lowest vector of the offending set.  d is
     capped (default 20) because every set is 2^d bits wide; above
     AUDIT_DIMENSION_LIMIT (24) the audit raises ResourceError whatever the
@@ -258,9 +311,10 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
         collision = f"{v} covered by {prev} and {u}"
 
     # double-counting identity; it fails exactly when some vector is covered twice
-    total = cover.total_weight()
+    numerator = _weight_numerator(cover)
+    total = Fraction(numerator, 1 << d)
     identity = None
-    if total != len(family):
+    if numerator != len(family) << d:
         identity = f"sum of weights is {_dyadic(total)}, family size is {len(family)}"
         if cover.collision is not None:
             identity += f"; {cover.collision[0]} is covered more than once"
@@ -349,14 +403,15 @@ def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
     mirror_covered = 0
     for cls in cover.mirrored.values():
         mirror_covered |= cls
-    # (f on the set, the set, its mirror), the uncovered vectors at weight 0
-    parts = [(Fraction(1, 1 << t), cls, cover.mirrored[t]) for t, cls in cover.classes.items()]
-    parts.append((Fraction(0), everything & ~cover.covered, everything & ~mirror_covered))
+    # (2^d f on the set, the set, its mirror), the uncovered vectors at weight 0;
+    # every weight and cap below is a numerator over 2^d
+    parts = [(1 << (d - t), cls, cover.mirrored[t]) for t, cls in cover.classes.items()]
+    parts.append((0, everything & ~cover.covered, everything & ~mirror_covered))
     for i in depths:
         cap = (
-            Fraction(1, 1 << i)
+            1 << (d - i)  # 1/2^i
             if 2 * i + 1 == d - k  # the terminal odd shell
-            else Fraction(1, 1 << (i + 1)) + Fraction(1, 1 << (d - k - i - 1))
+            else (1 << (d - i - 1)) + (1 << (k + i + 1))  # 1/2^(i+1) + 1/2^(d-k-i-1)
         )
         excluded = 0
         for s in range(i + 1):
@@ -374,7 +429,7 @@ def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
         if worst is not None:
             v, got = worst
             return (
-                f"f(v)+f(~v) = {_dyadic(got)} exceeds the depth-{i} cap for "
+                f"f(v)+f(~v) = {_dyadic(Fraction(got, 1 << d))} exceeds the depth-{i} cap for "
                 f"v={JokerVector(d, v, 0)}"
             )
     return None

@@ -1,19 +1,25 @@
 """Load the compiled kernel library at import, or fall back to pure Python.
 
-One C file, ``_kernel_c.c`` (plain C99), holds two entry points: the
-clique kernel ``neighborly_solve``, twin of ``_kernel_py.solve_root``, and
-the k-neighborly pair check ``neighborly_first_bad_pair``, twin of
-``core._first_bad_pair``.  It is compiled on first import with the C
-compiler this interpreter was built with, into
-``$XDG_CACHE_HOME/neighborly/`` (default ``~/.cache/neighborly/``), under a
-name keyed by the sha256 of the source and the compile command; later
-imports load the cached library through ``ctypes``.  When anything on that
-path fails the package runs the pure-Python twins and keeps the reason in
-``COMPILED_ERROR``.  Both clique kernels traverse the same tree and return
-identical results; ``get_kernel`` lets callers (tests, benchmarks, the
-CLI's ``--kernel``) pin one explicitly.  Both pair checks return the same
-pair; ``core.is_k_neighborly`` takes the compiled one whenever
-``HAVE_COMPILED``.
+One C file, ``_kernel_c.c`` (plain C99), holds three entry points, each
+the twin of a pure-Python function that stays as fallback and oracle:
+
+- the clique kernel ``neighborly_solve``, twin of ``_kernel_py.solve_root``;
+- the k-neighborly pair check ``neighborly_first_bad_pair``, twin of
+  ``core._first_bad_pair``;
+- the audit's cover map ``neighborly_cover_map``, twin of
+  ``analysis._cover_sets``.
+
+It is compiled on first import with the C compiler this interpreter was
+built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
+``~/.cache/neighborly/``), under a name keyed by the sha256 of the source
+and the compile command; a new build removes the libraries of other keys
+there, and later imports load the cached library through ``ctypes``.  When
+anything on that path fails the package runs the pure-Python twins and
+keeps the reason in ``COMPILED_ERROR``.  Both clique kernels traverse the
+same tree and return identical results; ``get_kernel`` lets callers (tests,
+benchmarks, the CLI's ``--kernel``) pin one explicitly.  The other twins
+return the same answers, and ``core.is_k_neighborly`` and
+``analysis._cover_map`` take the compiled ones whenever ``HAVE_COMPILED``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import _kernel_py
-from .. import core
+from .. import analysis, core
 
 # The interpreter's own sha256: hashlib's loads OpenSSL, which adds about
 # 3.5 MB of resident memory and 4 ms to every import of the package.
@@ -42,7 +48,7 @@ SOURCE = Path(__file__).with_name("_kernel_c.c")
 FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 300
 
-# the return codes of neighborly_solve and neighborly_first_bad_pair (see _kernel_c.c)
+# the return codes of the entry points (see _kernel_c.c)
 _COMPLETED, _BUDGET, _NO_LEVELS, _NO_MEMORY = 0, 1, -1, -2
 _ALL_GOOD, _BAD_PAIR = 0, 1
 
@@ -52,7 +58,8 @@ class _CompileError(Exception):
 
 
 class CompiledKernel:
-    """The C library behind ``_kernel_py.solve_root`` and ``core._first_bad_pair``."""
+    """The C library behind ``_kernel_py.solve_root``, ``core._first_bad_pair``
+    and ``analysis._cover_sets``."""
 
     KERNEL_NAME = "compiled"
 
@@ -85,21 +92,66 @@ class CompiledKernel:
         ]
         pair.restype = ctypes.c_int
         self._first_bad_pair = pair
+        cover = library.neighborly_cover_map
+        cover.argtypes = [
+            ctypes.c_char_p,  # the joined rank strings
+            ctypes.c_int,  # n
+            ctypes.c_int,  # d
+            ctypes.POINTER(ctypes.c_int),  # joker counts in order of first appearance, out
+            ctypes.POINTER(ctypes.c_int),  # how many, out
+            ctypes.POINTER(ctypes.c_void_p),  # the block of rows, out
+            ctypes.POINTER(ctypes.c_int64),  # clash member, out
+            ctypes.POINTER(ctypes.c_int64),  # clash vector, out
+        ]
+        cover.restype = ctypes.c_int
+        self._cover_map = cover
+        self._free = library.neighborly_free
+        self._free.argtypes = [ctypes.c_void_p]
+        self._free.restype = None
 
     def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
         """``core._first_bad_pair``'s contract, and its answer when the C
         buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2."""
-        if len(ranks) != n * d or ranks.strip("012"):
-            raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
+        encoded = _encoded(ranks, n, d)
         u, v = ctypes.c_int64(), ctypes.c_int64()
-        status = self._first_bad_pair(
-            ranks.encode("ascii"), n, d, k, ctypes.byref(u), ctypes.byref(v)
-        )
+        status = self._first_bad_pair(encoded, n, d, k, ctypes.byref(u), ctypes.byref(v))
         if status == _NO_MEMORY:
             return core._first_bad_pair(ranks, n, d, k)
         if status not in (_ALL_GOOD, _BAD_PAIR):
             raise RuntimeError(f"compiled pair check failed with status {status}")
         return (u.value, v.value) if status == _BAD_PAIR else None
+
+    def cover_map(
+        self, ranks: str, n: int, d: int
+    ) -> tuple[dict[int, int], int, Optional[tuple[int, int]]]:
+        """``analysis._cover_sets``'s contract, and its answer when the C
+        buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2
+        and d must lie in 1..63."""
+        encoded = _encoded(ranks, n, d)
+        if not 1 <= d <= 63:
+            raise ValueError(f"the cover map needs 1 <= d <= 63, got d={d}")
+        counts, m = (ctypes.c_int * (d + 1))(), ctypes.c_int()
+        block = ctypes.c_void_p()
+        member, vector = ctypes.c_int64(), ctypes.c_int64()
+        status = self._cover_map(
+            encoded, n, d, counts, ctypes.byref(m), ctypes.byref(block),
+            ctypes.byref(member), ctypes.byref(vector),
+        )
+        if status == _NO_MEMORY:
+            return analysis._cover_sets(ranks, n, d)
+        if status != _COMPLETED:
+            raise RuntimeError(f"compiled cover map failed with status {status}")
+        try:
+            width = 8 * max(1, (1 << d) >> 6)
+            rows = [
+                int.from_bytes(ctypes.string_at(block.value + j * width, width), "little")
+                for j in range(m.value + 1)
+            ]
+        finally:
+            self._free(block)
+        classes = dict(zip(counts[:m.value], rows))
+        clash = None if member.value < 0 else (member.value, vector.value)
+        return classes, rows[-1], clash
 
     def solve_root(
         self,
@@ -142,6 +194,16 @@ class CompiledKernel:
             raise RuntimeError(f"compiled kernel failed with status {status}")
         found = int.from_bytes(bytes(mask), "little")
         return found.bit_count(), found, nodes.value, status == _COMPLETED
+
+
+def _encoded(ranks: str, n: int, d: int) -> bytes:
+    """``ranks`` as the C entry points read it; ValueError unless it holds
+    n*d symbols 0, 1 or 2."""
+    # bytes.translate deletes in one table pass; str.strip("012") takes 20x longer
+    encoded = ranks.encode("ascii") if ranks.isascii() else b"?"
+    if len(encoded) != n * d or encoded.translate(None, b"012"):
+        raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
+    return encoded
 
 
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
@@ -196,6 +258,7 @@ def load_compiled(
     try:
         if not library.is_file():
             _build(command, library)
+            _prune(library)
         return CompiledKernel(ctypes.CDLL(str(library))), None
     except (OSError, _CompileError) as exc:
         return None, str(exc)
@@ -226,6 +289,17 @@ def _build(command: list[str], library: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _prune(library: Path) -> None:
+    """Remove the libraries of other kernel sources or compile commands
+    beside ``library``; one that cannot be removed stays."""
+    for stale in library.parent.glob("_kernel_c-*.so"):
+        if stale != library:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 _compiled, COMPILED_ERROR = load_compiled()

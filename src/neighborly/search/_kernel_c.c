@@ -1,6 +1,7 @@
 /* The compiled kernels: branch-and-bound maximum clique on multi-word bit
-   sets (neighborly_solve), and the bit-sliced k-neighborly pair check
-   (neighborly_first_bad_pair, at the end of the file).
+   sets (neighborly_solve), then, at the end of the file, the bit-sliced
+   k-neighborly pair check (neighborly_first_bad_pair) and the audit's
+   cover map (neighborly_cover_map, whose block neighborly_free releases).
 
    neighborly_solve is the twin of _kernel_py.py: the same greedy-colouring
    bound (the bitboard colouring of San Segundo et al., Computers & OR
@@ -9,7 +10,7 @@
    and node counts on identical inputs.
 
    Plain C99 with no Python C-API: _kernel.py compiles this file into a
-   shared library and calls both entry points through ctypes.  A vertex set
+   shared library and calls the entry points through ctypes.  A vertex set
    is `words` 64-bit words, vertex v being bit v % 64 of word v / 64; the
    adjacency is n such rows, one after another, read in place.
 
@@ -483,4 +484,90 @@ done:
     free(masks);
     free(picked);
     return result;
+}
+
+/* The audit's cover map, twin of analysis._cover_sets: {0,1}^d split by
+   the joker count of each vector's first covering member in sorted order.
+
+   ranks is laid out as for neighborly_first_bad_pair.  A set of binary
+   vectors is a row of max(1, 2^d / 64) words, vector v being bit v % 64 of
+   word v / 64, and bit c of v is the symbol at column c.  Member i covers
+   its 1s plus every submask of its joker mask; the submasks are walked in
+   increasing order.  A vector not yet covered goes into `covered` and into
+   the row of the member's joker count.  A covered one stays with the
+   earlier member, and the first such vector met is the clash: the lowest
+   vector of the first member that meets an earlier one.  So the work is
+   O(n*d) plus one step per covered vector of each member.
+
+   counts receives the joker counts in order of first appearance and
+   *classes their number m.  *rows receives one block of m + 1 rows, zeroed
+   and then filled: row j is the class of counts[j], row m is `covered`.
+   Only the counts that occur get a row, since at d = 24 a row is 2 MB.  The
+   caller releases the block with neighborly_free.  *clash_member and
+   *clash_vector are the clash, or -1 when no vector is covered twice.
+   Needs d <= 63 and counts room for d + 1 entries.  Returns COMPLETED, or
+   NO_MEMORY with *rows NULL. */
+int neighborly_cover_map(const char *ranks, int n, int d, int *counts, int *classes,
+                         uint64_t **rows, int64_t *clash_member, int64_t *clash_vector)
+{
+    int slot[64];  /* joker count -> its row, or -1 */
+    int m = 0;
+    for (int t = 0; t <= d; t++)
+        slot[t] = -1;
+    *classes = 0;
+    *rows = NULL;
+    *clash_member = *clash_vector = -1;
+    for (int i = 0; i < n; i++) {
+        const char *row = ranks + (size_t)i * d;
+        int t = 0;
+        for (int c = 0; c < d; c++)
+            t += row[c] == '2';
+        if (slot[t] < 0) {
+            slot[t] = m;
+            counts[m++] = t;
+        }
+    }
+
+    const size_t words = d > 6 ? (size_t)1 << (d - 6) : 1;
+    uint64_t *block = calloc((size_t)(m + 1) * words, sizeof *block);
+    if (!block)
+        return NO_MEMORY;
+    uint64_t *covered = block + (size_t)m * words;
+    for (int i = 0; i < n; i++) {
+        const char *row = ranks + (size_t)i * d;
+        uint64_t ones = 0, jokers = 0;
+        int t = 0;
+        for (int c = 0; c < d; c++) {
+            if (row[c] == '1') {
+                ones |= (uint64_t)1 << c;
+            } else if (row[c] == '2') {
+                jokers |= (uint64_t)1 << c;
+                t++;
+            }
+        }
+        uint64_t *cls = block + (size_t)slot[t] * words;
+        uint64_t s = 0;
+        do {  /* the submasks of jokers, in increasing order */
+            const uint64_t v = ones | s;
+            if (covered[v >> 6] & BIT(v)) {
+                if (*clash_member < 0) {
+                    *clash_member = i;
+                    *clash_vector = (int64_t)v;
+                }
+            } else {
+                covered[v >> 6] |= BIT(v);
+                cls[v >> 6] |= BIT(v);
+            }
+            s = (s - jokers) & jokers;
+        } while (s);
+    }
+    *classes = m;
+    *rows = block;
+    return COMPLETED;
+}
+
+/* Release a block that neighborly_cover_map allocated. */
+void neighborly_free(void *block)
+{
+    free(block);
 }

@@ -89,6 +89,13 @@ class TestCoverProfile:
             for t, cls in profile.classes.items():
                 assert profile.mirrored[t].bit_count() == cls.bit_count()
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_mirror_complements_every_vector(self, d):
+        rng, full = random.Random(d), (1 << d) - 1
+        for s in [0, (1 << (1 << d)) - 1, 1, 1 << full] + [rng.getrandbits(1 << d) for _ in range(20)]:
+            expected = sum(1 << (v ^ full) for v in range(1 << d) if s >> v & 1)
+            assert analysis._mirror(s, d) == expected
+
     def test_kleitman_tightness_of_zero_class(self):
         # an all-binary b_config family puts exactly the isodiametric count in V(0)
         for (k, d) in [(2, 4), (3, 5), (5, 7)]:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neighborly import bounds, core, reference
+from neighborly import analysis, bounds, core, reference
 from neighborly.analysis import audit
-from neighborly.constructions import alon_product, b_config_family
+from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.core import Family, JokerVector, hamming_distance, is_k_neighborly
 from neighborly.errors import DomainError, InconsistencyError, ResourceError, ValidationError
 from neighborly.search import (
@@ -532,6 +532,26 @@ class TestKernelLoader:
         assert reason is None and kernel.KERNEL_NAME == "compiled"
 
     @requires_cc
+    def test_a_new_build_prunes_other_libraries(self, tmp_path):
+        stale = [tmp_path / "_kernel_c-0123456789abcdef.so", tmp_path / "_kernel_c-old.so"]
+        kept = [tmp_path / "unrelated.so", tmp_path / "_kernel_c-notes.txt"]
+        for path in stale + kept:
+            path.write_bytes(b"")
+        kernel, reason = _kernel.load_compiled(tmp_path)
+        assert reason is None
+        (built,) = set(tmp_path.iterdir()) - set(kept)
+        assert built.name.startswith("_kernel_c-") and built.suffix == ".so"
+        assert built not in stale and all(path.exists() for path in kept)
+
+    def test_pruning_ignores_what_it_cannot_remove(self, tmp_path):
+        library = tmp_path / "_kernel_c-new.so"
+        library.write_bytes(b"")
+        (tmp_path / "_kernel_c-dir.so").mkdir()  # unlink raises IsADirectoryError
+        (tmp_path / "_kernel_c-old.so").write_bytes(b"")
+        _kernel._prune(library)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["_kernel_c-dir.so", "_kernel_c-new.so"]
+
+    @requires_cc
     def test_source_compiles_without_warnings(self, tmp_path):
         strict = ("-Wall", "-Wextra", "-pedantic", "-Werror")
         library = tmp_path / "strict.so"
@@ -625,7 +645,110 @@ class TestCompiledPairCheck:
             check("0120", 2, 3, 1)
         with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
             check("01*0", 2, 2, 1)
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            check("0\u00e9", 1, 2, 1)
         assert check("0110", 2, 2, 1) == (0, 1)  # 01 and 10 at distance 2
+
+
+def _cover(family: Family, compiled: bool):
+    """The cover map of ``family`` on one path, every field in its key order."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "HAVE_COMPILED", compiled)
+        profile = analysis._cover_map(family)
+    return (
+        list(profile.classes.items()),
+        list(profile.mirrored.items()),
+        profile.covered,
+        profile.collision,
+    )
+
+
+class TestCompiledCoverMap:
+    """``analysis._cover_map`` on the kernel library's ``neighborly_cover_map``."""
+
+    @staticmethod
+    def _no_twin(*args):
+        raise AssertionError("the Python twin ran")
+
+    @requires_cc
+    def test_twins_agree_on_the_constructions(self):
+        families = [extremal_dminus1_family(d) for d in range(2, 13)]
+        for d in range(1, 13):
+            for k in range(1, d + 1):
+                families += [alon_product(k, d), b_config_family(k, d)]
+        for family in families:
+            assert _cover(family, True) == _cover(family, False), (family.k, family.d)
+
+    @requires_cc
+    def test_twins_agree_on_random_overlapping_families(self):
+        rng = random.Random(17)
+        collisions = 0
+        for _ in range(1000):
+            d = rng.randint(1, 8)
+            words = ["".join(rng.choice("01*") for _ in range(d)) for _ in range(rng.randint(0, 24))]
+            family = Family.from_strings(d, rng.randint(1, d), words, validated=True)
+            compiled = _cover(family, True)
+            assert compiled == _cover(family, False), (d, words)
+            collisions += compiled[3] is not None
+        assert collisions > 300  # overlapping members are well represented
+
+    @requires_cc
+    def test_audit_takes_the_compiled_path(self, monkeypatch):
+        assert _kernel.HAVE_COMPILED, _kernel.COMPILED_ERROR
+        monkeypatch.setattr(analysis, "_cover_sets", self._no_twin)
+        assert audit(alon_product(3, 8)).passed
+        forged = Family.from_strings(3, 2, ["00*", "0**", "111"], validated=True)
+        report = audit(forged)
+        assert report.checks["unique_cover"].counterexample == "000 covered by 00* and 0**"
+
+    def test_without_the_library_the_twin_runs(self, monkeypatch):
+        def no_library(*args):
+            raise AssertionError("the kernel library was asked for")
+
+        monkeypatch.setattr(_kernel, "HAVE_COMPILED", False)
+        monkeypatch.setattr(_kernel, "get_kernel", no_library)
+        calls = []
+        twin = analysis._cover_sets
+
+        def counted_twin(*args):
+            calls.append(args)
+            return twin(*args)
+
+        monkeypatch.setattr(analysis, "_cover_sets", counted_twin)
+        assert audit(alon_product(3, 8)).passed
+        assert len(calls) == 1
+
+    @requires_cc
+    def test_no_memory_falls_back_to_the_twin(self, monkeypatch):
+        family = Family.from_strings(4, 3, ["00**", "0*0*", "1111"], validated=True)
+        expected = _cover(family, False)
+        calls = []
+        twin = analysis._cover_sets
+
+        def counted_twin(*args):
+            calls.append(args)
+            return twin(*args)
+
+        monkeypatch.setattr(analysis, "_cover_sets", counted_twin)
+        compiled = get_kernel("compiled")
+        monkeypatch.setattr(compiled, "_cover_map", lambda *args: _kernel._NO_MEMORY)
+        assert _cover(family, True) == expected
+        assert expected[3] is not None and len(calls) == 1
+
+    @requires_cc
+    def test_ranks_must_spell_n_members(self):
+        cover_map = get_kernel("compiled").cover_map
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            cover_map("0120", 2, 3)
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            cover_map("01*0", 2, 2)
+        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
+            cover_map("0\u00e9", 1, 2)
+        with pytest.raises(ValueError, match="1 <= d <= 63"):
+            cover_map("0" * 64, 1, 64)
+        # 0* covers 00 and 01, 11 covers 11: vectors 0b00, 0b10 and 0b11
+        assert cover_map("0211", 2, 2) == ({1: 0b0101, 0: 0b1000}, 0b1101, None)
+        assert cover_map("0200", 2, 2) == ({1: 0b0101, 0: 0}, 0b0101, (1, 0))
 
 
 def apply_symmetry(vec: JokerVector, perm: list[int], flips: int) -> JokerVector:
