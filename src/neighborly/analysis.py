@@ -11,13 +11,14 @@ this package and any family file a user supplies.
 Subsets of {0,1}^d are held as 2^d-bit integers: binary vector v is bit
 v of the integer.  ``cover_profile`` returns the partition in this form,
 as a ``CoverProfile``, and the audit reads the same map.  The classes are
-built by the kernel library's ``neighborly_cover_map``, which walks each
-member's subcube vector by vector, or by its pure twin ``_cover_sets``
-when the library did not load.  Flipping coordinate j of every vector of
-a set is a masked swap of the 2^d/2^(j+1) blocks of 2^j bits, so a Hamming
-neighbourhood takes d such swaps per unit of radius.  Complementing every
-vector of a set reverses its 2^d bits, so a mirror is one byte-wise bit
-reversal.  Every check is then a handful of whole-set operations.
+built by the kernel's ``cover_map`` (``search._kernel``): the compiled
+library walks each member's subcube vector by vector, and its pure twin
+in ``search/_kernel_py.py`` shifts one subcube per member.  Flipping
+coordinate j of every vector of a set is a masked swap of the 2^d/2^(j+1)
+blocks of 2^j bits, so a Hamming neighbourhood takes d such swaps per unit
+of radius.  Complementing every vector of a set reverses its 2^d bits, so
+a mirror is one byte-wise bit reversal.  Every check is then a handful of
+whole-set operations.
 
 The audit compares weights as integer numerators over 2^d: a vector
 covered by a t-joker member weighs 2^(d-t).  ``fractions.Fraction`` only
@@ -35,6 +36,7 @@ from typing import Dict, Optional, Tuple
 from .bounds import b_config_size, shell_depths
 from .core import Family, JokerVector, covers
 from .errors import DomainError, ResourceError, ValidationError
+from .search import _kernel
 
 AUDIT_DIMENSION_CAP = 20
 # hard ceiling on d for the audit whatever its cap, and for cover_profile:
@@ -89,15 +91,10 @@ def _require_within_limit(d: int, what: str) -> None:
 def _cover_map(family: Family) -> CoverProfile:
     """The cover map of ``cover_profile``, collision included.
 
-    The sets come from the kernel library's ``neighborly_cover_map``
-    whenever that library loaded, else from its twin ``_cover_sets``; both
-    give the same sets and the same clash.  The mirrors are built here.
+    The sets come from the kernel's ``cover_map``; the mirrors are built here.
     """
-    from .search import _kernel  # at call time: search imports core
-
     d, n = family.d, len(family)
-    cover_sets = _kernel.get_kernel("compiled").cover_map if _kernel.HAVE_COMPILED else _cover_sets
-    classes, covered, clash = cover_sets(family.ranks, n, d)
+    classes, covered, clash = _kernel.get_kernel().cover_map(family.ranks, n, d)
     collision = None
     if clash is not None:
         i, lowest = clash
@@ -106,49 +103,6 @@ def _cover_map(family: Family) -> CoverProfile:
         collision = (v, next(w for w in family if covers(w, v)), u)
     mirrored = {t: _mirror(cls, d) for t, cls in classes.items()}
     return CoverProfile(family, classes, mirrored, covered, collision)
-
-
-def _cover_sets(
-    ranks: str, n: int, d: int
-) -> Tuple[Dict[int, int], int, Optional[Tuple[int, int]]]:
-    """(classes, covered, clash) of n sorted members, as ``CoverProfile`` holds them.
-
-    ``ranks`` joins the members' rank strings as ``Family.ranks`` holds
-    them.  ``classes`` is keyed by joker count in order of first appearance.
-    ``clash`` is None when no vector is covered twice; otherwise it is
-    (i, v): member i is the first that meets an earlier one, and v is the
-    lowest vector they share.  An earlier member keeps what it covers.
-    Member i covers the subcube ``cube << bits``, where ``cube`` is built
-    from its joker mask by one shift-OR per joker.  This is the pure twin
-    of the kernel library's ``neighborly_cover_map`` and the oracle it is
-    tested against.
-    """
-    cubes: Dict[str, Tuple[int, int]] = {}  # joker pattern -> (t, subcube of 0...0)
-    classes: Dict[int, int] = {}
-    covered = 0
-    clash = None
-    for i in range(n):
-        rank = ranks[i * d:(i + 1) * d][::-1]  # character c is bit c
-        pattern = rank.replace("1", "0")
-        entry = cubes.get(pattern)
-        if entry is None:
-            cube, rest = 1, int(pattern.replace("2", "1"), 2)
-            t = rest.bit_count()
-            while rest:
-                step = rest & -rest
-                cube |= cube << step
-                rest ^= step
-            entry = cubes[pattern] = (t, cube)
-        t, cube = entry
-        cell = cube << int(rank.replace("2", "0"), 2)
-        shared = covered & cell
-        if shared:
-            if clash is None:
-                clash = (i, _lowest(shared))
-            cell &= ~covered  # an earlier member keeps what it covers
-        classes[t] = classes.get(t, 0) | cell
-        covered |= cell
-    return classes, covered, clash
 
 
 def _lowest(s: int) -> int:

@@ -12,14 +12,14 @@ Bit i of a mask corresponds to coordinate i, i.e. to character i of the
 string form.  A family is stored as text instead: the sorted rank strings
 of its members (each word with * written as 2), joined.  The pair check,
 the audit, the search and the file writer read that string; vectors are
-built from it only on request.
+built from it only on request.  The pair check runs in the search
+package's kernel (``search._kernel``), compiled or pure Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
-from operator import and_, or_
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError, ValidationError
@@ -235,84 +235,18 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     carries the first bad pair (u, v) in sorted member order, u before v,
     and its distance; they are the only members built as vectors.
 
-    The pairs are not visited one by one: see ``_first_bad_pair``, which
-    tests each member against all later ones at once on bit masks.  Its
-    compiled twin in the kernel library (``search/_kernel_c.c``) runs
-    whenever that library loaded; both return the same pair.
+    The pairs are not visited one by one: the kernel's ``first_bad_pair``
+    (described in ``search/_kernel_py.py``) tests each member against all
+    later ones at once on bit masks.
     """
     from .search import _kernel  # at call time: search imports core
 
     n = len(family)
     if n < 2:
         return NeighborlyCheck(True, None, None)
-    if _kernel.HAVE_COMPILED:
-        first_bad_pair = _kernel.get_kernel("compiled").first_bad_pair
-    else:
-        first_bad_pair = _first_bad_pair
-    pair = first_bad_pair(family.ranks, n, family.d, family.k)
+    pair = _kernel.get_kernel().first_bad_pair(family.ranks, n, family.d, family.k)
     if pair is None:
         return NeighborlyCheck(True, None, None)
     words = family.sorted_words()
     u, v = (JokerVector.from_string(words[i]) for i in pair)
     return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
-
-
-def _first_bad_pair(ranks: str, n: int, d: int, k: int) -> Optional[Tuple[int, int]]:
-    """Indices (i, j), i < j, of the first pair at a distance outside 1..k, or None.
-
-    ``ranks`` joins the rank strings of n sorted members of length d, as
-    ``Family.ranks`` holds them.  Each coordinate c gets two n-bit masks,
-    member i at bit i: the members holding a 1 there and those holding a
-    0.  For member u, the members that differ from u at a non-joker
-    coordinate of u form one such mask, and the distance from u to every
-    member at once is a count over these masks.  Their union rules out
-    distance 0.  Distance above k needs more than k of the masks, so the
-    count depends on how many u has:
-
-    - at most k (u has at least d-k jokers): no count is needed;
-    - exactly k+1: the intersection of the masks;
-    - more: a binary counter with (k+1).bit_length() bit planes,
-      preloaded so that it carries out of its top plane exactly when the
-      distance exceeds k.
-
-    One mask per member selects the members after it.  So the whole check
-    takes O(n*d*log k) operations on n-bit integers, O(n*d) when
-    d-k <= 1, instead of n^2/2 distance evaluations.  This is the pure
-    twin of the kernel library's ``neighborly_first_bad_pair`` and the
-    oracle it is tested against.
-    """
-    if n < 2:
-        return None
-    full = (1 << n) - 1
-    # column c of the rank strings, read as an n-bit integer with member i at bit i
-    columns = [ranks[c::d][::-1] for c in range(d)]
-    ones = [int(col.replace("2", "0"), 2) for col in columns]
-    jokers = [int(col.replace("1", "0").replace("2", "1"), 2) for col in columns]
-    # per column, the members differing from a word's symbol there ("2": none)
-    differing = [{"0": one, "1": full ^ one ^ joker} for one, joker in zip(ones, jokers)]
-    planes = (k + 1).bit_length()
-    preload = (1 << planes) - k - 1  # a count above k carries out of the top plane
-    count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
-    for i in range(n - 1):
-        masks = [col[ch] for ch, col in zip(ranks[i * d:(i + 1) * d], differing) if ch != "2"]
-        good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
-        need = len(masks) - k  # distance > k needs more than k of the masks
-        if need == 1:
-            good &= ~reduce(and_, masks)
-        elif need > 1:
-            count = count0[:]
-            over = 0  # distance > k
-            for carry in masks:
-                for p in range(planes):
-                    plane = count[p]
-                    count[p] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    over |= carry
-            good &= ~over
-        bad = full >> (i + 1) << (i + 1) & ~good
-        if bad:
-            return i, (bad & -bad).bit_length() - 1
-    return None

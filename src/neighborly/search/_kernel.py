@@ -1,25 +1,24 @@
-"""Load the compiled kernel library at import, or fall back to pure Python.
+"""The kernel interface: a compiled library and its pure-Python twin.
 
-One C file, ``_kernel_c.c`` (plain C99), holds three entry points, each
-the twin of a pure-Python function that stays as fallback and oracle:
+A kernel provides ``KERNEL_NAME`` and three routines, whose contracts
+``_kernel_py`` states: ``solve_root`` (the solver's clique search),
+``first_bad_pair`` (the pair check of ``core.is_k_neighborly``) and
+``cover_map`` (the audit's cover map).  ``_kernel_py`` is the pure-Python
+implementation and the oracle.  ``CompiledKernel`` calls the entry points
+of ``_kernel_c.c`` (plain C99), and falls back to ``_kernel_py`` where the
+C buffers cannot be allocated.  Both give identical results.
 
-- the clique kernel ``neighborly_solve``, twin of ``_kernel_py.solve_root``;
-- the k-neighborly pair check ``neighborly_first_bad_pair``, twin of
-  ``core._first_bad_pair``;
-- the audit's cover map ``neighborly_cover_map``, twin of
-  ``analysis._cover_sets``.
-
-It is compiled on first import with the C compiler this interpreter was
-built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
+The C file is compiled on first import with the C compiler this
+interpreter was built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
 ``~/.cache/neighborly/``), under a name keyed by the sha256 of the source
 and the compile command; a new build removes the libraries of other keys
 there, and later imports load the cached library through ``ctypes``.  When
-anything on that path fails the package runs the pure-Python twins and
-keeps the reason in ``COMPILED_ERROR``.  Both clique kernels traverse the
-same tree and return identical results; ``get_kernel`` lets callers (tests,
-benchmarks, the CLI's ``--kernel``) pin one explicitly.  The other twins
-return the same answers, and ``core.is_k_neighborly`` and
-``analysis._cover_map`` take the compiled ones whenever ``HAVE_COMPILED``.
+anything on that path fails, ``COMPILED_ERROR`` keeps the reason.
+
+``get_kernel`` is the one switch.  ``get_kernel()``, which the core, the
+audit and the solver call, is the compiled kernel when it loaded and
+``_kernel_py`` otherwise; a name pins one (tests, benchmarks,
+``search --kernel``).  ``HAVE_COMPILED`` only reports the load.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ import os
 import sys
 import sysconfig
 from pathlib import Path
+from time import perf_counter
 from typing import Optional, Sequence
 
 from . import _kernel_py
-from .. import analysis, core
 
 # The interpreter's own sha256: hashlib's loads OpenSSL, which adds about
 # 3.5 MB of resident memory and 4 ms to every import of the package.
@@ -58,8 +57,7 @@ class _CompileError(Exception):
 
 
 class CompiledKernel:
-    """The C library behind ``_kernel_py.solve_root``, ``core._first_bad_pair``
-    and ``analysis._cover_sets``."""
+    """The kernel interface on the C library; ``_kernel_py`` states the contracts."""
 
     KERNEL_NAME = "compiled"
 
@@ -110,13 +108,13 @@ class CompiledKernel:
         self._free.restype = None
 
     def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
-        """``core._first_bad_pair``'s contract, and its answer when the C
+        """``_kernel_py.first_bad_pair``'s contract, and its answer when the C
         buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2."""
         encoded = _encoded(ranks, n, d)
         u, v = ctypes.c_int64(), ctypes.c_int64()
         status = self._first_bad_pair(encoded, n, d, k, ctypes.byref(u), ctypes.byref(v))
         if status == _NO_MEMORY:
-            return core._first_bad_pair(ranks, n, d, k)
+            return _kernel_py.first_bad_pair(ranks, n, d, k)
         if status not in (_ALL_GOOD, _BAD_PAIR):
             raise RuntimeError(f"compiled pair check failed with status {status}")
         return (u.value, v.value) if status == _BAD_PAIR else None
@@ -124,7 +122,7 @@ class CompiledKernel:
     def cover_map(
         self, ranks: str, n: int, d: int
     ) -> tuple[dict[int, int], int, Optional[tuple[int, int]]]:
-        """``analysis._cover_sets``'s contract, and its answer when the C
+        """``_kernel_py.cover_map``'s contract, and its answer when the C
         buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2
         and d must lie in 1..63."""
         encoded = _encoded(ranks, n, d)
@@ -138,7 +136,7 @@ class CompiledKernel:
             ctypes.byref(member), ctypes.byref(vector),
         )
         if status == _NO_MEMORY:
-            return analysis._cover_sets(ranks, n, d)
+            return _kernel_py.cover_map(ranks, n, d)
         if status != _COMPLETED:
             raise RuntimeError(f"compiled cover map failed with status {status}")
         try:
@@ -164,7 +162,9 @@ class CompiledKernel:
         d: int | None = None,
         symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
-        """``_kernel_py.solve_root``'s contract; vertices outside 0..n-1 raise ValueError."""
+        """``_kernel_py.solve_root``'s contract, converting the inputs within
+        ``time_limit``; vertices outside 0..n-1 raise ValueError."""
+        start = perf_counter()
         n = len(adjacency)
         _kernel_py.check_orbit_inputs(n, d, symmetry_depth)
         if best_mask >> n:
@@ -180,10 +180,12 @@ class CompiledKernel:
         root_ids = (ctypes.c_int * len(roots))(*(root for root, _ in roots))
         mask = _bit_sets([best_mask], width)
         nodes = ctypes.c_int64(0)
+        if time_limit is not None:
+            time_limit = max(0.0, time_limit - (perf_counter() - start))
         status = self._solve(
             rows, n, d or 0, root_ids, pools, len(roots), symmetry_depth, target,
             -1 if node_limit is None else min(max(0, node_limit), 2**63 - 1),  # c_int64 wraps
-            -1.0 if time_limit is None else max(0.0, time_limit),
+            -1.0 if time_limit is None else time_limit,
             mask, ctypes.byref(nodes),
         )
         if status == _NO_LEVELS:
@@ -207,11 +209,12 @@ def _encoded(ranks: str, n: int, d: int) -> bytes:
 
 
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
-    """Bytes of the compiled kernel's buffers on an n-vertex graph, the
-    adjacency copy included: ``levels`` as in ``neighborly_solve``."""
+    """Bytes a search on an n-vertex graph needs: the Python adjacency rows,
+    the compiled kernel's copy of them and its buffers (``levels`` as in
+    ``neighborly_solve``)."""
     words = (n + 63) // 64
     levels = min(target, n) + 3
-    estimated = levels * (3 * words * 8 + 2 * n * 4) + n * words * 8
+    estimated = levels * (3 * words * 8 + 2 * n * 4) + 2 * n * words * 8
     return estimated + (2 * min(symmetry_depth, levels) + 1) * n * 4
 
 

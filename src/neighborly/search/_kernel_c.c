@@ -3,11 +3,13 @@
    k-neighborly pair check (neighborly_first_bad_pair) and the audit's
    cover map (neighborly_cover_map, whose block neighborly_free releases).
 
-   neighborly_solve is the twin of _kernel_py.py: the same greedy-colouring
-   bound (the bitboard colouring of San Segundo et al., Computers & OR
-   2011), the same lowest-bit-first order, the same orbit pruning and the
-   same node accounting, so both kernels return identical sizes, witnesses
-   and node counts on identical inputs.
+   Each entry point is the twin of a routine of _kernel_py.py, which is
+   the oracle it is tested against.  neighborly_solve, the twin of
+   solve_root, has the same greedy-colouring bound (the bitboard colouring
+   of San Segundo et al., Computers & OR 2011), the same lowest-bit-first
+   order, the same orbit pruning and the same node accounting, so both
+   kernels return identical sizes, witnesses and node counts on identical
+   inputs.
 
    Plain C99 with no Python C-API: _kernel.py compiles this file into a
    shared library and calls the entry points through ctypes.  A vertex set
@@ -65,7 +67,6 @@ enum { ALL_GOOD = 0, BAD_PAIR = 1 };  /* neighborly_first_bad_pair's results */
 
 enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS */
 
-#define TIME_CHECK_MASK 0x3FF  /* read the clock every 1024 nodes */
 #define BIT(v) ((uint64_t)1 << ((v) & 63))
 
 typedef struct {
@@ -101,7 +102,8 @@ static int popcount_set(const uint64_t *s, int words)
     return total;
 }
 
-/* Count one node; nonzero when a budget ran out. */
+/* Count one node; nonzero when a budget ran out.  The clock is read at
+   every node: a read costs tens of nanoseconds, a node microseconds. */
 static int charge(State *st)
 {
     st->nodes++;
@@ -109,8 +111,7 @@ static int charge(State *st)
         st->status = BUDGET;
         return 1;
     }
-    if (st->deadline >= 0 && (st->nodes & TIME_CHECK_MASK) == 0
-        && monotonic_seconds() > st->deadline) {
+    if (st->deadline >= 0 && monotonic_seconds() >= st->deadline) {
         st->status = BUDGET;
         return 1;
     }
@@ -379,8 +380,8 @@ done:
     return result;
 }
 
-/* The k-neighborly check, twin of core._first_bad_pair: the first pair of
-   members, in sorted order, whose distance lies outside 1..k.
+/* The k-neighborly check, twin of _kernel_py.first_bad_pair: the first
+   pair of members, in sorted order, whose distance lies outside 1..k.
 
    ranks holds the n members' rank strings, d bytes each, one after
    another: '0', '1' and '2' for 0, 1 and *.  A member set is `words`
@@ -486,7 +487,7 @@ done:
     return result;
 }
 
-/* The audit's cover map, twin of analysis._cover_sets: {0,1}^d split by
+/* The audit's cover map, twin of _kernel_py.cover_map: {0,1}^d split by
    the joker count of each vector's first covering member in sorted order.
 
    ranks is laid out as for neighborly_first_bad_pair.  A set of binary

@@ -1,19 +1,21 @@
-"""Pure-Python branch-and-bound clique kernel on integer bit sets.
+"""The pure-Python kernel: the compiled kernel's fallback and oracle.
 
-Fallback twin of the compiled kernel: same greedy-coloring bound, same
-lowest-bit-first tie breaking, same orbit pruning below the root, same
-traversal order, so both kernels return identical sizes, witnesses and
-node counts on identical inputs.  ``_kernel_c.c`` states the orbit rule
-and why it is sound.
+``solve_root`` is a branch-and-bound clique search on integer bit sets with
+the compiled one's greedy-coloring bound, lowest-bit-first tie breaking,
+orbit pruning below the root and traversal order, so both return identical
+sizes, witnesses and node counts on identical inputs (``_kernel_c.c``
+states the orbit rule and why it is sound).  ``first_bad_pair`` is the
+k-neighborly pair check and ``cover_map`` the audit's cover map.  The
+module imports nothing from the package.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from time import perf_counter
 
 KERNEL_NAME = "python"
-
-_TIME_CHECK_MASK = 0x3FF
 
 
 class _BudgetExhausted(Exception):
@@ -109,11 +111,7 @@ class _Searcher:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _BudgetExhausted
-        if (
-            self.deadline is not None
-            and self.nodes & _TIME_CHECK_MASK == 0
-            and perf_counter() > self.deadline
-        ):
+        if self.deadline is not None and perf_counter() >= self.deadline:
             raise _BudgetExhausted
 
     def _expand(self, mask: int, size: int, pool: int) -> None:
@@ -185,3 +183,107 @@ def solve_root(
         except _TargetReached:
             return s.best, s.best_mask, s.nodes, True
     return s.best, s.best_mask, s.nodes, True
+
+
+def first_bad_pair(ranks: str, n: int, d: int, k: int) -> tuple[int, int] | None:
+    """Indices (i, j), i < j, of the first pair at a distance outside 1..k, or None.
+
+    ``ranks`` joins the rank strings of n sorted members of length d, as
+    ``Family.ranks`` holds them.  Each coordinate c gets two n-bit masks,
+    member i at bit i: the members holding a 1 there and those holding a
+    0.  For member u, the members that differ from u at a non-joker
+    coordinate of u form one such mask, and the distance from u to every
+    member at once is a count over these masks.  Their union rules out
+    distance 0.  Distance above k needs more than k of the masks, so the
+    count depends on how many u has:
+
+    - at most k (u has at least d-k jokers): no count is needed;
+    - exactly k+1: the intersection of the masks;
+    - more: a binary counter with (k+1).bit_length() bit planes,
+      preloaded so that it carries out of its top plane exactly when the
+      distance exceeds k.
+
+    One mask per member selects the members after it.  So the whole check
+    takes O(n*d*log k) operations on n-bit integers, O(n*d) when
+    d-k <= 1, instead of n^2/2 distance evaluations.  This is the pure
+    twin of the kernel library's ``neighborly_first_bad_pair`` and the
+    oracle it is tested against.
+    """
+    if n < 2:
+        return None
+    full = (1 << n) - 1
+    # column c of the rank strings, read as an n-bit integer with member i at bit i
+    columns = [ranks[c::d][::-1] for c in range(d)]
+    ones = [int(col.replace("2", "0"), 2) for col in columns]
+    jokers = [int(col.replace("1", "0").replace("2", "1"), 2) for col in columns]
+    # per column, the members differing from a word's symbol there ("2": none)
+    differing = [{"0": one, "1": full ^ one ^ joker} for one, joker in zip(ones, jokers)]
+    planes = (k + 1).bit_length()
+    preload = (1 << planes) - k - 1  # a count above k carries out of the top plane
+    count0 = [full if preload >> p & 1 else 0 for p in range(planes)]
+    for i in range(n - 1):
+        masks = [col[ch] for ch, col in zip(ranks[i * d:(i + 1) * d], differing) if ch != "2"]
+        good = reduce(or_, masks, 0)  # differ somewhere: distance >= 1
+        need = len(masks) - k  # distance > k needs more than k of the masks
+        if need == 1:
+            good &= ~reduce(and_, masks)
+        elif need > 1:
+            count = count0[:]
+            over = 0  # distance > k
+            for carry in masks:
+                for p in range(planes):
+                    plane = count[p]
+                    count[p] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    over |= carry
+            good &= ~over
+        bad = full >> (i + 1) << (i + 1) & ~good
+        if bad:
+            return i, (bad & -bad).bit_length() - 1
+    return None
+
+
+def cover_map(
+    ranks: str, n: int, d: int
+) -> tuple[dict[int, int], int, tuple[int, int] | None]:
+    """(classes, covered, clash) of n sorted members, as ``CoverProfile`` holds them.
+
+    ``ranks`` joins the members' rank strings as ``Family.ranks`` holds
+    them.  ``classes`` is keyed by joker count in order of first appearance.
+    ``clash`` is None when no vector is covered twice; otherwise it is
+    (i, v): member i is the first that meets an earlier one, and v is the
+    lowest vector they share.  An earlier member keeps what it covers.
+    Member i covers the subcube ``cube << bits``, where ``cube`` is built
+    from its joker mask by one shift-OR per joker.  This is the pure twin
+    of the kernel library's ``neighborly_cover_map`` and the oracle it is
+    tested against.
+    """
+    cubes: dict[str, tuple[int, int]] = {}  # joker pattern -> (t, subcube of 0...0)
+    classes: dict[int, int] = {}
+    covered = 0
+    clash = None
+    for i in range(n):
+        rank = ranks[i * d:(i + 1) * d][::-1]  # character c is bit c
+        pattern = rank.replace("1", "0")
+        entry = cubes.get(pattern)
+        if entry is None:
+            cube, rest = 1, int(pattern.replace("2", "1"), 2)
+            t = rest.bit_count()
+            while rest:
+                step = rest & -rest
+                cube |= cube << step
+                rest ^= step
+            entry = cubes[pattern] = (t, cube)
+        t, cube = entry
+        cell = cube << int(rank.replace("2", "0"), 2)
+        shared = covered & cell
+        if shared:
+            if clash is None:
+                clash = (i, (shared & -shared).bit_length() - 1)
+            cell &= ~covered  # an earlier member keeps what it covers
+        classes[t] = classes.get(t, 0) | cell
+        covered |= cell
+    return classes, covered, clash

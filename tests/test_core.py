@@ -19,7 +19,7 @@ from neighborly.core import (
 )
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, NeighborlyError, ValidationError
-from neighborly.search import _kernel
+from neighborly.search import _kernel, _kernel_py
 
 from conftest import HAVE_CC, all_binaries, fam, jv, naive_distance, random_family, random_words
 from oracles import all_joker_vectors, covered_vectors, pairwise_is_k_neighborly
@@ -327,10 +327,9 @@ def _twin_must_not_run(*args):
 def check_on(path: str, family: Family) -> NeighborlyCheck:
     """``is_k_neighborly`` pinned to one path of PAIR_CHECKS."""
     with pytest.MonkeyPatch.context() as mp:
-        if path == "python":
-            mp.setattr(_kernel, "HAVE_COMPILED", False)
-        else:
-            mp.setattr(core, "_first_bad_pair", _twin_must_not_run)
+        mp.setattr(_kernel, "_default", _kernel.get_kernel(path))
+        if path == "compiled":
+            mp.setattr(_kernel_py, "first_bad_pair", _twin_must_not_run)
         return is_k_neighborly(family)
 
 

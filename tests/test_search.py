@@ -1,5 +1,6 @@
 """Search stack: graph, kernels, solver, certification."""
 
+import ast
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neighborly import analysis, bounds, core, reference
+from neighborly import analysis, bounds, reference
 from neighborly.analysis import audit
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.core import Family, JokerVector, hamming_distance, is_k_neighborly
@@ -21,7 +22,7 @@ from neighborly.search import (
     get_kernel,
     max_family,
 )
-from neighborly.search import _kernel, solver
+from neighborly.search import _kernel, _kernel_py, solver
 from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
@@ -262,12 +263,13 @@ class TestMaxFamily:
             max_family(2, 5, memory_budget=10_000)
 
     @pytest.mark.parametrize(
-        "k,d", [pytest.param(2, d, id=str(d)) for d in (20, 25, 40)] + [(14, 28)]
+        "k,d", [pytest.param(2, d, id=str(d)) for d in (10, 20, 25, 40)] + [(14, 28)]
     )
     def test_memory_guard_precedes_vertex_masks(self, monkeypatch, k, d):
         # the warm start does not close (k, d); the guard must fire before a
         # mask of 3^d bits is built (3^25 bits is ~106 GB), and before the
-        # warm start family (alon_product(14, 28) has 4.8 M members)
+        # warm start family (alon_product(14, 28) has 4.8 M members); at
+        # d=10 it fires only because it counts the Python adjacency rows
         self._forbid_vertex_work(monkeypatch)
         for name in ("alon_product", "extremal_dminus1_family"):
             monkeypatch.setattr(solver, name, self._forbidden)
@@ -432,6 +434,21 @@ class TestKernelTwins:
         assert (py[2], py[3]) == (nodes, node_limit is None)
 
     @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_time_limit_stops_at_the_first_node(self, monkeypatch, kernel):
+        # both kernels read the clock at every node they charge
+        args = list(_kernel_inputs(monkeypatch, 2, 6, None))
+        args[5] = 0.0  # time_limit
+        size, mask, nodes, completed = get_kernel(kernel).solve_root(*args)
+        assert (size, mask, nodes, completed) == (16, args[2], 1, False)
+
+    def test_both_kernels_provide_the_interface(self):
+        for name in KERNELS:
+            impl = get_kernel(name)
+            assert impl.KERNEL_NAME == name
+            for routine in ("solve_root", "first_bad_pair", "cover_map"):
+                assert callable(getattr(impl, routine)), (name, routine)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_orbit_pruning_needs_the_word_graph(self, kernel):
         # symbols are read off vertex indices, which only works for n = 3^d
         adj, roots, *rest = _triangle_plus_edge()
@@ -521,7 +538,7 @@ class TestKernelLoader:
         assert kernel.solve_root(*args)[:2] == (3, 0b0111)
         # sorted 00, 01, 11, 1*: (00, 11) at distance 2 is the first bad pair
         ranks = fam(2, 1, "1*", "11", "01", "00").ranks
-        assert kernel.first_bad_pair(ranks, 4, 2, 1) == core._first_bad_pair(ranks, 4, 2, 1)
+        assert kernel.first_bad_pair(ranks, 4, 2, 1) == _kernel_py.first_bad_pair(ranks, 4, 2, 1)
         assert kernel.first_bad_pair(ranks, 4, 2, 1) == (0, 2)
 
         def no_build(*args):
@@ -602,6 +619,28 @@ class TestKernelLoader:
         assert proc.stdout.split() == ["False", "python", "True"]
 
 
+class TestKernelLayer:
+    @pytest.mark.parametrize("module", ["_kernel", "_kernel_py"])
+    def test_kernel_modules_import_no_callers(self, module):
+        # core and analysis call the kernels; a kernel module that imported
+        # them back would close an import cycle.  _kernel may import _kernel_py.
+        path = Path(_kernel.__file__).with_name(f"{module}.py")
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import starts from neighborly.search
+                package = ["neighborly", "search"][: 3 - node.level] if node.level else []
+                if node.module:
+                    imported.append(".".join(package + node.module.split(".")))
+                else:
+                    imported += [".".join(package + [alias.name]) for alias in node.names]
+        allowed = {"neighborly.search._kernel_py"} if module == "_kernel" else set()
+        ours = {name for name in imported if name.split(".")[0] == "neighborly"}
+        assert ours <= allowed, ours
+
+
 class TestCompiledPairCheck:
     """``is_k_neighborly`` on the kernel library's ``neighborly_first_bad_pair``."""
 
@@ -611,8 +650,8 @@ class TestCompiledPairCheck:
 
     @requires_cc
     def test_validate_takes_the_compiled_path(self, monkeypatch):
-        assert _kernel.HAVE_COMPILED, _kernel.COMPILED_ERROR
-        monkeypatch.setattr(core, "_first_bad_pair", self._no_twin)
+        assert get_kernel().KERNEL_NAME == "compiled", _kernel.COMPILED_ERROR
+        monkeypatch.setattr(_kernel_py, "first_bad_pair", self._no_twin)
         family = alon_product(3, 8)
         assert Family.of(family.d, family.k, family.members).validate().validated
         strict = Family.of(family.d, family.k - 1, family.members)
@@ -623,17 +662,18 @@ class TestCompiledPairCheck:
     def test_no_memory_falls_back_to_the_twin(self, monkeypatch):
         families = [alon_product(3, 8), Family.of(8, 2, alon_product(3, 8).members)]
         with monkeypatch.context() as m:
-            m.setattr(_kernel, "HAVE_COMPILED", False)
+            m.setattr(_kernel, "_default", get_kernel("python"))
             expected = [is_k_neighborly(family) for family in families]
         assert expected[0] and not expected[1]
-        twin, calls = core._first_bad_pair, []
+        twin, calls = _kernel_py.first_bad_pair, []
 
         def counted_twin(*args):
             calls.append(args)
             return twin(*args)
 
-        monkeypatch.setattr(core, "_first_bad_pair", counted_twin)
+        monkeypatch.setattr(_kernel_py, "first_bad_pair", counted_twin)
         compiled = get_kernel("compiled")
+        monkeypatch.setattr(_kernel, "_default", compiled)
         monkeypatch.setattr(compiled, "_first_bad_pair", lambda *args: _kernel._NO_MEMORY)
         assert [is_k_neighborly(family) for family in families] == expected
         assert len(calls) == 2
@@ -653,7 +693,7 @@ class TestCompiledPairCheck:
 def _cover(family: Family, compiled: bool):
     """The cover map of ``family`` on one path, every field in its key order."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernel, "HAVE_COMPILED", compiled)
+        m.setattr(_kernel, "_default", get_kernel("compiled" if compiled else "python"))
         profile = analysis._cover_map(family)
     return (
         list(profile.classes.items()),
@@ -694,27 +734,23 @@ class TestCompiledCoverMap:
 
     @requires_cc
     def test_audit_takes_the_compiled_path(self, monkeypatch):
-        assert _kernel.HAVE_COMPILED, _kernel.COMPILED_ERROR
-        monkeypatch.setattr(analysis, "_cover_sets", self._no_twin)
+        assert get_kernel().KERNEL_NAME == "compiled", _kernel.COMPILED_ERROR
+        monkeypatch.setattr(_kernel_py, "cover_map", self._no_twin)
         assert audit(alon_product(3, 8)).passed
         forged = Family.from_strings(3, 2, ["00*", "0**", "111"], validated=True)
         report = audit(forged)
         assert report.checks["unique_cover"].counterexample == "000 covered by 00* and 0**"
 
     def test_without_the_library_the_twin_runs(self, monkeypatch):
-        def no_library(*args):
-            raise AssertionError("the kernel library was asked for")
-
-        monkeypatch.setattr(_kernel, "HAVE_COMPILED", False)
-        monkeypatch.setattr(_kernel, "get_kernel", no_library)
+        monkeypatch.setattr(_kernel, "_default", get_kernel("python"))
         calls = []
-        twin = analysis._cover_sets
+        twin = _kernel_py.cover_map
 
         def counted_twin(*args):
             calls.append(args)
             return twin(*args)
 
-        monkeypatch.setattr(analysis, "_cover_sets", counted_twin)
+        monkeypatch.setattr(_kernel_py, "cover_map", counted_twin)
         assert audit(alon_product(3, 8)).passed
         assert len(calls) == 1
 
@@ -723,13 +759,13 @@ class TestCompiledCoverMap:
         family = Family.from_strings(4, 3, ["00**", "0*0*", "1111"], validated=True)
         expected = _cover(family, False)
         calls = []
-        twin = analysis._cover_sets
+        twin = _kernel_py.cover_map
 
         def counted_twin(*args):
             calls.append(args)
             return twin(*args)
 
-        monkeypatch.setattr(analysis, "_cover_sets", counted_twin)
+        monkeypatch.setattr(_kernel_py, "cover_map", counted_twin)
         compiled = get_kernel("compiled")
         monkeypatch.setattr(compiled, "_cover_map", lambda *args: _kernel._NO_MEMORY)
         assert _cover(family, True) == expected
