@@ -15,8 +15,8 @@ Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including a file that cannot be opened, read or written,
 ``search --kernel compiled`` when the compiled kernel is not available,
 and a negative ``--max-nodes`` or a negative or NaN ``--max-seconds``;
-``inf`` means no time limit), 3 resource limit (also ``verify`` on a family with
-d > 24 when ``--dimension-cap`` is at least d),
+``inf`` means no time limit), 3 resource limit (also a failed allocation, and ``verify``
+on a family with d > 24 when ``--dimension-cap`` is at least d),
 141 (128 + SIGPIPE, what a shell reports for a program killed by a broken
 pipe) when stdout was closed before the output was written, e.g.
 ``neighborly table 40 40 | head -1``; that case prints nothing to stderr.
@@ -433,8 +433,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # a file that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -7,17 +7,32 @@ over {0,1,*}; a product of families is the product of their word lists,
 each word of the first followed by each word of the next.  The families
 are built from those words (``Family.from_strings``) and come validated;
 ``hamming_ball``, ``b_config`` and ``staircase_code`` return sets of
-vectors.
+vectors.  Every builder but ``hamming_ball`` checks its closed-form size
+against the memory budget before it builds a word.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, List, Sequence, Set
 
 from .core import Family, JokerVector
 from .errors import DimensionError, DomainError
 from .bounds import b_config_size
+from .search import _kernel
+
+# Peak bytes of building a family, per member and per symbol of a member:
+# the word, its rank string, the sort and the joined ranks.  tracemalloc
+# over `construct` and `search --witness` at d = 12-24 read 168-245 bytes
+# per member; this gives 210-270.
+MEMBER_BYTES, SYMBOL_BYTES = 150, 5
+
+
+def _check_size(name: str, size: int, d: int) -> None:
+    """ResourceError, before a word is built, when ``size`` members of d
+    symbols would exceed the memory budget."""
+    _kernel.check_memory(f"the {size} members of {name}", size * (MEMBER_BYTES + SYMBOL_BYTES * d))
 
 
 def _ball_words(center: str, t: int) -> List[str]:
@@ -57,12 +72,14 @@ def _b_config_words(k: int, d: int) -> List[str]:
     """The words of b_config(k, d); see there."""
     if not 0 <= k <= d:
         raise DomainError(f"need 0 <= k <= d, got k={k} d={d}")
+    size = b_config_size(k, d)
+    _check_size(f"b_config({k}, {d})", size, d)
     t, odd = divmod(k, 2)
     if odd:
         words = _products([("0", "1"), _ball_words("0" * (d - 1), t)])
     else:
         words = _ball_words("0" * d, t)
-    assert len(words) == b_config_size(k, d)
+    assert len(words) == size
     return words
 
 
@@ -79,6 +96,7 @@ def _staircase_words(m: int) -> List[str]:
     """The m+1 words 1^j 0 *^(m-1-j) (j < m) plus 1^m."""
     if m < 1:
         raise DomainError(f"staircase block size must be >= 1, got {m}")
+    _check_size(f"a staircase block of size {m}", m + 1, m)
     return ["1" * j + "0" + "*" * (m - 1 - j) for j in range(m)] + ["1" * m]
 
 
@@ -97,6 +115,7 @@ def alon_product(k: int, d: int) -> Family:
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
     blocks = [_staircase_words((d + i) // k) for i in range(k)]
+    _check_size(f"alon_product({k}, {d})", prod(map(len, blocks)), d)
     return Family.from_strings(d, k, _products(blocks), validated=True)
 
 
@@ -104,6 +123,7 @@ def extremal_dminus1_family(d: int) -> Family:
     """The family {11, 10, 0*} x {0,1}^(d-2) attaining n(d-1, d) = 3*2^(d-2)."""
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
+    _check_size(f"extremal_dminus1_family({d})", 3 << (d - 2), d)
     blocks = [("11", "10", "0*")] + [("0", "1")] * (d - 2)
     return Family.from_strings(d, d - 1, _products(blocks), validated=True)
 

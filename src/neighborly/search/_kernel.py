@@ -5,8 +5,8 @@ A kernel provides ``KERNEL_NAME`` and three routines, whose contracts
 ``first_bad_pair`` (the pair check of ``core.is_k_neighborly``) and
 ``cover_map`` (the audit's cover map).  ``_kernel_py`` is the pure-Python
 implementation and the oracle.  ``CompiledKernel`` calls the entry points
-of ``_kernel_c.c`` (plain C99), and falls back to ``_kernel_py`` where the
-C buffers cannot be allocated.  Both give identical results.
+of ``_kernel_c.c`` (plain C99), and raises MemoryError where the C
+buffers cannot be allocated.  Both give identical results.
 
 The C file is compiled on first import with the C compiler this
 interpreter was built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
@@ -31,6 +31,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional, Sequence
 
+from ..errors import ResourceError
 from . import _kernel_py
 
 # The interpreter's own sha256: hashlib's loads OpenSSL, which adds about
@@ -49,7 +50,7 @@ BUILD_TIMEOUT_S = 300
 
 # the return codes of the entry points (see _kernel_c.c)
 _COMPLETED, _BUDGET, _NO_LEVELS, _NO_MEMORY = 0, 1, -1, -2
-_ALL_GOOD, _BAD_PAIR = 0, 1
+_BAD_PAIR = 1
 
 
 class _CompileError(Exception):
@@ -108,23 +109,18 @@ class CompiledKernel:
         self._free.restype = None
 
     def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
-        """``_kernel_py.first_bad_pair``'s contract, and its answer when the C
-        buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2."""
+        """``_kernel_py.first_bad_pair``'s contract; ``ranks`` must hold n*d
+        symbols 0/1/2."""
         encoded = _encoded(ranks, n, d)
         u, v = ctypes.c_int64(), ctypes.c_int64()
         status = self._first_bad_pair(encoded, n, d, k, ctypes.byref(u), ctypes.byref(v))
-        if status == _NO_MEMORY:
-            return _kernel_py.first_bad_pair(ranks, n, d, k)
-        if status not in (_ALL_GOOD, _BAD_PAIR):
-            raise RuntimeError(f"compiled pair check failed with status {status}")
-        return (u.value, v.value) if status == _BAD_PAIR else None
+        return (u.value, v.value) if _checked(status, "pair check") == _BAD_PAIR else None
 
     def cover_map(
         self, ranks: str, n: int, d: int
     ) -> tuple[dict[int, int], int, Optional[tuple[int, int]]]:
-        """``_kernel_py.cover_map``'s contract, and its answer when the C
-        buffers cannot be allocated; ``ranks`` must hold n*d symbols 0/1/2
-        and d must lie in 1..63."""
+        """``_kernel_py.cover_map``'s contract; ``ranks`` must hold n*d
+        symbols 0/1/2 and d must lie in 1..63."""
         encoded = _encoded(ranks, n, d)
         if not 1 <= d <= 63:
             raise ValueError(f"the cover map needs 1 <= d <= 63, got d={d}")
@@ -135,10 +131,7 @@ class CompiledKernel:
             encoded, n, d, counts, ctypes.byref(m), ctypes.byref(block),
             ctypes.byref(member), ctypes.byref(vector),
         )
-        if status == _NO_MEMORY:
-            return _kernel_py.cover_map(ranks, n, d)
-        if status != _COMPLETED:
-            raise RuntimeError(f"compiled cover map failed with status {status}")
+        _checked(status, "cover map")
         try:
             width = 8 * max(1, (1 << d) >> 6)
             rows = [
@@ -188,14 +181,20 @@ class CompiledKernel:
             -1.0 if time_limit is None else time_limit,
             mask, ctypes.byref(nodes),
         )
-        if status == _NO_LEVELS:
-            raise RuntimeError("kernel recursion exceeded its level budget")
-        if status == _NO_MEMORY:
-            raise MemoryError("kernel buffers could not be allocated")
-        if status not in (_COMPLETED, _BUDGET):
-            raise RuntimeError(f"compiled kernel failed with status {status}")
+        completed = _checked(status, "kernel") == _COMPLETED
         found = int.from_bytes(bytes(mask), "little")
-        return found.bit_count(), found, nodes.value, status == _COMPLETED
+        return found.bit_count(), found, nodes.value, completed
+
+
+def _checked(status: int, what: str) -> int:
+    """An entry point's result code; a failure code raises, ``_NO_MEMORY`` as MemoryError."""
+    if status == _NO_MEMORY:
+        raise MemoryError(f"the compiled {what} could not allocate its buffers")
+    if status == _NO_LEVELS:
+        raise RuntimeError("kernel recursion exceeded its level budget")
+    if status not in (_COMPLETED, _BUDGET):
+        raise RuntimeError(f"compiled {what} failed with status {status}")
+    return status
 
 
 def _encoded(ranks: str, n: int, d: int) -> bytes:
@@ -206,6 +205,17 @@ def _encoded(ranks: str, n: int, d: int) -> bytes:
     if len(encoded) != n * d or encoded.translate(None, b"012"):
         raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
     return encoded
+
+
+# the one memory budget: a search, a graph or a family needing more is refused
+MEMORY_BUDGET = 512 * 1024 * 1024
+
+
+def check_memory(subject: str, estimated: int) -> None:
+    """ResourceError when ``estimated`` bytes exceed ``MEMORY_BUDGET``;
+    ``subject`` names what would need them, in the plural."""
+    if estimated > MEMORY_BUDGET:
+        raise ResourceError(f"{subject} need ~{estimated} bytes, budget is {MEMORY_BUDGET}")
 
 
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 from ..core import Family
-from ..errors import DomainError, ResourceError
-
-DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
+from ..errors import DomainError
+from . import _kernel
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,15 @@ def joker_classes(d: int) -> List[int]:
     return classes
 
 
-def build_graph(k: int, d: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> CompatGraph:
+def build_graph(k: int, d: int) -> CompatGraph:
     """The adjacency rows of {0,1,*}^d by the recursion in the module docstring.
 
-    The adjacency matrix needs about n^2/8 bytes for n = 3^d; builds that
-    would exceed ``memory_budget`` raise ResourceError instead of thrashing.
+    A graph on which even the smallest search (target 0, the rows held
+    twice) exceeds the memory budget, every d >= 10, raises ResourceError.
     """
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
-    n = 3**d
-    if n * n // 8 > memory_budget:
-        raise ResourceError(
-            f"adjacency for d={d} needs ~{n * n // 8} bytes, budget is {memory_budget}"
-        )
+    _kernel.check_memory(f"adjacency rows for d={d}", _kernel.buffer_bytes(3**d, 0, 0))
     return CompatGraph(d, k, _adjacency_rows(k, d))
 
 

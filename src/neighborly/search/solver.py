@@ -1,12 +1,12 @@
 """Maximum-family search: warm start plus exact branch and bound.
 
 The solver works on the compatibility graph (cliques = families).  The
-warm starts (the caller's family, the product construction, the
-3*2^(d-2) family when k = d-1, the embedded witnesses) have sizes known
-in closed form, so it picks one before building anything.  When that
-size meets the formula upper bound the family is built and is optimal,
-with no graph at all.  Otherwise the kernel memory check runs first; then
-the family, the graph and a branch-and-bound over orbit representatives of the first vertex:
+warm starts (the caller's family, the product construction, the embedded
+witnesses) have sizes known in closed form, so it picks one before
+building anything.  When that size meets the formula upper bound the
+family is built and is optimal, with no graph at all.  Otherwise the
+kernel memory check runs first; then the family, the graph and a
+branch-and-bound over orbit representatives of the first vertex:
 coordinate permutations and per-coordinate bit swaps act on the graph, so
 the first clique vertex can be assumed to be 0^(d-t) *^t for some t, which
 cuts the root branching factor from 3^d to d.  Below the root the kernel keeps breaking symmetry
@@ -25,8 +25,8 @@ from typing import Optional
 
 from .. import bounds, reference
 from ..core import Family
-from ..errors import DomainError, InconsistencyError, ResourceError
-from ..constructions import alon_product, extremal_dminus1_family
+from ..errors import DomainError, InconsistencyError
+from ..constructions import alon_product
 from . import _kernel
 from .graph import build_graph, family_of, joker_classes, vertex_of
 
@@ -36,7 +36,6 @@ STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
 
 DEFAULT_NODE_LIMIT = 10**8
 DEFAULT_MAX_SECONDS = 60.0
-KERNEL_MEMORY_BUDGET = 512 * 1024 * 1024
 # Cliques of up to this many members prune orbits.  3 is the knee in nodes
 # on (3,6): 2.1 M to exhaust at 2, 1.05 M at 3, 0.91 M at 4.
 SYMMETRY_DEPTH = 3
@@ -102,7 +101,6 @@ def max_family(
     budget: Optional[Budget] = None,
     incumbent: Optional[Family] = None,
     kernel: str = "auto",
-    memory_budget: int = KERNEL_MEMORY_BUDGET,
     symmetry_depth: int = SYMMETRY_DEPTH,
 ) -> SearchResult:
     """Best k-neighborly family the budget allows; exact when it suffices.
@@ -113,9 +111,9 @@ def max_family(
     node_limit=0 asked for the warm start alone.  The witness is always a
     validated family of the reported size, and results never contradict
     the embedded exact values or certify below a published lower bound
-    (either would raise InconsistencyError).  The memory check raises
-    ResourceError before any family or graph is built; the deadline is
-    checked before the kernel starts and inside it.  ``symmetry_depth`` sets how
+    (either would raise InconsistencyError).  The memory checks (the kernel's, then the
+    warm start builder's) raise ResourceError before any family or graph is built; the
+    deadline is checked before the kernel starts and inside it.  ``symmetry_depth`` sets how
     deep the kernel prunes orbits (0: only at the root); it changes the
     node count, never the size or the status of an exhausted search.
     """
@@ -138,8 +136,6 @@ def max_family(
         valid = incumbent if incumbent.validated else incumbent.validate()
         starts.append((len(valid), lambda: valid))
     starts.append((rep.entries["alon_lower"], lambda: alon_product(k, d)))
-    if k == d - 1:
-        starts.append((3 << (d - 2), lambda: extremal_dminus1_family(d)))
     words = reference.WITNESSES.get((k, d))
     if words is not None:
         starts.append((len(words), lambda: Family.from_strings(d, k, words).validate()))
@@ -148,12 +144,9 @@ def max_family(
     n = 3**d
     searching = best_size < target and budget.node_limit != 0
     if searching:
-        estimated = _kernel.buffer_bytes(n, target, symmetry_depth)
-        if estimated > memory_budget:
-            raise ResourceError(
-                f"kernel buffers for (k={k}, d={d}) need ~{estimated} bytes, "
-                f"budget is {memory_budget}"
-            )
+        _kernel.check_memory(
+            f"kernel buffers for (k={k}, d={d})", _kernel.buffer_bytes(n, target, symmetry_depth)
+        )
     built = build()
     if len(built) != best_size:
         raise InconsistencyError(

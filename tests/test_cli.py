@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from neighborly import cli, constructions
 from neighborly.cli import EXIT_PIPE, main, parse_family, read_family, write_family
 from neighborly.constructions import alon_product
 from neighborly.errors import ParseError
+
+from conftest import requires_cc
 
 
 def run_cli(*argv):
@@ -437,6 +440,30 @@ class TestSearchCommand:
             assert code == 3 and not out
             assert err.startswith("resource limit: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "39", "40"),  # closed by the formulas: 3 * 2^38 members
+            ("search", "17", "30", "--max-nodes", "0"),  # 25,509,168 members
+            ("construct", "alon-product", "20", "60"),  # 4^20 members
+            ("construct", "corollary35", "40"),
+            ("construct", "b-config", "10", "60"),  # the radius-5 ball, 5,985,198 members
+        ],
+        ids=["search-39-40", "search-17-30-warm-start", "alon-product-20-60",
+             "corollary35-40", "b-config-10-60"],
+    )
+    def test_oversized_family_is_resource_error(self, monkeypatch, argv):
+        # a check that let the family through stops at its first word product
+        def built(*args):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr(constructions, "_products", built)
+        monkeypatch.setattr(constructions, "_ball_words", built)
+        code, out, err = run_cli(*argv)
+        assert code == 3 and not out
+        assert err.startswith("resource limit: the ") and err.count("\n") == 1
+        assert "members of " in err and "budget is 536870912" in err
+
     def test_unavailable_compiled_kernel_is_usage_error(self, monkeypatch):
         from neighborly.search import _kernel
 
@@ -445,6 +472,42 @@ class TestSearchCommand:
         code, out, err = run_cli("search", "2", "4", "--kernel", "compiled")
         assert code == 2 and not out
         assert err == "error: compiled kernel is not available: no C compiler 'cc'\n"
+
+
+class TestAllocationFailure:
+    @requires_cc
+    @pytest.mark.parametrize(
+        "entry,argv,what",
+        [
+            ("_solve", ("search", "2", "6"), "kernel"),
+            ("_first_bad_pair", ("verify",), "pair check"),
+            ("_cover_map", ("verify",), "cover map"),
+        ],
+        ids=["solve", "first_bad_pair", "cover_map"],
+    )
+    def test_no_memory_exits_3(self, monkeypatch, tmp_path, entry, argv, what):
+        from neighborly.search import _kernel
+
+        path = tmp_path / "fam.txt"
+        with open(path, "w") as fh:
+            write_family(alon_product(5, 14), fh)
+        if argv == ("verify",):
+            argv = ("verify", str(path))
+        compiled = _kernel.get_kernel("compiled")
+        monkeypatch.setattr(_kernel, "_default", compiled)
+        monkeypatch.setattr(compiled, entry, lambda *args: _kernel._NO_MEMORY)
+        code, out, err = run_cli(*argv)
+        assert code == 3
+        assert err == f"resource limit: the compiled {what} could not allocate its buffers\n"
+        # the audit's cover map runs after the pair check has printed its verdict
+        assert out == ("family of 768 vectors, d=14, k=5: k-neighborly\n" if entry == "_cover_map" else "")
+
+    def test_memory_error_without_text(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.bounds, "report", exhausted)
+        assert run_cli("report", "2", "4") == (3, "", "resource limit: out of memory\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,6 +4,8 @@ import pytest
 
 from neighborly.bounds import alon_lower, b_config_size
 from neighborly.constructions import (
+    MEMBER_BYTES,
+    SYMBOL_BYTES,
     alon_product,
     b_config,
     b_config_family,
@@ -13,7 +15,8 @@ from neighborly.constructions import (
     zero_vector,
 )
 from neighborly.core import hamming_distance, is_k_neighborly
-from neighborly.errors import DimensionError, DomainError
+from neighborly.errors import DimensionError, DomainError, ResourceError
+from neighborly.search import _kernel
 
 from conftest import jv
 from oracles import (
@@ -187,3 +190,26 @@ class TestBConfigFamily:
         assert family.validated
         assert is_k_neighborly(family)
         assert len(family) == b_config_size(3, 5)
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize(
+        "builder,args,name,size,d",
+        [
+            (alon_product, (3, 6), "alon_product(3, 6)", 27, 6),
+            (extremal_dminus1_family, (5,), "extremal_dminus1_family(5)", 24, 5),
+            (b_config_family, (5, 7), "b_config(5, 7)", 44, 7),
+            (b_config, (4, 7), "b_config(4, 7)", 29, 7),
+            (staircase_code, (3,), "a staircase block of size 3", 4, 3),
+        ],
+        ids=["alon_product", "extremal_dminus1_family", "b_config_family", "b_config", "staircase_code"],
+    )
+    def test_refused_exactly_above_the_budget(self, monkeypatch, builder, args, name, size, d):
+        needed = size * (MEMBER_BYTES + SYMBOL_BYTES * d)
+        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", needed)
+        assert len(builder(*args)) == size
+        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", needed - 1)
+        message = f"the {size} members of {name} need ~{needed} bytes, budget is {needed - 1}"
+        with pytest.raises(ResourceError) as info:
+            builder(*args)
+        assert str(info.value) == message

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neighborly import analysis, bounds, reference
+from neighborly import analysis, bounds, constructions, reference
 from neighborly.analysis import audit
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.core import Family, JokerVector, hamming_distance, is_k_neighborly
@@ -22,7 +22,7 @@ from neighborly.search import (
     get_kernel,
     max_family,
 )
-from neighborly.search import _kernel, _kernel_py, solver
+from neighborly.search import _kernel, _kernel_py, graph, solver
 from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
@@ -72,9 +72,21 @@ class TestCompatGraph:
                 expected = 1 <= hamming_distance(u, v) <= 2
                 assert bool(g.adjacency[i] >> j & 1) == expected
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", 1000)
         with pytest.raises(ResourceError):
-            build_graph(2, 8, memory_budget=1000)
+            build_graph(2, 8)
+
+    def test_refuses_exactly_d_ten_and_up(self, monkeypatch):
+        # the rows are not built: only the guard decides
+        monkeypatch.setattr(graph, "_adjacency_rows", lambda k, d: [])
+        for d in range(1, 13):
+            for k in range(1, d + 1):
+                if d >= 10:
+                    with pytest.raises(ResourceError, match=f"adjacency rows for d={d} need"):
+                        build_graph(k, d)
+                else:
+                    assert build_graph(k, d).adjacency == [], (k, d)
 
     def test_kernels_build_identical_adjacency(self):
         for d in range(1, 7):
@@ -254,13 +266,14 @@ class TestMaxFamily:
         assert res.witness.validated and res.witness.k == 6
         res = max_family(2, 5, budget=Budget(node_limit=0))
         assert (res.best_size, res.status) == (12, STATUS_LOWER_BOUND_ONLY)
-        # n(14,15) = 3 * 2^13: closed by the d-1 construction over 3^15 vertices
+        # n(14,15) = 3 * 2^13: closed by the product construction over 3^15 vertices
         res = max_family(14, 15)
         assert (res.best_size, res.status, res.nodes_explored) == (24576, STATUS_OPTIMAL, 0)
 
-    def test_kernel_memory_guard(self):
-        with pytest.raises(ResourceError):
-            max_family(2, 5, memory_budget=10_000)
+    def test_kernel_memory_guard(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", 10_000)
+        with pytest.raises(ResourceError, match="kernel buffers for"):
+            max_family(2, 5)
 
     @pytest.mark.parametrize(
         "k,d", [pytest.param(2, d, id=str(d)) for d in (10, 20, 25, 40)] + [(14, 28)]
@@ -271,24 +284,67 @@ class TestMaxFamily:
         # warm start family (alon_product(14, 28) has 4.8 M members); at
         # d=10 it fires only because it counts the Python adjacency rows
         self._forbid_vertex_work(monkeypatch)
-        for name in ("alon_product", "extremal_dminus1_family"):
-            monkeypatch.setattr(solver, name, self._forbidden)
-        with pytest.raises(ResourceError):
+        monkeypatch.setattr(solver, "alon_product", self._forbidden)
+        with pytest.raises(ResourceError, match="kernel buffers for"):
             max_family(k, d)
 
     def test_only_the_largest_warm_start_is_built(self, monkeypatch):
-        # the product and the d-1 family both have 196,608 members; the first wins
+        # (17,18): the product is the warm start; (4,6): the 37-member
+        # witness beats the 36-member product, which is never built
         built = []
-
-        def counting(name):
-            builder = getattr(solver, name)
-            return lambda *args: built.append(name) or builder(*args)
-
-        for name in ("alon_product", "extremal_dminus1_family"):
-            monkeypatch.setattr(solver, name, counting(name))
+        monkeypatch.setattr(
+            solver, "alon_product", lambda *args: built.append(args) or alon_product(*args)
+        )
         res = max_family(17, 18)
         assert (res.best_size, res.status, res.nodes_explored) == (196608, STATUS_OPTIMAL, 0)
-        assert built == ["alon_product"]
+        res = max_family(4, 6, budget=Budget(node_limit=0))
+        assert (res.best_size, res.status) == (37, STATUS_OPTIMAL)
+        assert built == [(17, 18)]
+
+    def test_the_product_is_the_d_minus_1_family_size(self):
+        # why max_family needs no separate k = d-1 warm start: the product
+        # already has n(d-1, d) = 3 * 2^(d-2) members
+        for d in range(2, 61):
+            assert bounds.alon_lower(d - 1, d) == 3 << (d - 2), d
+
+    def test_refused_cells_up_to_d_eleven(self, monkeypatch):
+        # every cell the memory check lets through fails at its first build
+        self._forbid_vertex_work(monkeypatch)
+        monkeypatch.setattr(solver, "alon_product", self._forbidden)
+        refused, searched = set(), set()
+        for d in range(1, 12):
+            for k in range(1, d + 1):
+                rep = bounds.report(k, d)
+                warm = max(rep.entries["alon_lower"], len(reference.WITNESSES.get((k, d), ())))
+                if warm < rep.best_upper:
+                    searched.add((k, d))
+                try:
+                    max_family(k, d)
+                except ResourceError:
+                    refused.add((k, d))
+                except AssertionError:
+                    pass
+        assert refused == {(9, 9)} | {(k, d) for k, d in searched if d >= 10}
+        assert [sum(d == e for _, d in refused) for e in (10, 11)] == [8, 9]
+
+    @pytest.mark.parametrize(
+        "k,d,node_limit,refused",
+        [
+            (17, 18, None, False),  # 196,608 members
+            (20, 21, None, False),  # 1,572,864 members
+            (21, 22, None, True),  # 3,145,728 members
+            (39, 40, None, True),  # 3 * 2^38 members, closed by the formulas
+            (17, 30, 0, True),  # 25,509,168 members, the warm start alone
+        ],
+    )
+    def test_warm_start_family_is_checked_before_it_is_built(
+        self, monkeypatch, k, d, node_limit, refused
+    ):
+        # a check that let (k, d) through reaches the word product and stops
+        monkeypatch.setattr(constructions, "_products", self._forbidden)
+        expected = f"^the {bounds.alon_lower(k, d)} members of" if refused else "was built"
+        with pytest.raises(ResourceError if refused else AssertionError, match=expected):
+            max_family(k, d, budget=Budget(node_limit=node_limit))
 
     def test_warm_start_off_its_formula_trips_inconsistency(self, monkeypatch):
         short = Family.of(5, 2, sorted(alon_product(2, 5))[1:], validated=True)
@@ -387,6 +443,13 @@ class TestKernelTwins:
             cc = get_kernel("compiled").solve_root(*args)
             assert py == cc, (k, d)
             assert py[3] is True or py[3] == 1
+
+    @requires_cc
+    def test_no_memory_raises_memory_error(self, monkeypatch):
+        compiled = get_kernel("compiled")
+        monkeypatch.setattr(compiled, "_solve", lambda *args: _kernel._NO_MEMORY)
+        with pytest.raises(MemoryError, match="^the compiled kernel could not allocate"):
+            max_family(2, 5, kernel="compiled")
 
     @requires_cc
     def test_identical_solver_results(self):
@@ -636,7 +699,10 @@ class TestKernelLayer:
                     imported.append(".".join(package + node.module.split(".")))
                 else:
                     imported += [".".join(package + [alias.name]) for alias in node.names]
-        allowed = {"neighborly.search._kernel_py"} if module == "_kernel" else set()
+        # errors imports nothing, so _kernel's ResourceError closes no cycle
+        allowed = set()
+        if module == "_kernel":
+            allowed = {"neighborly.errors", "neighborly.search._kernel_py"}
         ours = {name for name in imported if name.split(".")[0] == "neighborly"}
         assert ours <= allowed, ours
 
@@ -659,24 +725,13 @@ class TestCompiledPairCheck:
             strict.validate()
 
     @requires_cc
-    def test_no_memory_falls_back_to_the_twin(self, monkeypatch):
-        families = [alon_product(3, 8), Family.of(8, 2, alon_product(3, 8).members)]
-        with monkeypatch.context() as m:
-            m.setattr(_kernel, "_default", get_kernel("python"))
-            expected = [is_k_neighborly(family) for family in families]
-        assert expected[0] and not expected[1]
-        twin, calls = _kernel_py.first_bad_pair, []
-
-        def counted_twin(*args):
-            calls.append(args)
-            return twin(*args)
-
-        monkeypatch.setattr(_kernel_py, "first_bad_pair", counted_twin)
+    def test_no_memory_raises_memory_error(self, monkeypatch):
+        monkeypatch.setattr(_kernel_py, "first_bad_pair", self._no_twin)
         compiled = get_kernel("compiled")
         monkeypatch.setattr(_kernel, "_default", compiled)
         monkeypatch.setattr(compiled, "_first_bad_pair", lambda *args: _kernel._NO_MEMORY)
-        assert [is_k_neighborly(family) for family in families] == expected
-        assert len(calls) == 2
+        with pytest.raises(MemoryError, match="^the compiled pair check could not allocate"):
+            is_k_neighborly(alon_product(3, 8))
 
     @requires_cc
     def test_ranks_must_spell_n_members(self):
@@ -755,21 +810,13 @@ class TestCompiledCoverMap:
         assert len(calls) == 1
 
     @requires_cc
-    def test_no_memory_falls_back_to_the_twin(self, monkeypatch):
-        family = Family.from_strings(4, 3, ["00**", "0*0*", "1111"], validated=True)
-        expected = _cover(family, False)
-        calls = []
-        twin = _kernel_py.cover_map
-
-        def counted_twin(*args):
-            calls.append(args)
-            return twin(*args)
-
-        monkeypatch.setattr(_kernel_py, "cover_map", counted_twin)
+    def test_no_memory_raises_memory_error(self, monkeypatch):
+        monkeypatch.setattr(_kernel_py, "cover_map", self._no_twin)
         compiled = get_kernel("compiled")
         monkeypatch.setattr(compiled, "_cover_map", lambda *args: _kernel._NO_MEMORY)
-        assert _cover(family, True) == expected
-        assert expected[3] is not None and len(calls) == 1
+        family = Family.from_strings(4, 3, ["00**", "0*0*", "1111"], validated=True)
+        with pytest.raises(MemoryError, match="^the compiled cover map could not allocate"):
+            _cover(family, True)
 
     @requires_cc
     def test_ranks_must_spell_n_members(self):
