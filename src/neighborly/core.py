@@ -150,20 +150,15 @@ class Family:
 
     @classmethod
     def of(cls, d: int, k: int, members: Iterable[JokerVector], validated: bool = False) -> "Family":
-        members = list(members)
-        _check_k(d, k)
-        for m in members:
-            if m.d != d:
-                raise DimensionError(f"member {m} has length {m.d}, family has d={d}")
-        return cls(d, k, _joined(map(_vector_sort_key, members)), validated)
+        return cls.from_strings(d, k, map(str, members), validated)
 
     @classmethod
     def from_strings(cls, d: int, k: int, words: Iterable[str], validated: bool = False) -> "Family":
         """The family of these words, sorted by their own rank strings.
 
-        Errors come as ``of`` raises them on the words' vectors: a bad
-        symbol or an empty word (the first in input order), then k out of
-        range, then a word of the wrong length.  "12" and "1*" would share
+        Errors come in this order: a bad symbol or an empty word (the
+        first in input order), then k out of range, then a word of the
+        wrong length (the first in input order).  "12" and "1*" would share
         a rank string, so the symbols are checked before any word is ranked.
         """
         words = list(words)
@@ -221,11 +216,6 @@ def _joined(ranks: Iterable[str]) -> str:
     # repeats are dropped after sorting, so input that comes sorted (a word
     # product, a vertex mask) is sorted in linear time
     return "".join(dict.fromkeys(sorted(ranks)))
-
-
-def _vector_sort_key(v: JokerVector) -> str:
-    """The word of v with * written as 2: its rank in the output order (0 < 1 < *)."""
-    return str(v).replace("*", "2")
 
 
 def is_k_neighborly(family: Family) -> NeighborlyCheck:

@@ -224,8 +224,8 @@ def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
     ``neighborly_solve``)."""
     words = (n + 63) // 64
     levels = min(target, n) + 3
-    estimated = levels * (3 * words * 8 + 2 * n * 4) + 2 * n * words * 8
-    return estimated + (2 * min(symmetry_depth, levels) + 1) * n * 4
+    estimated = levels * (words * 8 + 2 * n * 4) + 2 * words * 8 + 2 * n * words * 8
+    return estimated + min(symmetry_depth, levels) * n * 4
 
 
 def _bit_sets(values: list[int], width: int):

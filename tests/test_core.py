@@ -285,6 +285,24 @@ class TestFromStrings:
             sizes.add(min(len(from_words), 2))
         assert sizes == {0, 1, 2}
 
+    @pytest.mark.parametrize(
+        "d, k, words, error, message",
+        [
+            # k is checked before the lengths
+            (3, 4, ["01", "0101"], DomainError, "need 1 <= k <= d, got k=4 d=3"),
+            (3, 1, ["010", "0101", "01"], DimensionError,
+             "member 0101 has length 4, family has d=3"),
+        ],
+    )
+    def test_of_raises_as_from_strings_does(self, d, k, words, error, message):
+        for build in (
+            lambda: Family.from_strings(d, k, words),
+            lambda: Family.of(d, k, map(jv, words)),
+        ):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
     def test_renders_no_member(self, monkeypatch):
         def refuse(v):
             raise AssertionError("a member was rendered")

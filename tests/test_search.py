@@ -2,6 +2,7 @@
 
 import ast
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from neighborly.search.solver import (
     SYMMETRY_DEPTH,
 )
 
-from conftest import HAVE_CC, fam, jv, pascal_binomial, requires_cc
+from conftest import HAVE_CC, fam, jv, pascal_binomial, random_words, requires_cc
 from oracles import all_joker_vectors, max_family_bruteforce, pairwise_adjacency
 
 KERNELS = ("python", "compiled") if HAVE_CC else ("python",)
@@ -379,7 +380,7 @@ class TestMaxFamily:
         monkeypatch.setitem(reference.BEST_KNOWN_LOWER, (2, 5), 13)
         with pytest.raises(InconsistencyError, match="published lower bound is 13"):
             max_family(2, 5)
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError, match="published lower bound is 13"):
             certify(2, 5)
 
     @pytest.mark.parametrize(
@@ -485,12 +486,24 @@ class TestKernelTwins:
 
     @requires_cc
     @pytest.mark.parametrize(
-        "k,d,node_limit,nodes",
-        [(2, 5, None, 3_063), (2, 6, 50_000, 50_001), (3, 6, 50_000, 50_001), (3, 7, 500, 501)],
+        "k,d,node_limit,nodes,depth",
+        [
+            pytest.param(2, 5, None, 3_063, 0, id="2-5-None-3063"),
+            pytest.param(2, 6, 50_000, 50_001, 0, id="2-6-50000-50001"),
+            pytest.param(3, 6, 50_000, 50_001, 0, id="3-6-50000-50001"),
+            pytest.param(3, 7, 500, 501, 0, id="3-7-500-501"),
+            pytest.param(2, 6, 5_000, 5_001, 1, id="2-6-5000-5001-depth1"),
+            pytest.param(2, 6, 5_000, 5_001, 2, id="2-6-5000-5001-depth2"),
+            pytest.param(3, 6, 5_000, 5_001, 1, id="3-6-5000-5001-depth1"),
+            pytest.param(3, 6, 5_000, 5_001, 2, id="3-6-5000-5001-depth2"),
+        ],
     )
-    def test_identical_on_benchmark_cells_at_depth_zero(self, monkeypatch, k, d, node_limit, nodes):
-        # depth 0 is the tree of the kernels without orbit pruning below the root
-        args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (0,)
+    def test_identical_on_benchmark_cells_at_depth_zero(
+        self, monkeypatch, k, d, node_limit, nodes, depth
+    ):
+        # depth 0 is the tree of the kernels without orbit pruning below the
+        # root; depths 1 and 2 prune at fewer levels than max_family's 3
+        args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
         py = get_kernel("python").solve_root(*args)
         cc = get_kernel("compiled").solve_root(*args)
         assert py == cc
@@ -642,6 +655,66 @@ class TestKernelLoader:
         )
         assert proc.returncode == 0, proc.stderr
         assert library.is_file()
+
+    @requires_cc
+    def test_library_runs_clean_under_sanitizers(self, tmp_path, monkeypatch):
+        # AddressSanitizer and UBSan stop the child at the first bad access,
+        # overflow or misaligned read; the twin checks what it returns
+        cc = _kernel.default_compiler()
+        runtimes = []
+        for name in ("libasan.so", "libubsan.so"):
+            proc = subprocess.run(
+                [*cc, f"-print-file-name={name}"], capture_output=True, text=True, timeout=60
+            )
+            if not os.path.isabs(proc.stdout.strip()):
+                pytest.skip(f"{cc[0]} has no {name}")
+            runtimes.append(proc.stdout.strip())
+        solves = [
+            _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
+            for k, d, node_limit in [(2, 5, None), (3, 6, 5_000)]
+            for depth in range(4)
+        ]
+        # binary words in rank order: k = 8 holds, k = 7 fails at n = 129
+        # (01111111, 10000000), k = 3 fails early; 70 and 129 end mid-word
+        words = [format(i, "08b") for i in range(256)]
+        pairs = [("".join(words[:n]), n, 8, k) for n in (70, 129) for k in (8, 7, 3)]
+        family = Family.from_strings(8, 8, random_words(random.Random(20), 8, 40, 0.4))
+        covers = [(family.ranks, len(family), 8)]
+        expected = (
+            [_kernel_py.solve_root(*args) for args in solves],
+            [_kernel_py.first_bad_pair(*args) for args in pairs],
+            [_kernel_py.cover_map(*args) for args in covers],
+        )
+        assert expected[1].count(None) == 3 and expected[2][0][2] is not None
+
+        child = (
+            "import os, pickle, sys\n"
+            "del os.environ['LD_PRELOAD']  # the compiler runs without the runtimes\n"
+            "from neighborly.search import _kernel\n"
+            "kernel, reason = _kernel.load_compiled(sys.argv[1], sys.argv[2:])\n"
+            "assert reason is None, reason\n"
+            "solves, pairs, covers = pickle.load(sys.stdin.buffer)\n"
+            "pickle.dump(([kernel.solve_root(*args) for args in solves],\n"
+            "             [kernel.first_bad_pair(*args) for args in pairs],\n"
+            "             [kernel.cover_map(*args) for args in covers]), sys.stdout.buffer)\n"
+        )
+        sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                    "-fno-omit-frame-pointer"]
+        blocker = tmp_path / "not-a-directory"  # the import builds no library
+        blocker.write_text("")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(
+            os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(blocker),
+            LD_PRELOAD=" ".join(runtimes),
+            ASAN_OPTIONS="detect_leaks=0",  # the interpreter itself leaks at exit
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "sanitized"), *cc, *sanitize],
+            input=pickle.dumps((solves, pairs, covers)), capture_output=True, env=env,
+            timeout=_kernel.BUILD_TIMEOUT_S,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-3000:]
+        assert pickle.loads(proc.stdout) == expected
 
     def test_missing_compiler_falls_back(self, tmp_path):
         kernel, reason = _kernel.load_compiled(tmp_path, ["/nonexistent/cc"])
