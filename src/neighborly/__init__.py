@@ -24,24 +24,9 @@ from .bounds import (
     report,
     stability_bound,
 )
-from .core import (
-    Family,
-    JokerVector,
-    complement,
-    covers,
-    hamming_distance,
-    is_k_neighborly,
-    join,
-)
-from .analysis import AuditReport, CoverProfile, audit, cover_profile, weight
-from .constructions import (
-    alon_product,
-    b_config,
-    b_config_family,
-    extremal_dminus1_family,
-    hamming_ball,
-    staircase_code,
-)
+from .core import Family, JokerVector, is_k_neighborly
+from .analysis import AuditReport, CoverProfile, audit, cover_profile
+from .constructions import alon_product, b_config_family, extremal_dminus1_family, staircase_code
 from .errors import (
     DimensionError,
     DomainError,

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .bounds import b_config_size, shell_depths
-from .core import Family, JokerVector, covers
+from .core import Family
 from .errors import DomainError, ResourceError, ValidationError
 from .search import _kernel
 
@@ -54,16 +54,16 @@ class CoverProfile:
     in sorted order has t jokers, and ``mirrored[t]`` is {~v : v in V(t)}.
     ``covered`` is the union of the classes; the uncovered vectors are its
     complement within 2^d bits.  ``collision`` is None when no vector is
-    covered twice; otherwise it holds the lowest vector covered by the
-    first member (in sorted order) that meets an earlier one, that earlier
-    member and the later one.
+    covered twice; otherwise it holds three words: the lowest vector
+    covered by the first member (in sorted order) that meets an earlier
+    one, the first member that covers it and the later one.
     """
 
     family: Family
     classes: Dict[int, int]
     mirrored: Dict[int, int]
     covered: int
-    collision: Optional[Tuple[JokerVector, JokerVector, JokerVector]]
+    collision: Optional[Tuple[str, str, str]]
 
     def total_weight(self) -> Fraction:
         """Sum of f over {0,1}^d: |V(t)|/2^t over the classes."""
@@ -98,9 +98,9 @@ def _cover_map(family: Family) -> CoverProfile:
     collision = None
     if clash is not None:
         i, lowest = clash
-        v = JokerVector(d, lowest, 0)
-        u = JokerVector.from_string(family.ranks[i * d:(i + 1) * d].replace("2", "*"))
-        collision = (v, next(w for w in family if covers(w, v)), u)
+        v, words = _word(lowest, d), family.sorted_words()
+        first = next(w for w in words if all(c in ("*", b) for c, b in zip(w, v)))
+        collision = (v, first, words[i])
     mirrored = {t: _mirror(cls, d) for t, cls in classes.items()}
     return CoverProfile(family, classes, mirrored, covered, collision)
 
@@ -108,6 +108,11 @@ def _cover_map(family: Family) -> CoverProfile:
 def _lowest(s: int) -> int:
     """The smallest element of a nonempty set."""
     return (s & -s).bit_length() - 1
+
+
+def _word(v: int, d: int) -> str:
+    """Binary vector v as its word: character i is bit i."""
+    return format(v, f"0{d}b")[::-1]
 
 
 @lru_cache(maxsize=2)
@@ -166,19 +171,6 @@ def cover_profile(family: Family) -> CoverProfile:
         v, prev, u = profile.collision
         raise ValidationError(f"{v} covered by both {prev} and {u}")
     return profile
-
-
-def weight(v: JokerVector, family: Family) -> Fraction:
-    """1/2^t when a t-joker member covers binary v, else 0."""
-    _require_validated(family)
-    if v.d != family.d:
-        raise DomainError(f"vector length {v.d} does not match family d={family.d}")
-    if v.jokers:
-        raise DomainError("weights are defined on binary vectors only")
-    for u in family.members:
-        if (u.bits ^ v.bits) & ~u.jokers == 0:
-            return Fraction(1, 1 << u.joker_count)
-    return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,7 @@ def _disjoint_mirror_failure(d, classes, mirrored, depths) -> Optional[str]:
             if clash:
                 v = _lowest(clash)
                 first = next(n for n, s in named if s >> v & 1)
-                return f"{JokerVector(d, v, 0)} lies in {first} and {name} at depth {i}"
+                return f"{_word(v, d)} lies in {first} and {name} at depth {i}"
             named.append((name, cls))
             seen |= cls
     return None
@@ -328,7 +320,7 @@ def _prefix_diameter_failure(d, k, classes, mirrored, depths, masks) -> Optional
             a = _lowest(far)
             b = _lowest(prefix & _neighbourhood(1 << (a ^ ((1 << d) - 1)), radius, masks))
             return (
-                f"{JokerVector(d, a, 0)} and {JokerVector(d, b, 0)} are "
+                f"{_word(a, d)} and {_word(b, d)} are "
                 f"{(a ^ b).bit_count()} > {limit} apart at depth {i}"
             )
     return None
@@ -346,7 +338,7 @@ def _mirror_weight_failure(d, k, classes, mirrored, depths) -> Optional[str]:
             v = _lowest(bad)
             t = next(t for t, cls in classes.items() if cls >> v & 1)
             return (
-                f"mirror of {JokerVector(d, v ^ ((1 << d) - 1), 0)} has weight "
+                f"mirror of {_word(v ^ ((1 << d) - 1), d)} has weight "
                 f"{_dyadic(Fraction(1, 1 << t))} > 1/2^{d - k - i}"
             )
     return None
@@ -384,6 +376,6 @@ def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
             v, got = worst
             return (
                 f"f(v)+f(~v) = {_dyadic(Fraction(got, 1 << d))} exceeds the depth-{i} cap for "
-                f"v={JokerVector(d, v, 0)}"
+                f"v={_word(v, d)}"
             )
     return None

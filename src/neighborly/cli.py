@@ -344,8 +344,7 @@ def _build_construction(name: str, params: list[int]) -> Family:
     if name == "staircase":
         if len(params) != 1:
             raise DomainError("staircase needs M only")
-        m = params[0]
-        return Family.of(m, 1, staircase_code(m), validated=True)
+        return staircase_code(params[0])
     raise DomainError(f"unknown construction {name!r}")
 
 

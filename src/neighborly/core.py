@@ -6,20 +6,19 @@ distance.  A set of joker vectors whose pairwise distances all lie in
 {1, ..., k} is exactly a k-neighborly family in the box picture, so this
 module is the data model everything else builds on.
 
-A vector is stored as two parallel bit masks (values and joker positions),
-so that the distance of two vectors takes a couple of word operations.
-Bit i of a mask corresponds to coordinate i, i.e. to character i of the
-string form.  A family is stored as text instead: the sorted rank strings
-of its members (each word with * written as 2), joined.  The pair check,
-the audit, the search and the file writer read that string; vectors are
-built from it only on request.  The pair check runs in the search
-package's kernel (``search._kernel``), compiled or pure Python.
+A family is stored as text: the sorted rank strings of its members (each
+word with * written as 2), joined.  The pair check, the audit, the search
+and the file writer read that string.  A ``JokerVector`` (two bit masks,
+values and joker positions; bit i is character i of the word) is the
+public form of one member: ``Family.of`` takes them, and iteration,
+``sorted_members`` and a failed check's pair return them.  The pair check
+runs in the search package's kernel (``search._kernel``), compiled or pure
+Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError, ValidationError
@@ -74,43 +73,6 @@ class JokerVector:
         return self.jokers == 0
 
 
-def _check_same_length(u: JokerVector, v: JokerVector) -> None:
-    if u.d != v.d:
-        raise DimensionError(f"length mismatch: {u.d} vs {v.d}")
-
-
-def _check_binary(v: JokerVector, what: str = "operand") -> None:
-    if v.jokers:
-        raise DimensionError(f"{what} must be a binary vector, got {v}")
-
-
-def hamming_distance(u: JokerVector, v: JokerVector) -> int:
-    """Number of positions where u and v differ and neither holds a joker."""
-    _check_same_length(u, v)
-    return ((u.bits ^ v.bits) & ~(u.jokers | v.jokers)).bit_count()
-
-
-def covers(u: JokerVector, v: JokerVector) -> bool:
-    """True iff u agrees with binary v on every non-joker position of u."""
-    _check_same_length(u, v)
-    _check_binary(v, "covered vector")
-    return (u.bits ^ v.bits) & ~u.jokers == 0
-
-
-def complement(v: JokerVector) -> JokerVector:
-    """Flip every bit of a binary vector."""
-    _check_binary(v)
-    return JokerVector(v.d, v.bits ^ ((1 << v.d) - 1), 0)
-
-
-def join(v: JokerVector, u: JokerVector) -> JokerVector:
-    """Coordinate-wise OR of two binary vectors."""
-    _check_same_length(v, u)
-    _check_binary(v)
-    _check_binary(u)
-    return JokerVector(v.d, v.bits | u.bits, 0)
-
-
 class NeighborlyCheck(NamedTuple):
     """Outcome of a pairwise-distance check; falsy when a pair violates it."""
 
@@ -132,7 +94,7 @@ class Family:
     ``ranks[i*d:(i+1)*d]``.  ``of`` (vectors in) and ``from_strings`` (words
     in) are the two ways to build one; both sort, and both take the
     ``validated`` flag as given.  ``JokerVector``s are built from the words
-    only when asked for (``members``, iteration, ``sorted_members``).
+    only when asked for (iteration, ``sorted_members``).
 
     A freshly built Family is unchecked; ``validate()`` returns a copy marked
     validated, holding the same ``ranks``, after verifying every pair.
@@ -178,10 +140,6 @@ class Family:
     def __iter__(self) -> Iterator[JokerVector]:
         """The members in output order, each built from its word."""
         return map(JokerVector.from_string, self.sorted_words())
-
-    @cached_property
-    def members(self) -> frozenset[JokerVector]:
-        return frozenset(self)
 
     def sorted_members(self) -> list[JokerVector]:
         """Members in the deterministic output order (string form, 0 < 1 < *)."""
@@ -239,4 +197,5 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
         return NeighborlyCheck(True, None, None)
     words = family.sorted_words()
     u, v = (JokerVector.from_string(words[i]) for i in pair)
-    return NeighborlyCheck(False, (u, v), hamming_distance(u, v))
+    distance = ((u.bits ^ v.bits) & ~(u.jokers | v.jokers)).bit_count()  # jokers never count
+    return NeighborlyCheck(False, (u, v), distance)

@@ -8,9 +8,10 @@ from typing import Dict, Iterable, Iterator, Set
 
 from neighborly.analysis import AuditReport, CheckResult, _require_validated
 from neighborly.bounds import ball_size, b_config_size
-from neighborly.constructions import staircase_code
-from neighborly.core import Family, JokerVector, NeighborlyCheck, hamming_distance
+from neighborly.core import Family, JokerVector, NeighborlyCheck
 from neighborly.errors import DimensionError, DomainError
+
+from conftest import naive_distance
 
 
 def all_joker_vectors(d: int) -> list[JokerVector]:
@@ -44,11 +45,19 @@ def cartesian(xs: Iterable[JokerVector], ys: Iterable[JokerVector]) -> Set[Joker
     return {concat(x, y) for x in xs for y in ys}
 
 
+def staircase_by_masks(m: int) -> Set[JokerVector]:
+    """The staircase code 1^j 0 *^(m-1-j) (j < m) plus 1^m, on bit masks."""
+    full = (1 << m) - 1
+    # 1^j 0 *^(m-1-j): ones at 0..j-1, a 0 at j, jokers at j+1..m-1
+    code = {JokerVector(m, (1 << j) - 1, full & ~((2 << j) - 1)) for j in range(m)}
+    return code | {JokerVector(m, full, 0)}
+
+
 def alon_product_by_sets(k: int, d: int) -> Family:
     """``alon_product`` as the product of k staircase codes, taken on sets of vectors."""
-    acc = staircase_code(d // k)
+    acc = staircase_by_masks(d // k)
     for i in range(1, k):
-        acc = cartesian(acc, staircase_code((d + i) // k))
+        acc = cartesian(acc, staircase_by_masks((d + i) // k))
     return Family.of(d, k, acc, validated=True)
 
 
@@ -104,6 +113,7 @@ def max_family_bruteforce(k: int, d: int) -> tuple[int, Family]:
     if d > 2:
         raise DomainError(f"brute force enumerates 2^(3^d) subsets; d={d} is too large")
     vectors = all_joker_vectors(d)
+    words = list(map(str, vectors))
     n = len(vectors)
     best_size = 0
     best_subset = 0
@@ -111,9 +121,9 @@ def max_family_bruteforce(k: int, d: int) -> tuple[int, Family]:
         size = subset.bit_count()
         if size <= best_size:
             continue
-        chosen = [vectors[i] for i in range(n) if subset >> i & 1]
+        chosen = [words[i] for i in range(n) if subset >> i & 1]
         if all(
-            1 <= hamming_distance(u, v) <= k
+            1 <= naive_distance(u, v) <= k
             for a, u in enumerate(chosen)
             for v in chosen[a + 1 :]
         ):
@@ -130,12 +140,13 @@ def pairwise_is_k_neighborly(family: Family) -> NeighborlyCheck:
     carries one witnessing pair and its distance.
     """
     members = family.sorted_members()
+    words = family.sorted_words()
     k = family.k
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            dist = hamming_distance(u, v)
+    for i, u in enumerate(words):
+        for j in range(i + 1, len(words)):
+            dist = naive_distance(u, words[j])
             if not 1 <= dist <= k:
-                return NeighborlyCheck(False, (u, v), dist)
+                return NeighborlyCheck(False, (members[i], members[j]), dist)
     return NeighborlyCheck(True, None, None)
 
 

@@ -22,7 +22,7 @@ from neighborly.bounds import (
     report,
 )
 from neighborly.cli import table_rows
-from neighborly.constructions import alon_product, b_config, extremal_dminus1_family
+from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 
 from neighborly.search import Budget, max_family
 from neighborly.search.solver import STATUS_OPTIMAL
@@ -198,7 +198,7 @@ def test_criterion_7_structural_invariants():
 
         for d in range(2, 13):
             for k in range(1, d):
-                members = sorted(b_config(k, d), key=str)
+                members = b_config_family(k, d).sorted_members()
                 assert len(members) == bounds.kleitman_bound(k, d), (k, d)
                 values = [v.bits for v in members]
                 jokers = [0] * len(members)

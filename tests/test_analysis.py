@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from neighborly import analysis
-from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile, weight
+from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile
 from neighborly.bounds import b_config_size
 from neighborly.constructions import (
     alon_product,
@@ -15,7 +15,7 @@ from neighborly.constructions import (
     extremal_dminus1_family,
     staircase_code,
 )
-from neighborly.core import Family
+from neighborly.core import Family, JokerVector
 from neighborly.errors import DomainError, ResourceError, ValidationError
 
 from conftest import fam, jv, random_family
@@ -50,6 +50,14 @@ def assert_matches_enumeration(family):
     assert profile.collision is None
     assert profile.total_weight() == len(family)
     return profile
+
+
+def refuse_vectors(monkeypatch):
+    """Make building any ``JokerVector`` an error."""
+    def refuse(v):
+        raise AssertionError("a JokerVector was built")
+
+    monkeypatch.setattr(JokerVector, "__post_init__", refuse)
 
 
 def random_validated_families(rng, count):
@@ -124,7 +132,7 @@ class TestCoverProfile:
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_constructions_match_enumeration(self, d):
-        families = [extremal_dminus1_family(d), Family.of(d, 1, staircase_code(d), validated=True)]
+        families = [extremal_dminus1_family(d), staircase_code(d)]
         for k in range(1, d):
             families += [alon_product(k, d), b_config_family(k, d)]
         for family in families:
@@ -133,11 +141,14 @@ class TestCoverProfile:
     def test_weight_identity_at_d_eighteen(self):
         assert cover_profile(alon_product(6, 18)).total_weight() == 4096
 
-    def test_collision_is_validation_error(self):
-        # 00* covers 000, which is also a member
+    def test_collision_is_validation_error(self, monkeypatch):
+        # 00* covers 000, which is also a member; the words name them
         family = Family.of(3, 2, [jv("000"), jv("00*")], validated=True)
-        with pytest.raises(ValidationError, match="000 covered by both 000 and 00\\*"):
+        refuse_vectors(monkeypatch)
+        with pytest.raises(ValidationError) as info:
             cover_profile(family)
+        assert str(info.value) == "000 covered by both 000 and 00*"
+        assert analysis._cover_map(family).collision == ("000", "000", "00*")
 
     def test_dimension_limit(self, monkeypatch):
         def refuse(*args):
@@ -152,24 +163,25 @@ class TestCoverProfile:
 
 
 class TestWeight:
+    """f(v) read off the cover classes: 1/2^t for v in V(t), 0 when uncovered."""
+
+    @staticmethod
+    def weight(word, family):
+        v = int(word[::-1], 2)  # character i is bit i
+        classes = cover_profile(family).classes
+        return next((Fraction(1, 1 << t) for t, cls in classes.items() if cls >> v & 1), 0)
+
     def test_binary_member(self):
         family = fam(2, 1, "00", "01").validate()
-        assert weight(jv("00"), family) == 1
+        assert self.weight("00", family) == 1
 
     def test_one_joker_member(self):
         family = fam(2, 1, "0*", "10").validate()
-        assert weight(jv("01"), family) == Fraction(1, 2)
+        assert self.weight("01", family) == Fraction(1, 2)
 
     def test_uncovered(self):
         family = fam(2, 1, "00", "01").validate()
-        assert weight(jv("11"), family) == 0
-
-    def test_dimension_checks(self):
-        family = fam(2, 1, "00", "01").validate()
-        with pytest.raises(DomainError):
-            weight(jv("011"), family)
-        with pytest.raises(DomainError):
-            weight(jv("0*"), family)
+        assert self.weight("11", family) == 0
 
 
 class TestAudit:
@@ -241,10 +253,12 @@ class TestAudit:
         assert not report.checks["disjoint_mirror_classes"].passed
         assert not report.checks["prefix_diameter_bound"].passed
 
-    def test_detects_forged_cover_collision(self):
+    def test_detects_forged_cover_collision(self, monkeypatch):
         # 00* covers 000, which is also a member: unique cover must fail
         family = Family.of(3, 2, [jv("000"), jv("00*")], validated=True)
+        refuse_vectors(monkeypatch)
         report = audit(family)
+        assert report.checks["unique_cover"].counterexample == "000 covered by 000 and 00*"
         assert not report.checks["unique_cover"].passed
         assert "000" in report.checks["unique_cover"].counterexample
         assert_names_vector(report, "unique_cover", 3)
@@ -336,7 +350,7 @@ class TestAuditAgainstEnumeration:
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_constructions(self, d):
-        families = [extremal_dminus1_family(d), Family.of(d, 1, staircase_code(d), validated=True)]
+        families = [extremal_dminus1_family(d), staircase_code(d)]
         for k in range(1, d):
             families += [alon_product(k, d), b_config_family(k, d)]
         for family in families:

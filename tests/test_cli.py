@@ -35,7 +35,7 @@ class TestFamilyFiles:
         buf = io.StringIO()
         write_family(family, buf, comment="round trip")
         parsed = parse_family(io.StringIO(buf.getvalue()))
-        assert parsed.members == family.members
+        assert parsed == family
         assert (parsed.d, parsed.k) == (4, 2)
 
     def test_comments_and_whitespace(self):
@@ -270,21 +270,26 @@ class TestVerifyCommand:
         )
 
     def test_members_sorted_once(self, tmp_path, monkeypatch):
-        # construct builds the family from words and verify reads words: the
-        # words are the sort keys, so neither renders a member
+        # construct builds each family from words and verify reads words:
+        # the words are the sort keys, so neither builds a member as a vector
         from neighborly import core
 
-        rendered = []
-        to_str = core.JokerVector.__str__
-        monkeypatch.setattr(core.JokerVector, "__str__", lambda v: rendered.append(v) or to_str(v))
-        code, out, _ = run_cli("construct", "corollary35", "8")
-        assert code == 0 and out.count("\n") == 2 + 3 * 2**6
-        assert rendered == []
-        path = tmp_path / "fam.txt"
-        path.write_text(out)
-        code, vout, _ = run_cli("verify", str(path))
-        assert code == 0 and "PASS weight_identity" in vout
-        assert rendered == []
+        def refuse(v):
+            raise AssertionError("a member was built as a JokerVector")
+
+        monkeypatch.setattr(core.JokerVector, "__post_init__", refuse)
+        for argv, size in [
+            (("staircase", "6"), 7),
+            (("alon-product", "3", "7"), 36),
+            (("b-config", "5", "7"), 44),
+            (("corollary35", "8"), 3 * 2**6),
+        ]:
+            code, out, _ = run_cli("construct", *argv)
+            assert code == 0 and out.count("\n") == 2 + size, argv
+            path = tmp_path / "fam.txt"
+            path.write_text(out)
+            code, vout, _ = run_cli("verify", str(path))
+            assert code == 0 and "PASS weight_identity" in vout, argv
 
     def test_audit_above_dimension_limit_is_resource_error(self, tmp_family_file, monkeypatch):
         # a 2^30-bit audit would need gigabytes; it must stop before building any set

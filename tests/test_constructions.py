@@ -7,18 +7,15 @@ from neighborly.constructions import (
     MEMBER_BYTES,
     SYMBOL_BYTES,
     alon_product,
-    b_config,
     b_config_family,
     extremal_dminus1_family,
-    hamming_ball,
     staircase_code,
-    zero_vector,
 )
-from neighborly.core import hamming_distance, is_k_neighborly
+from neighborly.core import is_k_neighborly
 from neighborly.errors import DimensionError, DomainError, ResourceError
 from neighborly.search import _kernel
 
-from conftest import jv
+from conftest import jv, naive_distance
 from oracles import (
     alon_product_by_sets,
     b_config_family_by_sets,
@@ -27,53 +24,35 @@ from oracles import (
 )
 
 
-def pairwise_distances(vectors):
-    vecs = sorted(vectors, key=str)
-    for i, a in enumerate(vecs):
-        for b in vecs[i + 1 :]:
-            yield hamming_distance(a, b)
-
-
-class TestHammingBall:
-    def test_radius_one(self):
-        ball = hamming_ball(4, 1, zero_vector(4))
-        assert {str(v) for v in ball} == {"0000", "1000", "0100", "0010", "0001"}
-
-    def test_degenerate_radii(self):
-        c = jv("101")
-        assert hamming_ball(3, 0, c) == {c}
-        assert len(hamming_ball(3, 3, c)) == 8
-
-    def test_rejects_bad_radius_and_center(self):
-        with pytest.raises(DomainError):
-            hamming_ball(3, 4, zero_vector(3))
-        with pytest.raises(DimensionError):
-            hamming_ball(3, 1, zero_vector(4))
-        with pytest.raises(DimensionError):
-            hamming_ball(2, 1, jv("0*"))
+def pairwise_distances(family):
+    words = family.sorted_words()
+    for i, a in enumerate(words):
+        for b in words[i + 1 :]:
+            yield naive_distance(a, b)
 
 
 class TestBConfig:
     def test_sizes_and_diameter(self):
-        cfg = b_config(5, 7)
+        cfg = b_config_family(5, 7)
         assert len(cfg) == 44
         assert max(pairwise_distances(cfg)) <= 5
 
     def test_small_cases(self):
-        assert len(b_config(2, 4)) == 5
-        assert max(pairwise_distances(b_config(2, 4))) <= 2
-        assert b_config(0, 3) == {zero_vector(3)}
+        assert len(b_config_family(2, 4)) == 5
+        assert max(pairwise_distances(b_config_family(2, 4))) <= 2
+        # even k: the radius-k/2 ball around 0
+        assert set(b_config_family(2, 4).sorted_words()) == {"0000", "1000", "0100", "0010", "0001"}
 
     def test_diameter_exactly_k(self):
         for d in range(2, 9):
             for k in range(1, d):
-                cfg = b_config(k, d)
+                cfg = b_config_family(k, d)
                 assert len(cfg) == b_config_size(k, d)
                 assert max(pairwise_distances(cfg)) == k, (k, d)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            b_config(5, 4)
+            b_config_family(5, 4)
 
 
 class TestCartesian:
@@ -81,7 +60,7 @@ class TestCartesian:
 
     def test_size_product(self):
         bit = {jv("0"), jv("1")}
-        ball = hamming_ball(3, 1, zero_vector(3))
+        ball = {jv("000"), jv("100"), jv("010"), jv("001")}
         assert len(cartesian(bit, ball)) == 2 * 4
 
     def test_matches_published_product(self):
@@ -121,22 +100,22 @@ class TestWordProducts:
     def test_b_config_family(self, d):
         for k in range(1, d + 1):
             self.assert_same(b_config_family(k, d), b_config_family_by_sets(k, d))
-            assert {str(v) for v in b_config(k, d)} == set(b_config_family(k, d).sorted_words())
 
 
 class TestStaircase:
     def test_base_case(self):
-        assert {str(v) for v in staircase_code(1)} == {"0", "1"}
+        assert staircase_code(1).sorted_words() == ["0", "1"]
 
     def test_m_two(self):
         code = staircase_code(2)
-        assert {str(v) for v in code} == {"0*", "10", "11"}
+        assert code.sorted_words() == ["0*", "10", "11"]
         assert all(dist == 1 for dist in pairwise_distances(code))
 
     def test_sizes_and_unit_distances(self):
         for m in range(1, 8):
             code = staircase_code(m)
-            assert len(code) == m + 1
+            assert (len(code), code.d, code.k) == (m + 1, m, 1)
+            assert code.validated and is_k_neighborly(code)
             assert all(dist == 1 for dist in pairwise_distances(code))
 
     def test_domain(self):
@@ -152,7 +131,7 @@ class TestAlonProduct:
     def test_distance_one_chain(self):
         family = alon_product(1, 4)
         assert len(family) == 5
-        assert all(dist == 1 for dist in pairwise_distances(family.members))
+        assert all(dist == 1 for dist in pairwise_distances(family))
 
     def test_matches_alon_lower_and_valid(self):
         for d in range(1, 11):
@@ -199,7 +178,7 @@ class TestMemoryBudget:
             (alon_product, (3, 6), "alon_product(3, 6)", 27, 6),
             (extremal_dminus1_family, (5,), "extremal_dminus1_family(5)", 24, 5),
             (b_config_family, (5, 7), "b_config(5, 7)", 44, 7),
-            (b_config, (4, 7), "b_config(4, 7)", 29, 7),
+            (b_config_family, (4, 7), "b_config(4, 7)", 29, 7),  # even k: one ball
             (staircase_code, (3,), "a staircase block of size 3", 4, 3),
         ],
         ids=["alon_product", "extremal_dminus1_family", "b_config_family", "b_config", "staircase_code"],

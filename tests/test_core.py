@@ -1,22 +1,19 @@
-"""Core vector arithmetic: distances, covers, complement/join, neighborliness."""
+"""Core data model: joker vectors, families and the k-neighborliness check.
+
+Distances are read off the pair check, covers off the audit's cover map and
+complements off its mirror: the package computes them nowhere else.
+"""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from neighborly import core
-from neighborly.core import (
-    Family,
-    JokerVector,
-    NeighborlyCheck,
-    complement,
-    covers,
-    hamming_distance,
-    is_k_neighborly,
-    join,
-)
+from neighborly.analysis import _mirror, cover_profile
+from neighborly.core import Family, JokerVector, NeighborlyCheck, is_k_neighborly
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.errors import DimensionError, DomainError, NeighborlyError, ValidationError
 from neighborly.search import _kernel, _kernel_py
@@ -25,14 +22,28 @@ from conftest import HAVE_CC, all_binaries, fam, jv, naive_distance, random_fami
 from oracles import all_joker_vectors, covered_vectors, pairwise_is_k_neighborly
 
 
-def binary_vectors(d):
-    return st.integers(min_value=0, max_value=(1 << d) - 1).map(
-        lambda bits: JokerVector(d, bits, 0)
-    )
+def binary_words(d):
+    return st.text(alphabet="01", min_size=d, max_size=d)
 
 
 def joker_words(d):
-    return st.text(alphabet="01*", min_size=d, max_size=d).map(JokerVector.from_string)
+    return st.text(alphabet="01*", min_size=d, max_size=d)
+
+
+def pair_distance(u: str, v: str) -> int:
+    """The distance of two distinct words as the pair check reports it: at
+    k = 1 a pair passes at distance 1 and fails with its distance otherwise."""
+    assert u != v
+    res = is_k_neighborly(Family.from_strings(len(u), 1, [u, v]))
+    return 1 if res else res.distance
+
+
+def mirrored(word: str) -> str:
+    """The complement of a binary word, as ``analysis._mirror`` takes it."""
+    d = len(word)
+    s = _mirror(1 << int(word[::-1], 2), d)
+    assert s & (s - 1) == 0  # one vector
+    return format(s.bit_length() - 1, f"0{d}b")[::-1]
 
 
 class TestJokerVector:
@@ -90,63 +101,59 @@ class TestJokerVector:
         a = jv("01" * 50 + "*" * 20)
         b = jv("10" * 50 + "1" * 20)
         assert a.d == b.d == 120
-        assert hamming_distance(a, b) == 100
+        assert is_k_neighborly(Family.of(120, 99, [a, b])).distance == 100
         assert str(a) == "01" * 50 + "*" * 20
 
 
 class TestHammingDistance:
+    """The distance that the pair check reports."""
+
     def test_published_example(self):
-        assert hamming_distance(jv("11**00"), jv("**10*1")) == 1
+        assert pair_distance("11**00", "**10*1") == 1
 
     def test_identity(self):
-        v = jv("01*0")
-        assert hamming_distance(v, v) == 0
+        # a word and its copy with one more joker: distance 0
+        assert pair_distance("01*0", "01**") == 0
 
     def test_all_differ(self):
-        assert hamming_distance(jv("000"), jv("111")) == 3
+        assert pair_distance("000", "111") == 3
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            hamming_distance(jv("01"), jv("011"))
+            Family.of(2, 1, [jv("01"), jv("011")])
 
     @given(st.integers(1, 6).flatmap(lambda d: st.tuples(joker_words(d), joker_words(d))))
     def test_symmetric_and_bounded(self, pair):
         u, v = pair
-        dist = hamming_distance(u, v)
-        assert dist == hamming_distance(v, u)
-        assert 0 <= dist <= u.d
-        assert dist == naive_distance(str(u), str(v))
+        assume(u != v)
+        dist = pair_distance(u, v)
+        assert dist == pair_distance(v, u)
+        assert 0 <= dist <= len(u)
+        assert dist == naive_distance(u, v)
 
     def test_triangle_inequality_exhaustive_small_d(self):
         for d in range(1, 5):
-            vecs = all_binaries(d)
-            for a in vecs:
-                for b in vecs:
-                    dab = hamming_distance(a, b)
-                    for c in vecs:
-                        assert dab <= hamming_distance(a, c) + hamming_distance(c, b)
+            words = ["".join(w) for w in product("01", repeat=d)]
+            dist = {(a, b): 0 if a == b else pair_distance(a, b) for a in words for b in words}
+            for a in words:
+                for b in words:
+                    for c in words:
+                        assert dist[a, b] <= dist[a, c] + dist[c, b]
 
 
 class TestCovers:
     def test_examples(self):
-        assert covers(jv("0*"), jv("01"))
-        assert not covers(jv("0*"), jv("11"))
-        assert covers(jv("****"), jv("1010"))
-
-    def test_covered_vector_must_be_binary(self):
-        with pytest.raises(DimensionError):
-            covers(jv("0*"), jv("0*"))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            covers(jv("0*"), jv("011"))
+        # vector v is bit v of the covered set: 0* covers 00 (0b00) and 01
+        # (0b10), not 10 or 11
+        assert cover_profile(fam(2, 1, "0*").validate()).covered == 1 << 0b00 | 1 << 0b10
+        assert cover_profile(fam(4, 1, "****").validate()).covered == (1 << 16) - 1
 
     def test_covered_vectors_enumeration(self):
         u = jv("0**1")
         got = sorted(str(v) for v in covered_vectors(u))
         assert got == ["0001", "0011", "0101", "0111"]
         for v in covered_vectors(u):
-            assert covers(u, v)
+            assert v.is_binary and naive_distance(str(u), str(v)) == 0
 
     def test_cover_distance_compatibility_exhaustive(self):
         # covered vectors stay within joker slack of their coverers
@@ -155,7 +162,7 @@ class TestCovers:
             covered = [[b.bits for b in covered_vectors(u)] for u in vecs]
             for i, u in enumerate(vecs):
                 for j, w in enumerate(vecs):
-                    duw = hamming_distance(u, w)
+                    duw = naive_distance(str(u), str(w))
                     slack = duw + u.joker_count + w.joker_count
                     for a_bits in covered[i]:
                         for b_bits in covered[j]:
@@ -164,36 +171,22 @@ class TestCovers:
 
 
 class TestComplementJoin:
+    """The complement of binary vectors, which the audit takes as a mirror."""
+
     def test_complement_examples(self):
-        assert str(complement(jv("010"))) == "101"
-        assert str(complement(jv("0000"))) == "1111"
+        assert mirrored("010") == "101"
+        assert mirrored("0000") == "1111"
 
     def test_complement_involution_and_distance(self):
         for d in range(1, 5):
-            for v in all_binaries(d):
-                assert complement(complement(v)) == v
-                assert hamming_distance(v, complement(v)) == d
+            for word in map("".join, product("01", repeat=d)):
+                assert mirrored(mirrored(word)) == word
+                assert naive_distance(word, mirrored(word)) == d
 
-    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(binary_vectors(d), binary_vectors(d))))
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(binary_words(d), binary_words(d))))
     def test_complement_isometry(self, pair):
         a, b = pair
-        assert hamming_distance(complement(a), complement(b)) == hamming_distance(a, b)
-
-    def test_complement_rejects_jokers(self):
-        with pytest.raises(DimensionError):
-            complement(jv("0*"))
-
-    def test_join_examples(self):
-        assert str(join(jv("01"), jv("10"))) == "11"
-        v = jv("0110")
-        assert join(v, v) == v
-        assert join(v, jv("0000")) == v
-
-    def test_join_rejects_jokers_and_mismatch(self):
-        with pytest.raises(DimensionError):
-            join(jv("0*"), jv("01"))
-        with pytest.raises(DimensionError):
-            join(jv("01"), jv("011"))
+        assert naive_distance(mirrored(a), mirrored(b)) == naive_distance(a, b)
 
 
 class TestFamily:
@@ -257,9 +250,8 @@ class TestFamily:
             b_config_family(2, 4),
         ]
         for family in families:
-            for v in all_binaries(family.d):
-                coverers = [u for u in family if covers(u, v)]
-                assert len(coverers) <= 1
+            coverers = Counter(v.bits for u in family for v in covered_vectors(u))
+            assert max(coverers.values()) == 1
 
 
 class TestFromStrings:
@@ -425,8 +417,8 @@ class TestBitSlicedCheck:
         # one forged member beside member 70 of a family of more than 128:
         # the first bad pair starts past the first 64 members
         extra = forged(family, family.sorted_members()[70], kind)
-        assert extra not in family.members
-        bad = Family.of(family.d, family.k, [*family.members, extra])
+        assert extra not in family.sorted_members()
+        bad = Family.of(family.d, family.k, [*family, extra])
         res = checked(bad)
         assert res == pairwise_is_k_neighborly(bad)
         assert bad.sorted_members().index(res.pair[0]) >= 64
@@ -461,7 +453,7 @@ class TestBitSlicedCheck:
 
     def test_validated_copy_reuses_sort_state(self, monkeypatch):
         family = alon_product(2, 5)
-        family = Family.of(family.d, family.k, family.members)
+        family = Family.of(family.d, family.k, family)
         members = family.sorted_members()
         ranks = family.ranks
 
@@ -500,7 +492,7 @@ class TestBitSlicedCheck:
             assert checked(family) == pairwise_is_k_neighborly(family)
             # one coordinate's worth too strict: the first pair at distance k breaks it
             if d >= 3:
-                strict = Family.of(d, d - 2, family.members)
+                strict = Family.of(d, d - 2, family)
                 assert not checked(strict)
                 assert checked(strict) == pairwise_is_k_neighborly(strict)
 
@@ -548,7 +540,7 @@ class TestBitSlicedCheck:
         # forged flips reach past column 63
         m = next(v for v in family.sorted_members()[64:] if not v.jokers >> 69 & 1)
         extra = forged(family, m, "far")
-        bad = Family.of(70, 5, [*family.members, extra])
+        bad = Family.of(70, 5, [*family, extra])
         res = checked(bad)
         assert not res and res == pairwise_is_k_neighborly(bad)
         assert extra in res.pair
@@ -563,10 +555,10 @@ class TestBitSlicedCheck:
         family = scrambled(family, rng)
         assert checked(family) == (True, None, None)
         # every other pair is good, so the first bad pair holds the forged member
-        eligible = [m for m in family.members if family.d - m.joker_count > family.k]
+        eligible = [m for m in family if family.d - m.joker_count > family.k]
         extra = forged(family, rng.choice(sorted(eligible)), kind)
-        assert extra not in family.members
-        bad = Family.of(family.d, family.k, [*family.members, extra])
+        assert extra not in family.sorted_members()
+        bad = Family.of(family.d, family.k, [*family, extra])
         res = checked(bad)
         assert res == pairwise_is_k_neighborly(bad)
         assert extra in res.pair
