@@ -6,6 +6,7 @@ from neighborly.bounds import alon_lower, b_config_size
 from neighborly.constructions import (
     MEMBER_BYTES,
     SYMBOL_BYTES,
+    _ball_words,
     alon_product,
     b_config_family,
     extremal_dminus1_family,
@@ -31,6 +32,14 @@ def pairwise_distances(family):
             yield naive_distance(a, b)
 
 
+class TestHammingBall:
+    def test_radius_one(self):
+        ball = {"0000", "1000", "0100", "0010", "0001"}
+        assert set(_ball_words(4, 1)) == ball
+        # even k: B_k is the radius-k/2 ball around 0
+        assert set(b_config_family(2, 4).sorted_words()) == ball
+
+
 class TestBConfig:
     def test_sizes_and_diameter(self):
         cfg = b_config_family(5, 7)
@@ -40,8 +49,6 @@ class TestBConfig:
     def test_small_cases(self):
         assert len(b_config_family(2, 4)) == 5
         assert max(pairwise_distances(b_config_family(2, 4))) <= 2
-        # even k: the radius-k/2 ball around 0
-        assert set(b_config_family(2, 4).sorted_words()) == {"0000", "1000", "0100", "0010", "0001"}
 
     def test_diameter_exactly_k(self):
         for d in range(2, 9):
