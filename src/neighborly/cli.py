@@ -325,35 +325,25 @@ def cmd_search(args) -> int:
 
 # ----------------------------------------------------------------- construct
 
-CONSTRUCTION_NAMES = ("alon-product", "corollary35", "b-config", "staircase")
-
-
-def _build_construction(name: str, params: list[int]) -> Family:
-    if name == "alon-product":
-        if len(params) != 2:
-            raise DomainError("alon-product needs K and D")
-        return alon_product(params[0], params[1])
-    if name == "b-config":
-        if len(params) != 2:
-            raise DomainError("b-config needs K and D")
-        return b_config_family(params[0], params[1])
-    if name == "corollary35":
-        if len(params) != 1:
-            raise DomainError("corollary35 needs D only")
-        return extremal_dminus1_family(params[0])
-    if name == "staircase":
-        if len(params) != 1:
-            raise DomainError("staircase needs M only")
-        return staircase_code(params[0])
-    raise DomainError(f"unknown construction {name!r}")
+# name -> (builder, number of parameters, what they are); the names are
+# also the parser's choices
+CONSTRUCTIONS = {
+    "alon-product": (alon_product, 2, "K and D"),
+    "corollary35": (extremal_dminus1_family, 1, "D only"),
+    "b-config": (b_config_family, 2, "K and D"),
+    "staircase": (staircase_code, 1, "M only"),
+}
 
 
 def cmd_construct(args) -> int:
+    builder, arity, usage = CONSTRUCTIONS[args.name]
     try:
         params = [int(a) for a in args.params if a not in ("-", "—")]
     except ValueError:
         raise DomainError(f"construction parameters must be integers, got {args.params}")
-    family = _build_construction(args.name, params)
+    if len(params) != arity:
+        raise DomainError(f"{args.name} needs {usage}")
+    family = builder(*params)
     write_family(family, sys.stdout, comment=f"construction: {args.name}")
     return EXIT_OK
 
@@ -405,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search, needs_kd=True)
 
     p = sub.add_parser("construct", help="emit a named construction as a family file")
-    p.add_argument("name", choices=CONSTRUCTION_NAMES)
+    p.add_argument("name", choices=CONSTRUCTIONS)
     p.add_argument("params", nargs="+", help="K D (or D / M alone; '-' placeholders ok)")
     p.set_defaults(func=cmd_construct, needs_kd=False)
 

@@ -16,10 +16,9 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterable, List, Sequence
 
-from .core import Family
+from .core import Family, _check_k, check_memory
 from .errors import DomainError
 from .bounds import b_config_size
-from .search import _kernel
 
 # Peak bytes of building a family, per member and per symbol of a member:
 # the word, its rank string, the sort and the joined ranks.  tracemalloc
@@ -31,7 +30,7 @@ MEMBER_BYTES, SYMBOL_BYTES = 150, 5
 def _check_size(name: str, size: int, d: int) -> None:
     """ResourceError, before a word is built, when ``size`` members of d
     symbols would exceed the memory budget."""
-    _kernel.check_memory(f"the {size} members of {name}", size * (MEMBER_BYTES + SYMBOL_BYTES * d))
+    check_memory(f"the {size} members of {name}", size * (MEMBER_BYTES + SYMBOL_BYTES * d))
 
 
 def _ball_words(m: int, t: int) -> List[str]:
@@ -72,8 +71,7 @@ def alon_product(k: int, d: int) -> Family:
     (size+1) is alon_lower(k, d).  Distinct members differ in 1..k blocks,
     each contributing distance exactly 1.
     """
-    if not 1 <= k <= d:
-        raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
+    _check_k(d, k)
     blocks = [_staircase_words((d + i) // k) for i in range(k)]
     _check_size(f"alon_product({k}, {d})", prod(map(len, blocks)), d)
     return Family.from_strings(d, k, _products(blocks), validated=True)
@@ -95,8 +93,7 @@ def b_config_family(k: int, d: int) -> Family:
     the radius-t ball around 0 in dimension d-1.  Distinct binary words
     are at least 1 apart, so B_k is a k-neighborly family.
     """
-    if not 1 <= k <= d:
-        raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
+    _check_k(d, k)
     size = b_config_size(k, d)
     _check_size(f"b_config({k}, {d})", size, d)
     t, odd = divmod(k, 2)

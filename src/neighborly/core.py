@@ -13,7 +13,9 @@ values and joker positions; bit i is character i of the word) is the
 public form of one member: ``Family.of`` takes them, and iteration,
 ``sorted_members`` and a failed check's pair return them.  The pair check
 runs in the search package's kernel (``search._kernel``), compiled or pure
-Python.
+Python.  The one memory budget, ``MEMORY_BUDGET``, is here too: the
+constructions, the graph and the search call ``check_memory`` before they
+allocate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ResourceError, ValidationError
+
+# the one memory budget: a search, a graph or a family needing more is refused
+MEMORY_BUDGET = 512 * 1024 * 1024
+
+
+def check_memory(subject: str, estimated: int) -> None:
+    """ResourceError when ``estimated`` bytes exceed ``MEMORY_BUDGET``;
+    ``subject`` names what would need them, in the plural."""
+    if estimated > MEMORY_BUDGET:
+        raise ResourceError(f"{subject} need ~{estimated} bytes, budget is {MEMORY_BUDGET}")
 
 
 @dataclass(frozen=True, order=True)
@@ -63,14 +75,6 @@ class JokerVector:
 
     def __repr__(self) -> str:
         return f"JokerVector({str(self)!r})"
-
-    @property
-    def joker_count(self) -> int:
-        return self.jokers.bit_count()
-
-    @property
-    def is_binary(self) -> bool:
-        return self.jokers == 0
 
 
 class NeighborlyCheck(NamedTuple):
@@ -189,10 +193,7 @@ def is_k_neighborly(family: Family) -> NeighborlyCheck:
     """
     from .search import _kernel  # at call time: search imports core
 
-    n = len(family)
-    if n < 2:
-        return NeighborlyCheck(True, None, None)
-    pair = _kernel.get_kernel().first_bad_pair(family.ranks, n, family.d, family.k)
+    pair = _kernel.get_kernel().first_bad_pair(family.ranks, len(family), family.d, family.k)
     if pair is None:
         return NeighborlyCheck(True, None, None)
     words = family.sorted_words()

@@ -5,8 +5,9 @@ A kernel provides ``KERNEL_NAME`` and three routines, whose contracts
 ``first_bad_pair`` (the pair check of ``core.is_k_neighborly``) and
 ``cover_map`` (the audit's cover map).  ``_kernel_py`` is the pure-Python
 implementation and the oracle.  ``CompiledKernel`` calls the entry points
-of ``_kernel_c.c`` (plain C99), and raises MemoryError where the C
-buffers cannot be allocated.  Both give identical results.
+of ``_kernel_c.c`` (plain C99) after the input checks of ``_kernel_py``,
+and raises MemoryError where the C buffers cannot be allocated.  Both give
+identical results.
 
 The C file is compiled on first import with the C compiler this
 interpreter was built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
@@ -31,7 +32,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional, Sequence
 
-from ..errors import ResourceError
 from . import _kernel_py
 
 # The interpreter's own sha256: hashlib's loads OpenSSL, which adds about
@@ -109,9 +109,8 @@ class CompiledKernel:
         self._free.restype = None
 
     def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
-        """``_kernel_py.first_bad_pair``'s contract; ``ranks`` must hold n*d
-        symbols 0/1/2."""
-        encoded = _encoded(ranks, n, d)
+        """``_kernel_py.first_bad_pair``'s contract."""
+        encoded = _kernel_py.check_ranks(ranks, n, d)
         u, v = ctypes.c_int64(), ctypes.c_int64()
         status = self._first_bad_pair(encoded, n, d, k, ctypes.byref(u), ctypes.byref(v))
         return (u.value, v.value) if _checked(status, "pair check") == _BAD_PAIR else None
@@ -119,11 +118,8 @@ class CompiledKernel:
     def cover_map(
         self, ranks: str, n: int, d: int
     ) -> tuple[dict[int, int], int, Optional[tuple[int, int]]]:
-        """``_kernel_py.cover_map``'s contract; ``ranks`` must hold n*d
-        symbols 0/1/2 and d must lie in 1..63."""
-        encoded = _encoded(ranks, n, d)
-        if not 1 <= d <= 63:
-            raise ValueError(f"the cover map needs 1 <= d <= 63, got d={d}")
+        """``_kernel_py.cover_map``'s contract."""
+        encoded = _kernel_py.check_ranks(ranks, n, d, for_cover_map=True)
         counts, m = (ctypes.c_int * (d + 1))(), ctypes.c_int()
         block = ctypes.c_void_p()
         member, vector = ctypes.c_int64(), ctypes.c_int64()
@@ -156,15 +152,10 @@ class CompiledKernel:
         symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
         """``_kernel_py.solve_root``'s contract, converting the inputs within
-        ``time_limit``; vertices outside 0..n-1 raise ValueError."""
+        ``time_limit``."""
         start = perf_counter()
+        _kernel_py.check_solve_inputs(adjacency, roots, best_mask, d, symmetry_depth)
         n = len(adjacency)
-        _kernel_py.check_orbit_inputs(n, d, symmetry_depth)
-        if best_mask >> n:
-            raise ValueError(f"the incumbent mask has vertices outside 0..{n - 1}")
-        for root, pool in roots:
-            if not 0 <= root < n or pool >> n:
-                raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
         if n == 0:
             return 0, 0, 0, True
         width = 8 * ((n + 63) >> 6)
@@ -195,27 +186,6 @@ def _checked(status: int, what: str) -> int:
     if status not in (_COMPLETED, _BUDGET):
         raise RuntimeError(f"compiled {what} failed with status {status}")
     return status
-
-
-def _encoded(ranks: str, n: int, d: int) -> bytes:
-    """``ranks`` as the C entry points read it; ValueError unless it holds
-    n*d symbols 0, 1 or 2."""
-    # bytes.translate deletes in one table pass; str.strip("012") takes 20x longer
-    encoded = ranks.encode("ascii") if ranks.isascii() else b"?"
-    if len(encoded) != n * d or encoded.translate(None, b"012"):
-        raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
-    return encoded
-
-
-# the one memory budget: a search, a graph or a family needing more is refused
-MEMORY_BUDGET = 512 * 1024 * 1024
-
-
-def check_memory(subject: str, estimated: int) -> None:
-    """ResourceError when ``estimated`` bytes exceed ``MEMORY_BUDGET``;
-    ``subject`` names what would need them, in the plural."""
-    if estimated > MEMORY_BUDGET:
-        raise ResourceError(f"{subject} need ~{estimated} bytes, budget is {MEMORY_BUDGET}")
 
 
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:

@@ -5,8 +5,10 @@ the compiled one's greedy-coloring bound, lowest-bit-first tie breaking,
 orbit pruning below the root and traversal order, so both return identical
 sizes, witnesses and node counts on identical inputs (``_kernel_c.c``
 states the orbit rule and why it is sound).  ``first_bad_pair`` is the
-k-neighborly pair check and ``cover_map`` the audit's cover map.  The
-module imports nothing from the package.
+k-neighborly pair check and ``cover_map`` the audit's cover map.  Each
+routine first calls ``check_solve_inputs`` or ``check_ranks``, and so does
+the compiled kernel, so both refuse the same inputs with the same
+ValueError.  The module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -87,12 +89,39 @@ def _orbit_classes(clique: int, pool: int, d: int) -> dict[int, int]:
     return {u: classes[key] for u, key in keys.items()}
 
 
-def check_orbit_inputs(n: int, d: int | None, symmetry_depth: int) -> None:
-    """Orbit pruning reads symbols off vertex indices: it needs n = 3^d."""
+def check_solve_inputs(
+    adjacency: list[int], roots: list[tuple[int, int]], best_mask: int,
+    d: int | None, symmetry_depth: int,
+) -> None:
+    """ValueError for input ``solve_root`` refuses, in either kernel.
+
+    Orbit pruning reads symbols off vertex indices, so it needs n = 3^d;
+    a root, a candidate or an incumbent vertex outside 0..n-1 would be
+    read past the adjacency.
+    """
+    n = len(adjacency)
     if symmetry_depth < 0:
         raise ValueError(f"symmetry_depth must be >= 0, got {symmetry_depth}")
     if symmetry_depth > 0 and (d is None or d < 1 or 3**d != n):
         raise ValueError(f"orbit pruning needs n = 3^d, got n={n} d={d}")
+    if best_mask >> n:
+        raise ValueError(f"the incumbent mask has vertices outside 0..{n - 1}")
+    for root, pool in roots:
+        if not 0 <= root < n or pool >> n:
+            raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
+
+
+def check_ranks(ranks: str, n: int, d: int, for_cover_map: bool = False) -> bytes:
+    """``ranks`` as ASCII bytes, the form the C entry points read; ValueError
+    unless it holds n*d symbols 0, 1 or 2 and, for the cover map, 1 <= d <= 63."""
+    # bytes.translate deletes in one table pass; str.strip("012") takes 20x longer
+    encoded = ranks.encode("ascii") if ranks.isascii() else b"?"
+    if len(encoded) != n * d or encoded.translate(None, b"012"):
+        raise ValueError(f"ranks must be {n}*{d} symbols 0, 1 or 2")
+    # the compiled cover map keeps one slot per joker count in 64
+    if for_cover_map and not 1 <= d <= 63:
+        raise ValueError(f"the cover map needs 1 <= d <= 63, got d={d}")
+    return encoded
 
 
 class _Searcher:
@@ -161,7 +190,7 @@ def solve_root(
     best_size is the popcount of best_mask and completed is False only when
     a budget ran out; reaching ``target`` counts as completed.
     """
-    check_orbit_inputs(len(adjacency), d, symmetry_depth)
+    check_solve_inputs(adjacency, roots, best_mask, d, symmetry_depth)
     deadline = None if time_limit is None else perf_counter() + time_limit
     s = _Searcher(adjacency, target, node_limit, deadline, d, symmetry_depth)
     s.best = best_mask.bit_count()
@@ -209,6 +238,7 @@ def first_bad_pair(ranks: str, n: int, d: int, k: int) -> tuple[int, int] | None
     twin of the kernel library's ``neighborly_first_bad_pair`` and the
     oracle it is tested against.
     """
+    check_ranks(ranks, n, d)
     if n < 2:
         return None
     full = (1 << n) - 1
@@ -261,6 +291,7 @@ def cover_map(
     of the kernel library's ``neighborly_cover_map`` and the oracle it is
     tested against.
     """
+    check_ranks(ranks, n, d, for_cover_map=True)
     cubes: dict[str, tuple[int, int]] = {}  # joker pattern -> (t, subcube of 0...0)
     classes: dict[int, int] = {}
     covered = 0

@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
-from ..core import Family
-from ..errors import DomainError
+from ..core import Family, _check_k, check_memory
 from . import _kernel
 
 
@@ -46,9 +45,6 @@ class CompatGraph:
     @property
     def n(self) -> int:
         return len(self.adjacency)
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
 
 
 def vertex_of(word: str) -> int:
@@ -95,9 +91,8 @@ def build_graph(k: int, d: int) -> CompatGraph:
     A graph on which even the smallest search (target 0, the rows held
     twice) exceeds the memory budget, every d >= 10, raises ResourceError.
     """
-    if not 1 <= k <= d:
-        raise DomainError(f"need 1 <= k <= d, got k={k} d={d}")
-    _kernel.check_memory(f"adjacency rows for d={d}", _kernel.buffer_bytes(3**d, 0, 0))
+    _check_k(d, k)
+    check_memory(f"adjacency rows for d={d}", _kernel.buffer_bytes(3**d, 0, 0))
     return CompatGraph(d, k, _adjacency_rows(k, d))
 
 

@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Optional
 
 from .. import bounds, reference
-from ..core import Family
+from ..core import Family, check_memory
 from ..errors import DomainError, InconsistencyError
 from ..constructions import alon_product
 from . import _kernel
@@ -144,7 +144,7 @@ def max_family(
     n = 3**d
     searching = best_size < target and budget.node_limit != 0
     if searching:
-        _kernel.check_memory(
+        check_memory(
             f"kernel buffers for (k={k}, d={d})", _kernel.buffer_bytes(n, target, symmetry_depth)
         )
     built = build()

@@ -189,7 +189,7 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     checks["unique_cover"] = CheckResult(collision is None, collision)
 
     full = (1 << d) - 1
-    t_of: Dict[int, int] = {bits: u.joker_count for bits, u in owner.items()}
+    t_of: Dict[int, int] = {bits: u.jokers.bit_count() for bits, u in owner.items()}
     classes: Dict[int, Set[int]] = {}
     for bits, t in t_of.items():
         classes.setdefault(t, set()).add(bits)

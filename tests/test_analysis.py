@@ -31,7 +31,7 @@ def brute_force_classes(family):
     full = (1 << family.d) - 1
     classes, mirrored, covered = {}, {}, 0
     for u in family:
-        t = u.joker_count
+        t = u.jokers.bit_count()
         for v in covered_vectors(u):
             assert not covered >> v.bits & 1, f"{v} covered twice"
             covered |= 1 << v.bits

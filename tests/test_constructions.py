@@ -2,6 +2,7 @@
 
 import pytest
 
+from neighborly import core
 from neighborly.bounds import alon_lower, b_config_size
 from neighborly.constructions import (
     MEMBER_BYTES,
@@ -14,7 +15,6 @@ from neighborly.constructions import (
 )
 from neighborly.core import is_k_neighborly
 from neighborly.errors import DimensionError, DomainError, ResourceError
-from neighborly.search import _kernel
 
 from conftest import jv, naive_distance
 from oracles import (
@@ -192,9 +192,9 @@ class TestMemoryBudget:
     )
     def test_refused_exactly_above_the_budget(self, monkeypatch, builder, args, name, size, d):
         needed = size * (MEMBER_BYTES + SYMBOL_BYTES * d)
-        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", needed)
+        monkeypatch.setattr(core, "MEMORY_BUDGET", needed)
         assert len(builder(*args)) == size
-        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", needed - 1)
+        monkeypatch.setattr(core, "MEMORY_BUDGET", needed - 1)
         message = f"the {size} members of {name} need ~{needed} bytes, budget is {needed - 1}"
         with pytest.raises(ResourceError) as info:
             builder(*args)

@@ -55,8 +55,6 @@ class TestJokerVector:
         v = jv("01*1*")
         assert v.bits == 0b01010
         assert v.jokers == 0b10100
-        assert v.joker_count == 2
-        assert not v.is_binary
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(DomainError):
@@ -153,7 +151,7 @@ class TestCovers:
         got = sorted(str(v) for v in covered_vectors(u))
         assert got == ["0001", "0011", "0101", "0111"]
         for v in covered_vectors(u):
-            assert v.is_binary and naive_distance(str(u), str(v)) == 0
+            assert v.jokers == 0 and naive_distance(str(u), str(v)) == 0
 
     def test_cover_distance_compatibility_exhaustive(self):
         # covered vectors stay within joker slack of their coverers
@@ -163,7 +161,7 @@ class TestCovers:
             for i, u in enumerate(vecs):
                 for j, w in enumerate(vecs):
                     duw = naive_distance(str(u), str(w))
-                    slack = duw + u.joker_count + w.joker_count
+                    slack = duw + u.jokers.bit_count() + w.jokers.bit_count()
                     for a_bits in covered[i]:
                         for b_bits in covered[j]:
                             dab = (a_bits ^ b_bits).bit_count()
@@ -555,7 +553,7 @@ class TestBitSlicedCheck:
         family = scrambled(family, rng)
         assert checked(family) == (True, None, None)
         # every other pair is good, so the first bad pair holds the forged member
-        eligible = [m for m in family if family.d - m.joker_count > family.k]
+        eligible = [m for m in family if family.d - m.jokers.bit_count() > family.k]
         extra = forged(family, rng.choice(sorted(eligible)), kind)
         assert extra not in family.sorted_members()
         bad = Family.of(family.d, family.k, [*family, extra])

@@ -1,6 +1,7 @@
 """Search stack: graph, kernels, solver, certification."""
 
 import ast
+import itertools
 import os
 import pickle
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neighborly import analysis, bounds, constructions, reference
+from neighborly import analysis, bounds, constructions, core, reference
 from neighborly.analysis import audit
 from neighborly.constructions import alon_product, b_config_family, extremal_dminus1_family
 from neighborly.core import Family, JokerVector, is_k_neighborly
@@ -42,7 +43,7 @@ class TestCompatGraph:
     def test_vertex_count_and_isolated_joker(self):
         g = build_graph(1, 2)
         assert g.n == 9
-        assert g.degree(all_joker_vectors(2).index(jv("**"))) == 0
+        assert g.adjacency[all_joker_vectors(2).index(jv("**"))].bit_count() == 0
 
     def test_lexicographic_order(self):
         g = build_graph(1, 2)
@@ -74,7 +75,7 @@ class TestCompatGraph:
                 assert bool(g.adjacency[i] >> j & 1) == expected
 
     def test_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", 1000)
+        monkeypatch.setattr(core, "MEMORY_BUDGET", 1000)
         with pytest.raises(ResourceError):
             build_graph(2, 8)
 
@@ -123,7 +124,7 @@ class TestVertexNumbering:
         classes = joker_classes(d)
         assert len(classes) == d + 1
         for t, mask in enumerate(classes):
-            assert mask == sum(1 << i for i, v in enumerate(words) if v.joker_count == t), t
+            assert mask == sum(1 << i for i, v in enumerate(words) if v.jokers.bit_count() == t), t
 
     def test_family_of_decodes_and_validates(self):
         family = alon_product(2, 4)
@@ -272,7 +273,7 @@ class TestMaxFamily:
         assert (res.best_size, res.status, res.nodes_explored) == (24576, STATUS_OPTIMAL, 0)
 
     def test_kernel_memory_guard(self, monkeypatch):
-        monkeypatch.setattr(_kernel, "MEMORY_BUDGET", 10_000)
+        monkeypatch.setattr(core, "MEMORY_BUDGET", 10_000)
         with pytest.raises(ResourceError, match="kernel buffers for"):
             max_family(2, 5)
 
@@ -373,6 +374,11 @@ class TestMaxFamily:
         monkeypatch.setitem(reference.EXACT_VALUES, (2, 4), (8, "forged"))
         with pytest.raises(InconsistencyError):
             max_family(2, 4)
+        # an exhausted search below the embedded value
+        monkeypatch.setitem(reference.EXACT_VALUES, (2, 5), (13, "forged"))
+        expected = "^search certified 12 for \\(k=2, d=5\\) but the embedded exact value is 13$"
+        with pytest.raises(InconsistencyError, match=expected):
+            max_family(2, 5)
 
     def test_forged_published_lower_bound_trips_inconsistency(self, monkeypatch):
         from neighborly import reference
@@ -517,6 +523,24 @@ class TestKernelTwins:
         size, mask, nodes, completed = get_kernel(kernel).solve_root(*args)
         assert (size, mask, nodes, completed) == (16, args[2], 1, False)
 
+    @pytest.mark.parametrize("depth,nodes", [(0, 50), (3, 42)])
+    def test_reaching_the_target_completes_the_search(self, monkeypatch, depth, nodes):
+        # the (2,5) root orbits from an empty incumbent stop at the first
+        # 12-clique; one that meets the target from the start, or a root
+        # with no candidates, costs no node
+        adj, roots, _, _, _, _, d, _ = _kernel_inputs(monkeypatch, 2, 5, None)
+        results = [
+            get_kernel(kernel).solve_root(adj, roots, 0, 12, None, None, d, depth)
+            for kernel in KERNELS
+        ]
+        size, mask, got, completed = results[0]
+        assert (size, got, completed) == (12, nodes, True)
+        assert all(res == results[0] for res in results)
+        for kernel in KERNELS:
+            solve = get_kernel(kernel).solve_root
+            assert solve(adj, roots, mask, 12, None, None, d, depth) == (12, mask, 0, True)
+            assert solve([0, 0], [(0, 0), (1, 0)], 0, 1, None, None) == (1, 1, 0, True)
+
     def test_both_kernels_provide_the_interface(self):
         for name in KERNELS:
             impl = get_kernel(name)
@@ -535,19 +559,20 @@ class TestKernelTwins:
             solve(adj, roots, *rest, None, -1)
         assert solve(adj, roots, *rest, 1, 0)[:2] == (3, 0b0111)
 
-    @requires_cc
     def test_compiled_rejects_vertices_outside_the_graph(self):
-        # C would read past the adjacency; the wrapper refuses first
+        # C would read past the adjacency, Python raise IndexError or answer;
+        # both kernels refuse first, with the same text
         adj, roots, *rest = _triangle_plus_edge()
-        solve = get_kernel("compiled").solve_root
-        with pytest.raises(ValueError):
-            solve(adj, [(len(adj), 0)], *rest)
-        with pytest.raises(ValueError):
-            solve(adj, [(0, 1 << len(adj))], *rest)
-        with pytest.raises(ValueError):
-            solve(adj[:-1], roots, *rest)
-        with pytest.raises(ValueError, match="incumbent"):
-            solve(adj, roots, 1 << len(adj), *rest[1:])
+        for kernel in KERNELS:
+            solve = get_kernel(kernel).solve_root
+            with pytest.raises(ValueError, match="^root 4 or its candidates lie outside 0..3$"):
+                solve(adj, [(len(adj), 0)], *rest)
+            with pytest.raises(ValueError, match="^root 0 or its candidates lie outside 0..3$"):
+                solve(adj, [(0, 1 << len(adj))], *rest)
+            with pytest.raises(ValueError, match="^root 2 or its candidates lie outside 0..2$"):
+                solve(adj[:-1], roots, *rest)
+            with pytest.raises(ValueError, match="^the incumbent mask has vertices outside 0..3$"):
+                solve(adj, roots, 1 << len(adj), *rest[1:])
 
     @requires_cc
     @pytest.mark.parametrize("node_limit", [2**64, 2**64 + 1000])
@@ -772,10 +797,9 @@ class TestKernelLayer:
                     imported.append(".".join(package + node.module.split(".")))
                 else:
                     imported += [".".join(package + [alias.name]) for alias in node.names]
-        # errors imports nothing, so _kernel's ResourceError closes no cycle
         allowed = set()
         if module == "_kernel":
-            allowed = {"neighborly.errors", "neighborly.search._kernel_py"}
+            allowed = {"neighborly.search._kernel_py"}
         ours = {name for name in imported if name.split(".")[0] == "neighborly"}
         assert ours <= allowed, ours
 
@@ -806,16 +830,16 @@ class TestCompiledPairCheck:
         with pytest.raises(MemoryError, match="^the compiled pair check could not allocate"):
             is_k_neighborly(alon_product(3, 8))
 
-    @requires_cc
     def test_ranks_must_spell_n_members(self):
-        check = get_kernel("compiled").first_bad_pair
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            check("0120", 2, 3, 1)
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            check("01*0", 2, 2, 1)
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            check("0\u00e9", 1, 2, 1)
-        assert check("0110", 2, 2, 1) == (0, 1)  # 01 and 10 at distance 2
+        for kernel in KERNELS:
+            check = get_kernel(kernel).first_bad_pair
+            with pytest.raises(ValueError, match="^ranks must be 2\\*3 symbols 0, 1 or 2$"):
+                check("0120", 2, 3, 1)
+            with pytest.raises(ValueError, match="^ranks must be 2\\*2 symbols 0, 1 or 2$"):
+                check("01*0", 2, 2, 1)
+            with pytest.raises(ValueError, match="^ranks must be 1\\*2 symbols 0, 1 or 2$"):
+                check("0\u00e9", 1, 2, 1)
+            assert check("0110", 2, 2, 1) == (0, 1), kernel  # 01 and 10 at distance 2
 
 
 def _cover(family: Family, compiled: bool):
@@ -891,20 +915,22 @@ class TestCompiledCoverMap:
         with pytest.raises(MemoryError, match="^the compiled cover map could not allocate"):
             _cover(family, True)
 
-    @requires_cc
     def test_ranks_must_spell_n_members(self):
-        cover_map = get_kernel("compiled").cover_map
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            cover_map("0120", 2, 3)
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            cover_map("01*0", 2, 2)
-        with pytest.raises(ValueError, match="symbols 0, 1 or 2"):
-            cover_map("0\u00e9", 1, 2)
-        with pytest.raises(ValueError, match="1 <= d <= 63"):
-            cover_map("0" * 64, 1, 64)
-        # 0* covers 00 and 01, 11 covers 11: vectors 0b00, 0b10 and 0b11
-        assert cover_map("0211", 2, 2) == ({1: 0b0101, 0: 0b1000}, 0b1101, None)
-        assert cover_map("0200", 2, 2) == ({1: 0b0101, 0: 0}, 0b0101, (1, 0))
+        for kernel in KERNELS:
+            cover_map = get_kernel(kernel).cover_map
+            with pytest.raises(ValueError, match="^ranks must be 2\\*3 symbols 0, 1 or 2$"):
+                cover_map("0120", 2, 3)
+            with pytest.raises(ValueError, match="^ranks must be 2\\*2 symbols 0, 1 or 2$"):
+                cover_map("01*0", 2, 2)
+            with pytest.raises(ValueError, match="^ranks must be 1\\*2 symbols 0, 1 or 2$"):
+                cover_map("0\u00e9", 1, 2)
+            with pytest.raises(ValueError, match="^the cover map needs 1 <= d <= 63, got d=64$"):
+                cover_map("0" * 64, 1, 64)
+            with pytest.raises(ValueError, match="^the cover map needs 1 <= d <= 63, got d=0$"):
+                cover_map("", 0, 0)
+            # 0* covers 00 and 01, 11 covers 11: vectors 0b00, 0b10 and 0b11
+            assert cover_map("0211", 2, 2) == ({1: 0b0101, 0: 0b1000}, 0b1101, None)
+            assert cover_map("0200", 2, 2) == ({1: 0b0101, 0: 0}, 0b0101, (1, 0))
 
 
 def apply_symmetry(vec: JokerVector, perm: list[int], flips: int) -> JokerVector:
@@ -1014,20 +1040,27 @@ class TestKernelsOnRandomGraphs:
 
 class TestIndependentCliqueOracle:
     def test_matches_exact_clique_solver(self):
+        # the graph comes from the definition, not from build_graph, so a
+        # fault in the graph builder shows here too; networkx takes seconds
+        # on (2,5), so all ten cells with d <= 4
         nx = pytest.importorskip("networkx")
-        for (k, d) in [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4)]:
-            g = build_graph(k, d)
-            G = nx.Graph()
-            G.add_nodes_from(range(g.n))
-            for i in range(g.n):
-                row = g.adjacency[i] >> (i + 1) << (i + 1)
-                while row:
-                    low = row & -row
-                    G.add_edge(i, low.bit_length() - 1)
-                    row ^= low
-            _, omega = nx.algorithms.clique.max_weight_clique(G, weight=None)
-            res = max_family(k, d)
-            assert res.best_size == omega and res.status == STATUS_OPTIMAL, (k, d)
+        for d in range(1, 5):
+            words = ["".join(w) for w in itertools.product("01*", repeat=d)]
+            for k in range(1, d + 1):
+                G = nx.Graph()
+                G.add_nodes_from(words)
+                G.add_edges_from(
+                    (u, v) for u, v in itertools.combinations(words, 2)
+                    if 1 <= naive_distance(u, v) <= k
+                )
+                _, omega = nx.algorithms.clique.max_weight_clique(G, weight=None)
+                res = max_family(k, d)
+                assert res.best_size == omega and res.status == STATUS_OPTIMAL, (k, d)
+                # max_family closes these cells before the kernel searches, so
+                # the built graph is searched here, every vertex a root
+                adj = build_graph(k, d).adjacency
+                roots = [(v, row >> (v + 1) << (v + 1)) for v, row in enumerate(adj)]
+                assert get_kernel().solve_root(adj, roots, 0, len(adj), None, None)[0] == omega
 
 
 class TestCertify:
