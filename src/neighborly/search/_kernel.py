@@ -1,13 +1,15 @@
 """The kernel interface: a compiled library and its pure-Python twin.
 
-A kernel provides ``KERNEL_NAME`` and three routines, whose contracts
-``_kernel_py`` states: ``solve_root`` (the solver's clique search),
-``first_bad_pair`` (the pair check of ``core.is_k_neighborly``) and
-``cover_map`` (the audit's cover map).  ``_kernel_py`` is the pure-Python
-implementation and the oracle.  ``CompiledKernel`` calls the entry points
-of ``_kernel_c.c`` (plain C99) after the input checks of ``_kernel_py``,
-and raises MemoryError where the C buffers cannot be allocated.  Both give
-identical results.
+A kernel provides ``KERNEL_NAME`` and four routines, whose contracts
+``_kernel_py`` states: ``adjacency`` (the compatibility graph's rows),
+``solve_root`` (the solver's clique search), ``first_bad_pair`` (the pair
+check of ``core.is_k_neighborly``) and ``cover_map`` (the audit's cover
+map).  ``_kernel_py`` is the pure-Python implementation and the oracle.
+``CompiledKernel`` calls the entry points of ``_kernel_c.c`` (plain C99)
+after the input checks of ``_kernel_py``, and raises MemoryError where the
+C buffers cannot be allocated.  Both give identical results; the compiled
+``adjacency`` leaves its rows in the C buffer (``BitRows``), which the
+compiled ``solve_root`` reads without converting them.
 
 The C file is compiled on first import with the C compiler this
 interpreter was built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
@@ -104,9 +106,26 @@ class CompiledKernel:
         ]
         cover.restype = ctypes.c_int
         self._cover_map = cover
+        adjacency = library.neighborly_adjacency
+        adjacency.argtypes = [
+            ctypes.c_int,  # k
+            ctypes.c_int,  # d
+            ctypes.POINTER(ctypes.c_uint64),  # the rows, out
+        ]
+        adjacency.restype = ctypes.c_int
+        self._adjacency = adjacency
         self._free = library.neighborly_free
         self._free.argtypes = [ctypes.c_void_p]
         self._free.restype = None
+
+    def adjacency(self, k: int, d: int) -> "BitRows":
+        """``_kernel_py.adjacency``'s contract, the rows left in the C buffer."""
+        _kernel_py.check_adjacency(k, d)
+        n = 3**d
+        words = (n + 63) >> 6
+        array = (ctypes.c_uint64 * (n * words))()
+        _checked(self._adjacency(k, d, array), "adjacency")
+        return BitRows(array, n, words)
 
     def first_bad_pair(self, ranks: str, n: int, d: int, k: int) -> Optional[tuple[int, int]]:
         """``_kernel_py.first_bad_pair``'s contract."""
@@ -142,7 +161,7 @@ class CompiledKernel:
 
     def solve_root(
         self,
-        adjacency: list[int],
+        adjacency: Sequence[int],
         roots: list[tuple[int, int]],
         best_mask: int,
         target: int,
@@ -152,14 +171,14 @@ class CompiledKernel:
         symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
         """``_kernel_py.solve_root``'s contract, converting the inputs within
-        ``time_limit``."""
+        ``time_limit``; rows from ``adjacency`` go to C as they are."""
         start = perf_counter()
         _kernel_py.check_solve_inputs(adjacency, roots, best_mask, d, symmetry_depth)
         n = len(adjacency)
         if n == 0:
             return 0, 0, 0, True
         width = 8 * ((n + 63) >> 6)
-        rows = _bit_sets(adjacency, width)
+        rows = adjacency.array if isinstance(adjacency, BitRows) else _bit_sets(adjacency, width)
         pools = _bit_sets([pool for _, pool in roots], width)
         root_ids = (ctypes.c_int * len(roots))(*(root for root, _ in roots))
         mask = _bit_sets([best_mask], width)
@@ -191,11 +210,46 @@ def _checked(status: int, what: str) -> int:
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
     """Bytes a search on an n-vertex graph needs: the Python adjacency rows,
     the compiled kernel's copy of them and its buffers (``levels`` as in
-    ``neighborly_solve``)."""
+    ``neighborly_solve``).
+
+    A compiled search now holds one copy of the rows, the C buffer that
+    ``adjacency`` fills, but the estimate still counts the Python rows:
+    the Python kernel holds them as ints, a caller's rows are still
+    converted, and a lower estimate would admit (k, d) cells that the
+    budget refuses today.
+    """
     words = (n + 63) // 64
     levels = min(target, n) + 3
     estimated = levels * (words * 8 + 2 * n * 4) + 2 * words * 8 + 2 * n * words * 8
     return estimated + min(symmetry_depth, levels) * n * 4
+
+
+class BitRows(Sequence[int]):
+    """n adjacency rows in one C array, read as Python ints.
+
+    Row i is ``words`` little-endian 64-bit words from word i*words on, the
+    layout ``neighborly_solve`` reads, so ``array`` goes to C unconverted.
+    """
+
+    def __init__(self, array, n: int, words: int):
+        self.array = array
+        self._n = n
+        self._width = 8 * words
+        self._bytes = memoryview(array).cast("B")
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> int:
+        if not -self._n <= i < self._n:
+            raise IndexError(f"row {i} of {self._n}")
+        start = i % self._n * self._width
+        return int.from_bytes(self._bytes[start:start + self._width], "little")
+
+    def __iter__(self):
+        data, width = self._bytes, self._width
+        for start in range(0, self._n * width, width):
+            yield int.from_bytes(data[start:start + width], "little")
 
 
 def _bit_sets(values: list[int], width: int):

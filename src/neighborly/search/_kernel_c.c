@@ -1,7 +1,10 @@
 /* The compiled kernels: branch-and-bound maximum clique on multi-word bit
-   sets (neighborly_solve), then, at the end of the file, the bit-sliced
-   k-neighborly pair check (neighborly_first_bad_pair) and the audit's
-   cover map (neighborly_cover_map, whose block neighborly_free releases).
+   sets (neighborly_solve), the compatibility graph's adjacency rows in the
+   layout it reads (neighborly_adjacency, whose scratch is a chain of
+   sum_{m<d} (k+1)*3^m bits, rounded up to words per mask), then, at the
+   end of the file, the bit-sliced k-neighborly pair check
+   (neighborly_first_bad_pair) and the audit's cover map
+   (neighborly_cover_map, whose block neighborly_free releases).
 
    Each entry point is the twin of a routine of _kernel_py.py, which is
    the oracle it is tested against.  neighborly_solve, the twin of
@@ -355,6 +358,117 @@ done:
     free(st.cur);
     free(st.keys);
     return result;
+}
+
+/* dst |= src << off, where src holds nbits bits and none above them: only
+   the words of dst that bits off .. off + nbits - 1 fall in are touched. */
+static void or_at(uint64_t *dst, size_t off, const uint64_t *src, size_t nbits)
+{
+    const size_t first = off >> 6, count = (nbits + 63) >> 6;
+    const unsigned shift = off & 63;
+    dst += first;
+    if (!shift) {
+        for (size_t i = 0; i < count; i++)
+            dst[i] |= src[i];
+        return;
+    }
+    uint64_t carry = 0;
+    for (size_t i = 0; i < count; i++) {
+        dst[i] |= src[i] << shift | carry;
+        carry = src[i] >> (64 - shift);
+    }
+    if (first + count < (off + nbits + 63) >> 6)
+        dst[count] |= carry;  /* the last bits cross into one more word */
+}
+
+/* out: the three blocks of `size` bits each, block t taking `other` where
+   t and symbol are distinct binary symbols and `same` elsewhere (`other`
+   may be NULL: an empty block).  This is the first-symbol rule of
+   _kernel_py.adjacency, for the masks of symbol + w from those of w and
+   for the final rows alike. */
+static void three_blocks(uint64_t *out, size_t out_words, int symbol, size_t size,
+                         const uint64_t *same, const uint64_t *other)
+{
+    memset(out, 0, out_words * sizeof *out);
+    for (int t = 0; t < 3; t++) {
+        const uint64_t *block = symbol != 2 && t != 2 && t != symbol ? other : same;
+        if (block)
+            or_at(out, (size_t)t * size, block, size);
+    }
+}
+
+typedef struct {
+    int k, d;
+    uint64_t *level[19];  /* level[m]: within[0..k] of one word of length m */
+    uint64_t *rows;
+    size_t row_words;
+} Chain;
+
+/* level[m] holds the masks of a word w of length m, 3^m = size bits each,
+   and vertex index i: extend it by each first symbol, down to length
+   d - 1, whose words write their three rows. */
+static void walk(Chain *c, int m, size_t size, size_t i)
+{
+    const int k = c->k;
+    const size_t words = (size + 63) >> 6;
+    uint64_t *within = c->level[m];
+    if (m == c->d - 1) {
+        /* near: distance 1..k, far: k - 1 or less, before the opposite
+           binary first symbol adds one */
+        uint64_t *near = within + (size_t)k * words;
+        const uint64_t *far = within + (size_t)(k - 1) * words;
+        for (size_t w = 0; w < words; w++)
+            near[w] &= ~within[w];
+        for (int symbol = 0; symbol < 3; symbol++)
+            three_blocks(c->rows + (i + symbol * size) * c->row_words, c->row_words,
+                         symbol, size, near, far);
+        return;
+    }
+    uint64_t *next = c->level[m + 1];
+    const size_t next_words = (3 * size + 63) >> 6;
+    for (int symbol = 0; symbol < 3; symbol++) {
+        for (int j = 0; j <= k; j++)  /* within[j - 1]: one coordinate closer */
+            three_blocks(next + (size_t)j * next_words, next_words, symbol, size,
+                         within + (size_t)j * words,
+                         j ? within + (size_t)(j - 1) * words : NULL);
+        walk(c, m + 1, 3 * size, i + symbol * size);
+    }
+}
+
+/* The adjacency rows of the compatibility graph on {0,1,*}^d, twin of
+   _kernel_py.adjacency: row v holds the vertices at distance 1..k from
+   vertex v, with graph.py's numbering, in the layout neighborly_solve
+   reads.  The recursion over a word's first symbol that _kernel_py
+   states is walked depth first over suffixes: one chain of masks per
+   length is alive at a time, sum_{m<d} (k+1) * ceil(3^m / 64) words, and
+   each word of length d - 1 writes the rows of its three extensions in
+   place.
+
+   rows receives n = 3^d rows of (n + 63) / 64 words, one after another;
+   every word of them is written and none outside them.  Needs
+   1 <= k <= d <= 19.  Returns COMPLETED or NO_MEMORY. */
+int neighborly_adjacency(int k, int d, uint64_t *rows)
+{
+    Chain c = {0};
+    size_t offset[19], total = 0, n = 1;
+    for (int m = 0; m < d; m++, n *= 3) {
+        offset[m] = total;
+        total += (size_t)(k + 1) * ((n + 63) >> 6);
+    }
+    uint64_t *scratch = malloc(total * sizeof *scratch);
+    if (!scratch)
+        return NO_MEMORY;
+    c.k = k;
+    c.d = d;
+    c.rows = rows;
+    c.row_words = (n + 63) >> 6;
+    for (int m = 0; m < d; m++)
+        c.level[m] = scratch + offset[m];
+    for (int j = 0; j <= k; j++)
+        c.level[0][j] = 1;  /* the empty word, at distance 0 from itself */
+    walk(&c, 0, 1, 0);
+    free(scratch);
+    return COMPLETED;
 }
 
 /* The k-neighborly check, twin of _kernel_py.first_bad_pair: the first

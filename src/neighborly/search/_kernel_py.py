@@ -4,11 +4,13 @@
 the compiled one's greedy-coloring bound, lowest-bit-first tie breaking,
 orbit pruning below the root and traversal order, so both return identical
 sizes, witnesses and node counts on identical inputs (``_kernel_c.c``
-states the orbit rule and why it is sound).  ``first_bad_pair`` is the
+states the orbit rule and why it is sound).  ``adjacency`` builds the
+compatibility graph that ``solve_root`` searches, ``first_bad_pair`` is the
 k-neighborly pair check and ``cover_map`` the audit's cover map.  Each
-routine first calls ``check_solve_inputs`` or ``check_ranks``, and so does
-the compiled kernel, so both refuse the same inputs with the same
-ValueError.  The module imports nothing from the package.
+routine first calls ``check_solve_inputs``, ``check_adjacency`` or
+``check_ranks``, and so does the compiled kernel, so both refuse the same
+inputs with the same ValueError.  The module imports nothing from the
+package.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 from time import perf_counter
+from typing import Iterator
 
 KERNEL_NAME = "python"
 
@@ -109,6 +112,13 @@ def check_solve_inputs(
     for root, pool in roots:
         if not 0 <= root < n or pool >> n:
             raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
+
+
+def check_adjacency(k: int, d: int) -> None:
+    """ValueError unless 1 <= k <= d <= 19: the rows need k >= 1, and the
+    compiled kernel numbers the 3^d vertices with a C int."""
+    if not 1 <= k <= d <= 19:
+        raise ValueError(f"the adjacency needs 1 <= k <= d <= 19, got k={k} d={d}")
 
 
 def check_ranks(ranks: str, n: int, d: int, for_cover_map: bool = False) -> bytes:
@@ -212,6 +222,67 @@ def solve_root(
         except _TargetReached:
             return s.best, s.best_mask, s.nodes, True
     return s.best, s.best_mask, s.nodes, True
+
+
+def _prefixed(within: list[int], symbol: int, size: int) -> list[int]:
+    """within[j] masks of symbol+w from those of w; words of w's length number ``size``."""
+    if symbol == 2:
+        return [m | m << size | m << 2 * size for m in within]
+    closer = [0] + within[:-1]  # within[j-1]: the prefixes 0 and 1 differ by one
+    if symbol == 0:
+        return [m | c << size | m << 2 * size for m, c in zip(within, closer)]
+    return [c | m << size | m << 2 * size for m, c in zip(within, closer)]
+
+
+def _last_but_one(k: int, d: int) -> Iterator[list[int]]:
+    """within[j] masks of each word of length d-1 in vertex order; stores only length d-2."""
+    tables = [[1] * (k + 1)]  # the empty word, at distance 0 from itself
+    size = 1
+    for _ in range(d - 2):
+        tables = [_prefixed(w, symbol, size) for symbol in range(3) for w in tables]
+        size *= 3
+    if d == 1:
+        yield from tables
+        return
+    for symbol in range(3):
+        for w in tables:
+            yield _prefixed(w, symbol, size)
+
+
+def adjacency(k: int, d: int) -> list[int]:
+    """Row i: the mask of the vertices at distance 1..k from vertex i of {0,1,*}^d.
+
+    Vertex i is the word whose base-3 digits (0, 1, * as 0, 1, 2, most
+    significant symbol first) spell i, as in ``graph``, so the words of
+    length m+1 that start with symbol t occupy the block of indices
+    [t*3^m, (t+1)*3^m).  Distance is a sum over coordinates, which makes
+    the rows a recursion over the first symbol instead of a comparison of
+    all pairs.  Let within[w][j] be the mask of words within distance j of
+    w.  For the word s+w:
+
+    * s = *: every block t takes within[w][j];
+    * s = 0: blocks 0 and * take within[w][j], block 1 takes within[w][j-1]
+      (empty for j = 0);
+    * s = 1: the mirror case, with blocks 0 and 1 swapped.
+
+    A row is within[k] & ~within[0].  The tables are kept only up to length
+    d-2; each word of length d-1 is extended when it is reached and its
+    three final rows are written in place, so the (k+1) masks of every
+    length-d word never exist at once.  This is the pure twin of the kernel
+    library's ``neighborly_adjacency``, which walks the same recursion depth
+    first, and the oracle it is tested against.
+    """
+    check_adjacency(k, d)
+    size = 3 ** (d - 1)
+    rows = [0] * (3 * size)
+    for i, within in enumerate(_last_but_one(k, d)):
+        near = within[k] & ~within[0]
+        far = within[k - 1]  # the opposite 0/1 block is at distance >= 1 already
+        tail = near << 2 * size
+        rows[i] = near | far << size | tail
+        rows[i + size] = far | near << size | tail
+        rows[i + 2 * size] = near | near << size | tail
+    return rows
 
 
 def first_bad_pair(ranks: str, n: int, d: int, k: int) -> tuple[int, int] | None:

@@ -183,7 +183,7 @@ def max_family(
         status = STATUS_OPTIMAL if best_size >= target else STATUS_LOWER_BOUND_ONLY
         return _finish(status, 0, warm)
 
-    adj = build_graph(k, d).adjacency
+    adj = build_graph(k, d, kernel).adjacency
     # root subproblems: orbit representatives 0^(d-t) *^t, earlier orbits removed
     classes = joker_classes(d)
     active = (1 << n) - 1

@@ -486,8 +486,9 @@ class TestAllocationFailure:
             ("_solve", ("search", "2", "6"), "kernel"),
             ("_first_bad_pair", ("verify",), "pair check"),
             ("_cover_map", ("verify",), "cover map"),
+            ("_adjacency", ("search", "2", "6"), "adjacency"),
         ],
-        ids=["solve", "first_bad_pair", "cover_map"],
+        ids=["solve", "first_bad_pair", "cover_map", "adjacency"],
     )
     def test_no_memory_exits_3(self, monkeypatch, tmp_path, entry, argv, what):
         from neighborly.search import _kernel

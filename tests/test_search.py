@@ -24,7 +24,7 @@ from neighborly.search import (
     get_kernel,
     max_family,
 )
-from neighborly.search import _kernel, _kernel_py, graph, solver
+from neighborly.search import _kernel, _kernel_py, solver
 from neighborly.search.graph import family_of, joker_classes, vertex_of, word_of
 from neighborly.search.solver import (
     STATUS_LOWER_BOUND_ONLY,
@@ -81,7 +81,7 @@ class TestCompatGraph:
 
     def test_refuses_exactly_d_ten_and_up(self, monkeypatch):
         # the rows are not built: only the guard decides
-        monkeypatch.setattr(graph, "_adjacency_rows", lambda k, d: [])
+        monkeypatch.setattr(get_kernel(), "adjacency", lambda k, d: [])
         for d in range(1, 13):
             for k in range(1, d + 1):
                 if d >= 10:
@@ -91,12 +91,36 @@ class TestCompatGraph:
                     assert build_graph(k, d).adjacency == [], (k, d)
 
     def test_kernels_build_identical_adjacency(self):
-        for d in range(1, 7):
+        # the twins row for row to d = 8, and the rows against the pairwise
+        # definition to d = 6
+        for d in range(1, 9):
             values = [v.bits for v in all_joker_vectors(d)]
             jokers = [v.jokers for v in all_joker_vectors(d)]
             for k in range(1, d + 1):
                 g = build_graph(k, d)
-                assert pairwise_adjacency(values, jokers, k) == g.adjacency, (k, d)
+                if d <= 6:
+                    assert pairwise_adjacency(values, jokers, k) == list(g.adjacency), (k, d)
+                for kernel in KERNELS:
+                    rows = get_kernel(kernel).adjacency(k, d)
+                    assert list(rows) == list(g.adjacency), (kernel, k, d)
+
+    @pytest.mark.parametrize("k,d", [(0, 1), (2, 1), (1, 0), (-1, 3), (1, 20), (20, 20)])
+    def test_kernels_refuse_the_same_cells(self, k, d):
+        # k = 0 has no rows; 3^20 vertices overflow the C kernel's int
+        for kernel in KERNELS:
+            message = f"^the adjacency needs 1 <= k <= d <= 19, got k={k} d={d}$"
+            with pytest.raises(ValueError, match=message):
+                get_kernel(kernel).adjacency(k, d)
+
+    @requires_cc
+    def test_compiled_rows_read_as_ints(self):
+        rows = get_kernel("compiled").adjacency(1, 2)
+        expected = _kernel_py.adjacency(1, 2)
+        assert len(rows) == 9 and list(rows) == expected
+        assert [rows[i] for i in range(-9, 9)] == expected * 2
+        for i in (9, -10):
+            with pytest.raises(IndexError):
+                rows[i]
 
     @pytest.mark.parametrize("k,d", [(3, 7), (6, 7), (2, 8), (6, 8)])
     def test_degrees_match_closed_form(self, k, d):
@@ -459,6 +483,30 @@ class TestKernelTwins:
             max_family(2, 5, kernel="compiled")
 
     @requires_cc
+    def test_no_memory_in_the_adjacency_raises_memory_error(self, monkeypatch):
+        compiled = get_kernel("compiled")
+        monkeypatch.setattr(compiled, "_adjacency", lambda *args: _kernel._NO_MEMORY)
+        with pytest.raises(MemoryError, match="^the compiled adjacency could not allocate"):
+            max_family(2, 5, kernel="compiled")
+
+    @requires_cc
+    def test_compiled_search_converts_no_adjacency_rows(self, monkeypatch):
+        # the rows stay in the buffer the compiled adjacency filled, so the
+        # time limit is not spent converting them: only the d root pools and
+        # the incumbent go through _bit_sets
+        converted = []
+        bit_sets = _kernel._bit_sets
+
+        def recording(values, width):
+            converted.append(len(values))
+            return bit_sets(values, width)
+
+        monkeypatch.setattr(_kernel, "_bit_sets", recording)
+        res = max_family(3, 7, Budget(500), kernel="compiled")
+        assert converted == [7, 1]
+        assert (res.status, res.nodes_explored) == (STATUS_TIMEOUT, 501)
+
+    @requires_cc
     def test_identical_solver_results(self):
         for (k, d) in [(2, 2), (2, 5)]:
             res = {kern: max_family(k, d, kernel=kern) for kern in KERNELS}
@@ -545,7 +593,7 @@ class TestKernelTwins:
         for name in KERNELS:
             impl = get_kernel(name)
             assert impl.KERNEL_NAME == name
-            for routine in ("solve_root", "first_bad_pair", "cover_map"):
+            for routine in ("adjacency", "solve_root", "first_bad_pair", "cover_map"):
                 assert callable(getattr(impl, routine)), (name, routine)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -705,23 +753,33 @@ class TestKernelLoader:
         pairs = [("".join(words[:n]), n, 8, k) for n in (70, 129) for k in (8, 7, 3)]
         family = Family.from_strings(8, 8, random_words(random.Random(20), 8, 40, 0.4))
         covers = [(family.ranks, len(family), 8)]
+        # rows of 1, 1, 4, 12, 12 and 35 words, each ending mid-word (3^d is odd)
+        cells = [(1, 1), (1, 2), (2, 5), (3, 6), (6, 6), (4, 7)]
+        solved = [_kernel_py.solve_root(*args) for args in solves]
         expected = (
-            [_kernel_py.solve_root(*args) for args in solves],
+            solved,
             [_kernel_py.first_bad_pair(*args) for args in pairs],
             [_kernel_py.cover_map(*args) for args in covers],
+            [_kernel_py.adjacency(*cell) for cell in cells],
+            solved[0],  # searched again on the compiled rows of (2,5)
         )
         assert expected[1].count(None) == 3 and expected[2][0][2] is not None
 
+        # PYTHONMALLOC=malloc gives every buffer, small ones too, the
+        # sanitizer's guard zones, so a write past the last row stops the child
         child = (
             "import os, pickle, sys\n"
             "del os.environ['LD_PRELOAD']  # the compiler runs without the runtimes\n"
             "from neighborly.search import _kernel\n"
             "kernel, reason = _kernel.load_compiled(sys.argv[1], sys.argv[2:])\n"
             "assert reason is None, reason\n"
-            "solves, pairs, covers = pickle.load(sys.stdin.buffer)\n"
+            "solves, pairs, covers, cells = pickle.load(sys.stdin.buffer)\n"
             "pickle.dump(([kernel.solve_root(*args) for args in solves],\n"
             "             [kernel.first_bad_pair(*args) for args in pairs],\n"
-            "             [kernel.cover_map(*args) for args in covers]), sys.stdout.buffer)\n"
+            "             [kernel.cover_map(*args) for args in covers],\n"
+            "             [list(kernel.adjacency(*cell)) for cell in cells],\n"
+            "             kernel.solve_root(kernel.adjacency(2, 5), *solves[0][1:])),\n"
+            "            sys.stdout.buffer)\n"
         )
         sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
                     "-fno-omit-frame-pointer"]
@@ -730,12 +788,12 @@ class TestKernelLoader:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(
             os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(blocker),
-            LD_PRELOAD=" ".join(runtimes),
+            LD_PRELOAD=" ".join(runtimes), PYTHONMALLOC="malloc",
             ASAN_OPTIONS="detect_leaks=0",  # the interpreter itself leaks at exit
         )
         proc = subprocess.run(
             [sys.executable, "-c", child, str(tmp_path / "sanitized"), *cc, *sanitize],
-            input=pickle.dumps((solves, pairs, covers)), capture_output=True, env=env,
+            input=pickle.dumps((solves, pairs, covers, cells)), capture_output=True, env=env,
             timeout=_kernel.BUILD_TIMEOUT_S,
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-3000:]
@@ -974,7 +1032,7 @@ class TestSymmetryInvariance:
                 flips = rng.randrange(1 << d)
                 mapping = [index[apply_symmetry(v, perm, flips)] for v in words]
                 assert sorted(mapping) == list(range(g.n))
-                assert _relabeled(g.adjacency, mapping) == g.adjacency, (k, d, perm, flips)
+                assert _relabeled(g.adjacency, mapping) == list(g.adjacency), (k, d, perm, flips)
 
     def test_best_size_invariant_under_relabeling(self):
         rng = random.Random(11)
