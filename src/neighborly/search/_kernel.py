@@ -2,12 +2,12 @@
 
 A kernel provides ``KERNEL_NAME`` and four routines, whose contracts
 ``_kernel_py`` states: ``adjacency`` (the compatibility graph's rows),
-``solve_root`` (the solver's clique search), ``first_bad_pair`` (the pair
-check of ``core.is_k_neighborly``) and ``cover_map`` (the audit's cover
-map).  ``_kernel_py`` is the pure-Python implementation and the oracle.
-``CompiledKernel`` calls the entry points of ``_kernel_c.c`` (plain C99)
-after the input checks of ``_kernel_py``, and raises MemoryError where the
-C buffers cannot be allocated.  Both give identical results; the compiled
+``solve_root`` (the clique search through one root), ``first_bad_pair``
+(the pair check of ``core.is_k_neighborly``) and ``cover_map`` (the
+audit's cover map).  ``_kernel_py`` is the pure-Python implementation and
+the oracle.  ``CompiledKernel`` calls the entry points of ``_kernel_c.c``
+(plain C99) after the input checks of ``_kernel_py``, and raises
+MemoryError where the C buffers cannot be allocated.  Both give identical results; the compiled
 ``adjacency`` leaves its rows in the C buffer (``BitRows``), which the
 compiled ``solve_root`` reads without converting them.
 
@@ -31,7 +31,6 @@ import os
 import sys
 import sysconfig
 from pathlib import Path
-from time import perf_counter
 from typing import Optional, Sequence
 
 from . import _kernel_py
@@ -70,9 +69,8 @@ class CompiledKernel:
             ctypes.POINTER(ctypes.c_uint64),  # adjacency rows
             ctypes.c_int,  # n
             ctypes.c_int,  # d
-            ctypes.POINTER(ctypes.c_int),  # root vertices
-            ctypes.POINTER(ctypes.c_uint64),  # root candidate pools
-            ctypes.c_int,  # number of roots
+            ctypes.c_int,  # root vertex
+            ctypes.POINTER(ctypes.c_uint64),  # its candidate pool
             ctypes.c_int,  # symmetry depth
             ctypes.c_int,  # target
             ctypes.c_int64,  # node limit, < 0 unlimited
@@ -162,7 +160,8 @@ class CompiledKernel:
     def solve_root(
         self,
         adjacency: Sequence[int],
-        roots: list[tuple[int, int]],
+        root: int,
+        pool: int,
         best_mask: int,
         target: int,
         node_limit: int | None,
@@ -170,25 +169,18 @@ class CompiledKernel:
         d: int | None = None,
         symmetry_depth: int = 0,
     ) -> tuple[int, int, int, bool]:
-        """``_kernel_py.solve_root``'s contract, converting the inputs within
-        ``time_limit``; rows from ``adjacency`` go to C as they are."""
-        start = perf_counter()
-        _kernel_py.check_solve_inputs(adjacency, roots, best_mask, d, symmetry_depth)
+        """``_kernel_py.solve_root``'s contract; rows from ``adjacency`` go to C
+        as they are, other rows are converted."""
+        _kernel_py.check_solve_inputs(adjacency, root, pool, best_mask, d, symmetry_depth)
         n = len(adjacency)
-        if n == 0:
-            return 0, 0, 0, True
         width = 8 * ((n + 63) >> 6)
         rows = adjacency.array if isinstance(adjacency, BitRows) else _bit_sets(adjacency, width)
-        pools = _bit_sets([pool for _, pool in roots], width)
-        root_ids = (ctypes.c_int * len(roots))(*(root for root, _ in roots))
         mask = _bit_sets([best_mask], width)
         nodes = ctypes.c_int64(0)
-        if time_limit is not None:
-            time_limit = max(0.0, time_limit - (perf_counter() - start))
         status = self._solve(
-            rows, n, d or 0, root_ids, pools, len(roots), symmetry_depth, target,
+            rows, n, d or 0, root, _bit_sets([pool], width), symmetry_depth, target,
             -1 if node_limit is None else min(max(0, node_limit), 2**63 - 1),  # c_int64 wraps
-            -1.0 if time_limit is None else time_limit,
+            -1.0 if time_limit is None else max(0.0, time_limit),  # < 0 is unlimited in C
             mask, ctypes.byref(nodes),
         )
         completed = _checked(status, "kernel") == _COMPLETED

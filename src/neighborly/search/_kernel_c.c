@@ -1,9 +1,9 @@
-/* The compiled kernels: branch-and-bound maximum clique on multi-word bit
-   sets (neighborly_solve), the compatibility graph's adjacency rows in the
-   layout it reads (neighborly_adjacency, whose scratch is a chain of
-   sum_{m<d} (k+1)*3^m bits, rounded up to words per mask), then, at the
-   end of the file, the bit-sliced k-neighborly pair check
-   (neighborly_first_bad_pair) and the audit's cover map
+/* The compiled kernels: branch-and-bound maximum clique through one root
+   on multi-word bit sets (neighborly_solve), the compatibility graph's
+   adjacency rows in the layout it reads (neighborly_adjacency, whose
+   scratch is a chain of sum_{m<d} (k+1)*3^m bits, rounded up to words per
+   mask), then, at the end of the file, the bit-sliced k-neighborly pair
+   check (neighborly_first_bad_pair) and the audit's cover map
    (neighborly_cover_map, whose block neighborly_free releases).
 
    Each entry point is the twin of a routine of _kernel_py.py, which is
@@ -60,7 +60,7 @@
 
 /* The entry points' results; _kernel.py maps them to Python. */
 enum {
-    COMPLETED = 0,   /* every root exhausted, or the target reached */
+    COMPLETED = 0,   /* the root exhausted, or the target reached */
     BUDGET = 1,      /* the node or time budget ran out */
     NO_LEVELS = -1,  /* a clique grew deeper than `levels` allows */
     NO_MEMORY = -2,
@@ -262,26 +262,26 @@ static void expand(State *st, int size, int level)
     }
 }
 
-/* Run the root subproblems (roots[r], root_pools row r) in order, sharing
-   the node and time budgets across roots.
+/* Search one root subproblem: the cliques through `root` whose other
+   members lie in `pool`.  The loop over the root subproblems, with their
+   shared budgets, is solver.search_roots.
 
-   adj holds n rows and root_pools nroots rows of (n + 63) / 64 words;
-   candidate bits must lie below n.  best_mask carries the incumbent in
-   (its popcount is the incumbent's size) and the best clique out; *nodes
-   receives the node count.  node_limit < 0 and time_limit < 0 mean
-   unlimited.  Nodes whose clique has at most symmetry_depth members prune
-   orbits (see the header), which needs n = 3^d; 0 turns it off.  Returns
-   COMPLETED, BUDGET or a negative error code. */
-int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
-                     const uint64_t *root_pools, int nroots, int symmetry_depth,
-                     int target, int64_t node_limit, double time_limit,
+   adj holds n rows and pool one row of (n + 63) / 64 words; candidate bits
+   must lie below n.  best_mask carries the incumbent in (its popcount is
+   the incumbent's size) and the best clique out; *nodes receives the node
+   count.  node_limit < 0 and time_limit < 0 mean unlimited.  Nodes whose
+   clique has at most symmetry_depth members prune orbits (see the header),
+   which needs n = 3^d; 0 turns it off.  Returns COMPLETED, BUDGET or a
+   negative error code. */
+int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t *pool,
+                     int symmetry_depth, int target, int64_t node_limit, double time_limit,
                      uint64_t *best_mask, int64_t *nodes)
 {
     const int words = (n + 63) >> 6;
     /* a clique never outgrows the target or the graph; 3 rows of slack */
     const int levels = (target < n ? target : n) + 3;
     *nodes = 0;
-    if (((uintptr_t)adj | (uintptr_t)root_pools | (uintptr_t)best_mask) & 7)
+    if (((uintptr_t)adj | (uintptr_t)pool | (uintptr_t)best_mask) & 7)
         return MISALIGNED;
     if (symmetry_depth < 0)
         symmetry_depth = 0;
@@ -326,25 +326,9 @@ int neighborly_solve(const uint64_t *adj, int n, int d, const int *roots,
         result = NO_MEMORY;
         goto done;
     }
-    for (int r = 0; r < nroots && st.status == RUNNING; r++) {
-        const int root = roots[r];
-        memcpy(st.pools, root_pools + (size_t)r * words, (size_t)words * sizeof *st.pools);
-        const int candidates = popcount_set(st.pools, words);
-        if (1 + candidates <= st.best)
-            continue;
-        if (candidates == 0) {
-            /* only reached with an empty incumbent: a lone vertex is a clique */
-            st.best = 1;
-            memset(best_mask, 0, (size_t)words * sizeof *best_mask);
-            best_mask[root >> 6] |= BIT(root);
-            if (st.best >= target)
-                st.status = TARGET;
-            continue;
-        }
-        memset(st.cur, 0, (size_t)words * sizeof *st.cur);
-        st.cur[root >> 6] |= BIT(root);
-        expand(&st, 1, 0);
-    }
+    memcpy(st.pools, pool, (size_t)words * sizeof *st.pools);
+    st.cur[root >> 6] |= BIT(root);
+    expand(&st, 1, 0);
     if (st.status == BUDGET || st.status == NO_LEVELS)
         result = st.status;
 

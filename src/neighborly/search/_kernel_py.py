@@ -1,6 +1,7 @@
 """The pure-Python kernel: the compiled kernel's fallback and oracle.
 
-``solve_root`` is a branch-and-bound clique search on integer bit sets with
+``solve_root`` is a branch-and-bound clique search through one root on
+integer bit sets (``solver.search_roots`` runs the root subproblems), with
 the compiled one's greedy-coloring bound, lowest-bit-first tie breaking,
 orbit pruning below the root and traversal order, so both return identical
 sizes, witnesses and node counts on identical inputs (``_kernel_c.c``
@@ -93,13 +94,13 @@ def _orbit_classes(clique: int, pool: int, d: int) -> dict[int, int]:
 
 
 def check_solve_inputs(
-    adjacency: list[int], roots: list[tuple[int, int]], best_mask: int,
+    adjacency: list[int], root: int, pool: int, best_mask: int,
     d: int | None, symmetry_depth: int,
 ) -> None:
     """ValueError for input ``solve_root`` refuses, in either kernel.
 
     Orbit pruning reads symbols off vertex indices, so it needs n = 3^d;
-    a root, a candidate or an incumbent vertex outside 0..n-1 would be
+    the root, a candidate or an incumbent vertex outside 0..n-1 would be
     read past the adjacency.
     """
     n = len(adjacency)
@@ -109,9 +110,8 @@ def check_solve_inputs(
         raise ValueError(f"orbit pruning needs n = 3^d, got n={n} d={d}")
     if best_mask >> n:
         raise ValueError(f"the incumbent mask has vertices outside 0..{n - 1}")
-    for root, pool in roots:
-        if not 0 <= root < n or pool >> n:
-            raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
+    if not 0 <= root < n or pool >> n:
+        raise ValueError(f"root {root} or its candidates lie outside 0..{n - 1}")
 
 
 def check_adjacency(k: int, d: int) -> None:
@@ -180,7 +180,8 @@ class _Searcher:
 
 def solve_root(
     adjacency: list[int],
-    roots: list[tuple[int, int]],
+    root: int,
+    pool: int,
     best_mask: int,
     target: int,
     node_limit: int | None,
@@ -188,39 +189,32 @@ def solve_root(
     d: int | None = None,
     symmetry_depth: int = 0,
 ) -> tuple[int, int, int, bool]:
-    """Run the root subproblems (vertex, candidate pool) in order.
+    """Search one root subproblem: the cliques through ``root`` whose other
+    members lie in the candidate mask ``pool``.
 
     The graph has n = len(adjacency) vertices; the incumbent is the clique
-    ``best_mask``, its size the mask's popcount.  Node and time budgets are
-    shared across roots.  Nodes whose clique has at most ``symmetry_depth``
-    members, the root alone counting as one, drop a finished vertex's whole
-    orbit; that needs graph.py's vertex numbering with n = 3^d (``d`` is
-    the caller's statement that the graph is that one), and 0 gives the
-    plain tree.  Returns (best_size, best_mask, nodes, completed), where
-    best_size is the popcount of best_mask and completed is False only when
-    a budget ran out; reaching ``target`` counts as completed.
+    ``best_mask``, its size the mask's popcount.  Nodes whose clique has at
+    most ``symmetry_depth`` members, the root alone counting as one, drop a
+    finished vertex's whole orbit; that needs graph.py's vertex numbering
+    with n = 3^d (``d`` is the caller's statement that the graph is that
+    one), and 0 gives the plain tree.  Returns (best_size, best_mask, nodes,
+    completed), where best_size is the popcount of best_mask and completed
+    is False only when a budget ran out; reaching ``target`` counts as
+    completed.  The loop over the root subproblems is ``solver.search_roots``.
     """
-    check_solve_inputs(adjacency, roots, best_mask, d, symmetry_depth)
+    check_solve_inputs(adjacency, root, pool, best_mask, d, symmetry_depth)
     deadline = None if time_limit is None else perf_counter() + time_limit
     s = _Searcher(adjacency, target, node_limit, deadline, d, symmetry_depth)
     s.best = best_mask.bit_count()
     s.best_mask = best_mask
     if s.best >= target:
         return s.best, s.best_mask, 0, True
-    for root, pool in roots:
-        if 1 + pool.bit_count() <= s.best:
-            continue
-        try:
-            if pool:
-                s._expand(1 << root, 1, pool)
-            elif s.best < 1:
-                s.best, s.best_mask = 1, 1 << root
-                if s.best >= target:
-                    return s.best, s.best_mask, s.nodes, True
-        except _BudgetExhausted:
-            return s.best, s.best_mask, s.nodes, False
-        except _TargetReached:
-            return s.best, s.best_mask, s.nodes, True
+    try:
+        s._expand(1 << root, 1, pool)
+    except _BudgetExhausted:
+        return s.best, s.best_mask, s.nodes, False
+    except _TargetReached:
+        pass
     return s.best, s.best_mask, s.nodes, True
 
 

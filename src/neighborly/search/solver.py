@@ -9,8 +9,9 @@ kernel memory check runs first; then the family, the graph and a
 branch-and-bound over orbit representatives of the first vertex:
 coordinate permutations and per-coordinate bit swaps act on the graph, so
 the first clique vertex can be assumed to be 0^(d-t) *^t for some t, which
-cuts the root branching factor from 3^d to d.  Below the root the kernel keeps breaking symmetry
-down to ``symmetry_depth``: once a branch is finished, every vertex in its
+cuts the root branching factor from 3^d to d.  ``search_roots`` hands the
+kernel one root at a time.  Below the root the kernel keeps breaking symmetry
+down to ``SYMMETRY_DEPTH``: once a branch is finished, every vertex in its
 orbit under the symmetries fixing the current clique leaves the pool.
 
 Results are deterministic for fixed (k, d, budget): vertex order, warm
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
 from .. import bounds, reference
 from ..core import Family, check_memory
@@ -101,7 +102,6 @@ def max_family(
     budget: Optional[Budget] = None,
     incumbent: Optional[Family] = None,
     kernel: str = "auto",
-    symmetry_depth: int = SYMMETRY_DEPTH,
 ) -> SearchResult:
     """Best k-neighborly family the budget allows; exact when it suffices.
 
@@ -113,9 +113,7 @@ def max_family(
     the embedded exact values or certify below a published lower bound
     (either would raise InconsistencyError).  The memory checks (the kernel's, then the
     warm start builder's) raise ResourceError before any family or graph is built; the
-    deadline is checked before the kernel starts and inside it.  ``symmetry_depth`` sets how
-    deep the kernel prunes orbits (0: only at the root); it changes the
-    node count, never the size or the status of an exhausted search.
+    deadline is checked before each root subproblem and inside the kernel.
     """
     if budget is None:
         budget = Budget()
@@ -145,7 +143,7 @@ def max_family(
     searching = best_size < target and budget.node_limit != 0
     if searching:
         check_memory(
-            f"kernel buffers for (k={k}, d={d})", _kernel.buffer_bytes(n, target, symmetry_depth)
+            f"kernel buffers for (k={k}, d={d})", _kernel.buffer_bytes(n, target, SYMMETRY_DEPTH)
         )
     built = build()
     if len(built) != best_size:
@@ -194,17 +192,47 @@ def max_family(
         active &= ~classes[t]
     ranks = warm.ranks
     best_mask = sum(1 << vertex_of(ranks[i:i + d]) for i in range(0, len(ranks), d))
-
-    remaining = None
-    if deadline is not None:
-        remaining = deadline - perf_counter()
-        if remaining <= 0:
-            return _finish(STATUS_TIMEOUT, 0, warm)
-    size, mask, nodes, completed = impl.solve_root(
-        adj, roots, best_mask, target, budget.node_limit, remaining, d, symmetry_depth
+    mask, nodes, completed = search_roots(
+        impl, adj, roots, best_mask, target, budget.node_limit, deadline, d, SYMMETRY_DEPTH
     )
     status = STATUS_OPTIMAL if completed else STATUS_TIMEOUT
     return _finish(status, nodes, family_of(k, d, mask))
+
+
+def search_roots(
+    kernel, adjacency: Sequence[int], roots: list[tuple[int, int]], best_mask: int,
+    target: int, node_limit: Optional[int], deadline: Optional[float], d: Optional[int],
+    symmetry_depth: int,
+) -> tuple[int, int, bool]:
+    """Run the root subproblems (vertex, candidate pool) in order, one
+    ``kernel.solve_root`` each, sharing the incumbent and the budgets.
+
+    A root whose pool cannot beat the incumbent is skipped; a root without
+    candidates is a clique of one when the incumbent is empty.  ``deadline``
+    is a ``perf_counter`` time.  Returns (best_mask, nodes, completed), where
+    completed is False only when a budget ran out before the ``target``.
+    """
+    nodes = 0
+    for root, pool in roots:
+        best = best_mask.bit_count()
+        if best >= target:
+            break
+        if 1 + pool.bit_count() <= best:
+            continue
+        if not pool:  # only reached with an empty incumbent
+            best_mask = 1 << root
+            continue
+        time_limit = None if deadline is None else deadline - perf_counter()
+        if time_limit is not None and time_limit <= 0:
+            return best_mask, nodes, False
+        limit = None if node_limit is None else node_limit - nodes
+        _, best_mask, spent, completed = kernel.solve_root(
+            adjacency, root, pool, best_mask, target, limit, time_limit, d, symmetry_depth
+        )
+        nodes += spent
+        if not completed:
+            return best_mask, nodes, False
+    return best_mask, nodes, True
 
 
 def certify(

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from neighborly import cli, constructions
+from neighborly.analysis import AUDIT_CHECKS, CheckResult
 from neighborly.cli import EXIT_PIPE, main, parse_family, read_family, write_family
 from neighborly.constructions import alon_product
 from neighborly.errors import ParseError
@@ -255,6 +257,41 @@ class TestVerifyCommand:
     def test_bad_word_message(self, tmp_family_file, body, message):
         path = tmp_family_file("d=2 k=1\n" + body)
         assert run_cli("verify", path) == (1, "", f"parse error: {message}\n")
+
+    def test_malformed_header_message(self, tmp_family_file):
+        path = tmp_family_file("# a comment\nd=x k=2\n00\n")
+        assert run_cli("verify", path) == (
+            1, "", "parse error: line 2: malformed header 'd=x k=2'\n"
+        )
+
+    def test_failed_check_is_printed_in_order(self, tmp_path, monkeypatch):
+        # no real family fails the audit, so one check is made to fail
+        real_audit = cli.audit
+
+        def failing(family, *args, **kwargs):
+            report = real_audit(family, *args, **kwargs)
+            failed = CheckResult(False, "0110 weighs 1/2^1, above the cap 1/2^2")
+            return replace(report, checks=dict(report.checks, mirror_weight_cap=failed))
+
+        monkeypatch.setattr(cli, "audit", failing)
+        _, out, _ = run_cli("construct", "corollary35", "4")
+        path = tmp_path / "fam.txt"
+        path.write_text(out)
+        code, vout, err = run_cli("verify", str(path))
+        assert (code, err) == (1, "")
+        assert [line.split()[1].rstrip(":") for line in vout.splitlines()[1:-1]] == list(
+            AUDIT_CHECKS
+        )
+        assert vout == (
+            "family of 12 vectors, d=4, k=3: k-neighborly\n"
+            "PASS unique_cover\n"
+            "PASS disjoint_mirror_classes\n"
+            "PASS prefix_diameter_bound\n"
+            "FAIL mirror_weight_cap: 0110 weighs 1/2^1, above the cap 1/2^2\n"
+            "PASS pair_weight_cap\n"
+            "PASS weight_identity\n"
+            "sum of weights = 12 (family size 12)\n"
+        )
 
     def test_distance_violation_names_pair(self, tmp_family_file):
         path = tmp_family_file("d=2 k=1\n00\n11\n")

@@ -31,6 +31,7 @@ from neighborly.search.solver import (
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
     SYMMETRY_DEPTH,
+    search_roots,
 )
 
 from conftest import HAVE_CC, fam, jv, naive_distance, pascal_binomial, random_words, requires_cc
@@ -226,15 +227,18 @@ class TestMaxFamily:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("depth,nodes", [(0, 3_063), (1, 335), (2, 221), (3, 183)])
-    def test_2_5_node_counts_by_symmetry_depth(self, kernel, depth, nodes):
-        res = max_family(2, 5, kernel=kernel, symmetry_depth=depth)
+    def test_2_5_node_counts_by_symmetry_depth(self, monkeypatch, kernel, depth, nodes):
+        monkeypatch.setattr(solver, "SYMMETRY_DEPTH", depth)
+        res = max_family(2, 5, kernel=kernel)
         assert (res.best_size, res.status, res.nodes_explored) == (12, STATUS_OPTIMAL, nodes)
 
     @pytest.mark.parametrize("k,d", [(k, d) for d in range(1, 6) for k in range(1, d + 1)])
-    def test_orbit_pruning_keeps_every_size(self, k, d):
+    def test_orbit_pruning_keeps_every_size(self, monkeypatch, k, d):
         # (2,6) at both depths: TestKernelTwins::test_compiled_certifies_2_6
-        plain = max_family(k, d, Budget.unlimited(), symmetry_depth=0)
-        pruned = max_family(k, d, Budget.unlimited(), symmetry_depth=3)
+        monkeypatch.setattr(solver, "SYMMETRY_DEPTH", 0)
+        plain = max_family(k, d, Budget.unlimited())
+        monkeypatch.setattr(solver, "SYMMETRY_DEPTH", 3)
+        pruned = max_family(k, d, Budget.unlimited())
         assert plain.status == pruned.status == STATUS_OPTIMAL
         assert pruned.best_size == plain.best_size, (k, d)
         assert pruned.nodes_explored <= plain.nodes_explored
@@ -469,11 +473,11 @@ class TestKernelTwins:
             g = build_graph(k, d)
             n = g.n
             roots = [(i, g.adjacency[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)]
-            args = (g.adjacency, roots, 0, n + 1, None, None)
-            py = get_kernel("python").solve_root(*args)
-            cc = get_kernel("compiled").solve_root(*args)
+            args = (g.adjacency, roots, 0, n + 1, None, None, None, 0)
+            py = search_roots(get_kernel("python"), *args)
+            cc = search_roots(get_kernel("compiled"), *args)
             assert py == cc, (k, d)
-            assert py[3] is True or py[3] == 1
+            assert py[2] is True
 
     @requires_cc
     def test_no_memory_raises_memory_error(self, monkeypatch):
@@ -491,9 +495,9 @@ class TestKernelTwins:
 
     @requires_cc
     def test_compiled_search_converts_no_adjacency_rows(self, monkeypatch):
-        # the rows stay in the buffer the compiled adjacency filled, so the
-        # time limit is not spent converting them: only the d root pools and
-        # the incumbent go through _bit_sets
+        # the rows stay in the buffer the compiled adjacency filled: each
+        # root subproblem converts its incumbent and its pool, one row each,
+        # and the 500 nodes run out in the first root
         converted = []
         bit_sets = _kernel._bit_sets
 
@@ -503,7 +507,7 @@ class TestKernelTwins:
 
         monkeypatch.setattr(_kernel, "_bit_sets", recording)
         res = max_family(3, 7, Budget(500), kernel="compiled")
-        assert converted == [7, 1]
+        assert converted == [1, 1]
         assert (res.status, res.nodes_explored) == (STATUS_TIMEOUT, 501)
 
     @requires_cc
@@ -533,10 +537,7 @@ class TestKernelTwins:
         # (2,6) are exhaustive twin runs
         args = _kernel_inputs(monkeypatch, k, d, node_limit)
         assert args[-1] == SYMMETRY_DEPTH == 3
-        py = get_kernel("python").solve_root(*args)
-        cc = get_kernel("compiled").solve_root(*args)
-        assert py == cc
-        assert py[3] is (node_limit is None or (k, d) == (2, 6))
+        assert _twin_search(args)[2] is (node_limit is None or (k, d) == (2, 6))
 
     @requires_cc
     @pytest.mark.parametrize(
@@ -558,18 +559,38 @@ class TestKernelTwins:
         # depth 0 is the tree of the kernels without orbit pruning below the
         # root; depths 1 and 2 prune at fewer levels than max_family's 3
         args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
-        py = get_kernel("python").solve_root(*args)
-        cc = get_kernel("compiled").solve_root(*args)
-        assert py == cc
-        assert (py[2], py[3]) == (nodes, node_limit is None)
+        assert _twin_search(args)[1:] == (nodes, node_limit is None)
+
+    @requires_cc
+    @pytest.mark.parametrize(
+        "k,d,node_limit,depth,nodes,completed",
+        [
+            (2, 5, None, 1, 335, True),
+            (2, 5, None, 2, 221, True),
+            (2, 6, 50_000, 1, 50_001, False),
+            (2, 6, 50_000, 2, 17_822, True),
+            (3, 6, 50_000, 1, 50_001, False),
+            (3, 6, 50_000, 2, 50_001, False),
+            (3, 7, 500, 1, 501, False),
+            (3, 7, 500, 2, 501, False),
+        ],
+    )
+    def test_identical_on_benchmark_cells_at_depths_one_and_two(
+        self, monkeypatch, k, d, node_limit, depth, nodes, completed
+    ):
+        # with the two tests above, every benchmark cell at depths 0-3
+        args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
+        assert _twin_search(args)[1:] == (nodes, completed)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_zero_time_limit_stops_at_the_first_node(self, monkeypatch, kernel):
         # both kernels read the clock at every node they charge
-        args = list(_kernel_inputs(monkeypatch, 2, 6, None))
-        args[5] = 0.0  # time_limit
-        size, mask, nodes, completed = get_kernel(kernel).solve_root(*args)
-        assert (size, mask, nodes, completed) == (16, args[2], 1, False)
+        adj, roots, best_mask, target, _, _, d, depth = _kernel_inputs(monkeypatch, 2, 6, None)
+        root, pool = roots[0]
+        size, mask, nodes, completed = get_kernel(kernel).solve_root(
+            adj, root, pool, best_mask, target, None, 0.0, d, depth
+        )
+        assert (size, mask, nodes, completed) == (16, best_mask, 1, False)
 
     @pytest.mark.parametrize("depth,nodes", [(0, 50), (3, 42)])
     def test_reaching_the_target_completes_the_search(self, monkeypatch, depth, nodes):
@@ -578,16 +599,22 @@ class TestKernelTwins:
         # with no candidates, costs no node
         adj, roots, _, _, _, _, d, _ = _kernel_inputs(monkeypatch, 2, 5, None)
         results = [
-            get_kernel(kernel).solve_root(adj, roots, 0, 12, None, None, d, depth)
+            search_roots(get_kernel(kernel), adj, roots, 0, 12, None, None, d, depth)
             for kernel in KERNELS
         ]
-        size, mask, got, completed = results[0]
-        assert (size, got, completed) == (12, nodes, True)
+        mask, got, completed = results[0]
+        assert (mask.bit_count(), got, completed) == (12, nodes, True)
         assert all(res == results[0] for res in results)
         for kernel in KERNELS:
-            solve = get_kernel(kernel).solve_root
-            assert solve(adj, roots, mask, 12, None, None, d, depth) == (12, mask, 0, True)
-            assert solve([0, 0], [(0, 0), (1, 0)], 0, 1, None, None) == (1, 1, 0, True)
+            impl = get_kernel(kernel)
+            again = search_roots(impl, adj, roots, mask, 12, None, None, d, depth)
+            assert again == (mask, 0, True)
+            root, pool = roots[0]
+            assert impl.solve_root(adj, root, pool, mask, 12, None, None, d, depth) == (
+                12, mask, 0, True
+            )
+            edgeless = ([0, 0], [(0, 0), (1, 0)], 0, 1, None, None, None, 0)
+            assert search_roots(impl, *edgeless) == (1, 0, True)
 
     def test_both_kernels_provide_the_interface(self):
         for name in KERNELS:
@@ -599,28 +626,28 @@ class TestKernelTwins:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_orbit_pruning_needs_the_word_graph(self, kernel):
         # symbols are read off vertex indices, which only works for n = 3^d
-        adj, roots, *rest = _triangle_plus_edge()
+        args = _triangle_plus_edge()
         solve = get_kernel(kernel).solve_root
         with pytest.raises(ValueError, match="3\\^d"):
-            solve(adj, roots, *rest, 1, 3)
+            solve(*args, 1, 3)
         with pytest.raises(ValueError, match=">= 0"):
-            solve(adj, roots, *rest, None, -1)
-        assert solve(adj, roots, *rest, 1, 0)[:2] == (3, 0b0111)
+            solve(*args, None, -1)
+        assert solve(*args, 1, 0)[:2] == (3, 0b0111)
 
     def test_compiled_rejects_vertices_outside_the_graph(self):
         # C would read past the adjacency, Python raise IndexError or answer;
         # both kernels refuse first, with the same text
-        adj, roots, *rest = _triangle_plus_edge()
+        adj, root, pool, *rest = _triangle_plus_edge()
         for kernel in KERNELS:
             solve = get_kernel(kernel).solve_root
             with pytest.raises(ValueError, match="^root 4 or its candidates lie outside 0..3$"):
-                solve(adj, [(len(adj), 0)], *rest)
+                solve(adj, len(adj), 0, *rest)
             with pytest.raises(ValueError, match="^root 0 or its candidates lie outside 0..3$"):
-                solve(adj, [(0, 1 << len(adj))], *rest)
+                solve(adj, 0, 1 << len(adj), *rest)
             with pytest.raises(ValueError, match="^root 2 or its candidates lie outside 0..2$"):
-                solve(adj[:-1], roots, *rest)
+                solve(adj[:-1], 2, adj[2] >> 3 << 3, *rest)
             with pytest.raises(ValueError, match="^the incumbent mask has vertices outside 0..3$"):
-                solve(adj, roots, 1 << len(adj), *rest[1:])
+                solve(adj, root, pool, 1 << len(adj), *rest[1:])
 
     @requires_cc
     @pytest.mark.parametrize("node_limit", [2**64, 2**64 + 1000])
@@ -631,11 +658,12 @@ class TestKernelTwins:
         assert got == [(16, STATUS_OPTIMAL, 13_751)] * 2
 
     @requires_cc
-    def test_compiled_certifies_2_6(self):
+    def test_compiled_certifies_2_6(self, monkeypatch):
         # the tree of the lexicographic vertex order, no reordering; orbit
         # pruning to depth 3 cuts it 70-fold
         for depth, nodes in [(0, 966_502), (3, 13_751)]:
-            res = max_family(2, 6, Budget.unlimited(), kernel="compiled", symmetry_depth=depth)
+            monkeypatch.setattr(solver, "SYMMETRY_DEPTH", depth)
+            res = max_family(2, 6, Budget.unlimited(), kernel="compiled")
             assert (res.best_size, res.status) == (16, STATUS_OPTIMAL)
             assert res.nodes_explored == nodes, depth
 
@@ -650,29 +678,44 @@ class TestKernelTwins:
 
 
 def _kernel_inputs(monkeypatch, k, d, node_limit):
-    """The arguments max_family passes to solve_root for one search."""
+    """The arguments after the kernel that max_family passes to search_roots."""
 
     class Captured(Exception):
         pass
 
     inputs = []
 
-    def capture(*args):
+    def capture(kernel, *args):
         inputs.append(args)
         raise Captured
 
     with monkeypatch.context() as patch:
-        patch.setattr(get_kernel("python"), "solve_root", capture)
+        patch.setattr(solver, "search_roots", capture)
         with pytest.raises(Captured):
             max_family(k, d, budget=Budget(node_limit, None), kernel="python")
     return inputs[0]
 
 
+def _twin_search(args):
+    """search_roots(kernel, *args) with both kernels' solve_root on every root
+    subproblem it runs, which must return identical 4-tuples: a whole-run
+    comparison could hide differences that cancel between roots."""
+
+    class Twins:
+        @staticmethod
+        def solve_root(*root_args):
+            py = _kernel_py.solve_root(*root_args)
+            assert get_kernel("compiled").solve_root(*root_args) == py, root_args[1]
+            return py
+
+    return search_roots(Twins, *args)
+
+
 def _triangle_plus_edge():
-    """Vertices 0-1-2 form a triangle and 3 hangs off 2: one maximum clique."""
+    """Vertices 0-1-2 form a triangle and 3 hangs off 2: root 0's subproblem
+    holds the one maximum clique."""
     adj = [0b0110, 0b0101, 0b1011, 0b0100]
-    roots = [(i, adj[i] & (0b1111 << (i + 1))) for i in range(4)]
-    return (adj, roots, 0, 5, None, None)
+    return (adj, 0, adj[0], 0, 5, None, None)
 
 
 class TestKernelLoader:
@@ -755,7 +798,7 @@ class TestKernelLoader:
         covers = [(family.ranks, len(family), 8)]
         # rows of 1, 1, 4, 12, 12 and 35 words, each ending mid-word (3^d is odd)
         cells = [(1, 1), (1, 2), (2, 5), (3, 6), (6, 6), (4, 7)]
-        solved = [_kernel_py.solve_root(*args) for args in solves]
+        solved = [search_roots(_kernel_py, *args) for args in solves]
         expected = (
             solved,
             [_kernel_py.first_bad_pair(*args) for args in pairs],
@@ -771,14 +814,15 @@ class TestKernelLoader:
             "import os, pickle, sys\n"
             "del os.environ['LD_PRELOAD']  # the compiler runs without the runtimes\n"
             "from neighborly.search import _kernel\n"
+            "from neighborly.search.solver import search_roots\n"
             "kernel, reason = _kernel.load_compiled(sys.argv[1], sys.argv[2:])\n"
             "assert reason is None, reason\n"
             "solves, pairs, covers, cells = pickle.load(sys.stdin.buffer)\n"
-            "pickle.dump(([kernel.solve_root(*args) for args in solves],\n"
+            "pickle.dump(([search_roots(kernel, *args) for args in solves],\n"
             "             [kernel.first_bad_pair(*args) for args in pairs],\n"
             "             [kernel.cover_map(*args) for args in covers],\n"
             "             [list(kernel.adjacency(*cell)) for cell in cells],\n"
-            "             kernel.solve_root(kernel.adjacency(2, 5), *solves[0][1:])),\n"
+            "             search_roots(kernel, kernel.adjacency(2, 5), *solves[0][1:])),\n"
             "            sys.stdout.buffer)\n"
         )
         sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
@@ -1047,10 +1091,10 @@ class TestSymmetryInvariance:
                 roots = [
                     (i, shuffled[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)
                 ]
-                size, mask, _, done = get_kernel("auto").solve_root(
-                    shuffled, roots, 0, n + 1, None, None
+                mask, _, done = search_roots(
+                    get_kernel("auto"), shuffled, roots, 0, n + 1, None, None, None, 0
                 )
-                assert done and size == base, (k, d)
+                assert done and mask.bit_count() == base, (k, d)
 
 
 @st.composite
@@ -1079,20 +1123,19 @@ def brute_max_clique(n: int, adj: list[int]) -> int:
 
 class TestKernelsOnRandomGraphs:
     @given(small_random_graphs())
-    @example((3, [0, 0, 0]))  # edgeless: the kernel's lone-vertex clique
+    @example((3, [0, 0, 0]))  # edgeless: search_roots's lone-vertex clique
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_each_other_and_bruteforce(self, graph):
         n, adj = graph
         expected = brute_max_clique(n, adj)
         roots = [(i, adj[i] & (((1 << n) - 1) << (i + 1))) for i in range(n)]
         results = [
-            get_kernel(name).solve_root(adj, roots, 0, n + 1, None, None)
+            search_roots(get_kernel(name), adj, roots, 0, n + 1, None, None, None, 0)
             for name in KERNELS
         ]
-        for res in results:
-            size, mask, nodes, completed = res
+        for mask, nodes, completed in results:
             assert completed
-            assert size == expected == mask.bit_count()
+            assert mask.bit_count() == expected
         assert all(res == results[0] for res in results)
 
 
@@ -1118,7 +1161,8 @@ class TestIndependentCliqueOracle:
                 # the built graph is searched here, every vertex a root
                 adj = build_graph(k, d).adjacency
                 roots = [(v, row >> (v + 1) << (v + 1)) for v, row in enumerate(adj)]
-                assert get_kernel().solve_root(adj, roots, 0, len(adj), None, None)[0] == omega
+                args = (adj, roots, 0, len(adj), None, None, None, 0)
+                assert search_roots(get_kernel(), *args)[0].bit_count() == omega
 
 
 class TestCertify:
