@@ -13,12 +13,14 @@ v of the integer.  ``cover_profile`` returns the partition in this form,
 as a ``CoverProfile``, and the audit reads the same map.  The classes are
 built by the kernel's ``cover_map`` (``search._kernel``): the compiled
 library walks each member's subcube vector by vector, and its pure twin
-in ``search/_kernel_py.py`` shifts one subcube per member.  Flipping
-coordinate j of every vector of a set is a masked swap of the 2^d/2^(j+1)
-blocks of 2^j bits, so a Hamming neighbourhood takes d such swaps per unit
-of radius.  Complementing every vector of a set reverses its 2^d bits, so
-a mirror is one byte-wise bit reversal.  Every check is then a handful of
-whole-set operations.
+in ``search/_kernel_py.py`` shifts one subcube per member.  The Hamming
+neighbourhoods of the diameter check are the kernel's ``neighbourhood``:
+flipping coordinate j of every vector of a set is a masked swap of its
+blocks of 2^j bits, so a neighbourhood takes d such swaps per unit of
+radius, done in place on the set's words by the compiled library and on
+big integers by the twin.  Complementing every vector of a set reverses
+its 2^d bits, so a mirror is one byte-wise bit reversal.  Every check is
+then a handful of whole-set operations.
 
 The audit compares weights as integer numerators over 2^d: a vector
 covered by a t-joker member weighs 2^(d-t).  ``fractions.Fraction`` only
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .bounds import b_config_size, shell_depths
@@ -41,7 +42,7 @@ from .search import _kernel
 AUDIT_DIMENSION_CAP = 20
 # hard ceiling on d for the audit whatever its cap, and for cover_profile:
 # both hold several 2^d-bit sets at once, and at d=24 each is 2 MB (the
-# flip masks alone take 48 MB)
+# pure-Python kernel's neighbourhood adds 48 MB of flip masks)
 AUDIT_DIMENSION_LIMIT = 24
 
 
@@ -115,19 +116,6 @@ def _word(v: int, d: int) -> str:
     return format(v, f"0{d}b")[::-1]
 
 
-@lru_cache(maxsize=2)
-def _flip_masks(d: int) -> Tuple[int, ...]:
-    """Per coordinate j, the set of binary vectors of length d whose bit j is 0."""
-    masks = []
-    for j in range(d):
-        mask, width = (1 << (1 << j)) - 1, 2 << j
-        while width < 1 << d:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask)
-    return tuple(masks)
-
-
 def _reversed_bits() -> bytes:
     """Entry b is byte b with its 8 bits in reverse order."""
     table = [0]
@@ -144,16 +132,6 @@ def _mirror(s: int, d: int) -> int:
     size = max(1, (1 << d) >> 3)  # bytes; below d=3 the set sits in the low bits of one
     backwards = s.to_bytes(size, "big").translate(_REVERSED_BITS)
     return int.from_bytes(backwards, "little") >> (8 * size - (1 << d))
-
-
-def _neighbourhood(s: int, radius: int, masks: Tuple[int, ...]) -> int:
-    """All binary vectors within Hamming distance ``radius`` of some vector of s."""
-    for _ in range(radius):
-        grown = s
-        for j, low in enumerate(masks):
-            grown |= ((s & low) << (1 << j)) | ((s >> (1 << j)) & low)
-        s = grown
-    return s
 
 
 def cover_profile(family: Family) -> CoverProfile:
@@ -232,8 +210,10 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
       - the weight identity reads the class sizes.
     Building the cover map takes one step per covered vector of each
     member and one bit reversal per class for the mirrors; a diameter
-    check takes d-L-1 rounds of d flips.  Weights and caps are numerators
-    over 2^d.
+    check is one kernel ``neighbourhood`` of radius d-L-1, d flips of
+    every word of the set per unit of radius, and a second one of a
+    single vector when it fails.  Weights and caps are numerators over
+    2^d.
     A failed check names the lowest vector of the offending set.  d is
     capped (default 20) because every set is 2^d bits wide; above
     AUDIT_DIMENSION_LIMIT (24) the audit raises ResourceError whatever the
@@ -268,7 +248,7 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
     failures = (  # in the order of AUDIT_CHECKS
         collision,
         _disjoint_mirror_failure(d, classes, mirrored, depths),
-        _prefix_diameter_failure(d, k, classes, mirrored, depths, _flip_masks(d)),
+        _prefix_diameter_failure(d, k, classes, mirrored, depths),
         _mirror_weight_failure(d, k, classes, mirrored, depths),
         _pair_weight_failure(d, k, cover, depths),
         identity,
@@ -302,8 +282,9 @@ def _disjoint_mirror_failure(d, classes, mirrored, depths) -> Optional[str]:
     return None
 
 
-def _prefix_diameter_failure(d, k, classes, mirrored, depths, masks) -> Optional[str]:
+def _prefix_diameter_failure(d, k, classes, mirrored, depths) -> Optional[str]:
     # a and b are more than L apart exactly when ~b is within d-L-1 of a
+    neighbourhood = _kernel.get_kernel().neighbourhood
     prefix = mirror = 0
     for i in depths:
         prefix |= classes.get(i, 0)
@@ -314,11 +295,11 @@ def _prefix_diameter_failure(d, k, classes, mirrored, depths, masks) -> Optional
             return f"prefix through depth {i} has {size} > {cap} vectors"
         limit = k + 2 * i
         radius = d - limit - 1
-        far = prefix & _neighbourhood(mirror, radius, masks)
+        far = prefix & neighbourhood(mirror, radius, d)
         if far:
             # the lowest a with a partner; its partners all lie above it
             a = _lowest(far)
-            b = _lowest(prefix & _neighbourhood(1 << (a ^ ((1 << d) - 1)), radius, masks))
+            b = _lowest(prefix & neighbourhood(1 << (a ^ ((1 << d) - 1)), radius, d))
             return (
                 f"{_word(a, d)} and {_word(b, d)} are "
                 f"{(a ^ b).bit_count()} > {limit} apart at depth {i}"

@@ -37,7 +37,7 @@ from .constructions import (
     extremal_dminus1_family,
     staircase_code,
 )
-from .core import Family
+from .core import Family, only_symbols
 from .errors import (
     DomainError,
     NeighborlyError,
@@ -105,27 +105,55 @@ def write_witness(path: str, family: Family, comment: str) -> None:
 
 
 def parse_family(lines: Iterable[str]) -> Family:
-    """Parse the family file format; raises ParseError with a line number."""
+    """Parse the family file format; raises ParseError with a line number.
+
+    Every line is read and stripped before any is checked, so a file that
+    cannot be decoded fails as such whatever its other faults.  The vector
+    lines are checked in bulk (their lengths, their symbols and their
+    repeats over the whole list); only when a bulk test fails are they
+    walked in order, to name the first bad line as ``_first_bad_vector``
+    does.
+    """
+    lines = [raw.rstrip() for raw in lines]
     d = k = None
-    words: list[str] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
-        if d is None:
-            parts = line.split()
-            if (
-                len(parts) != 2
-                or not parts[0].startswith("d=")
-                or not parts[1].startswith("k=")
-            ):
-                raise ParseError(f"expected header 'd=<int> k=<int>', got {line!r}", lineno)
-            try:
-                d = int(parts[0][2:])
-                k = int(parts[1][2:])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
+        parts = line.split()
+        if (
+            len(parts) != 2
+            or not parts[0].startswith("d=")
+            or not parts[1].startswith("k=")
+        ):
+            raise ParseError(f"expected header 'd=<int> k=<int>', got {line!r}", lineno)
+        try:
+            d = int(parts[0][2:])
+            k = int(parts[1][2:])
+        except ValueError:
+            raise ParseError(f"malformed header {line!r}", lineno) from None
+        break
+    if d is None:
+        raise ParseError("missing 'd=<int> k=<int>' header line")
+    words = [line for line in lines[lineno:] if line and line[0] != "#"]
+    if (
+        set(map(len, words)) - {d}
+        or not only_symbols("".join(words))
+        or len(set(words)) != len(words)
+    ):
+        _first_bad_vector(lines, lineno, d)
+    try:
+        return Family.from_strings(d, k, words)
+    except NeighborlyError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _first_bad_vector(lines: list[str], header: int, d: int) -> None:
+    """Raise the ParseError of the first bad vector line after line ``header``:
+    a length other than d, a symbol outside 0, 1, * or a repeat, in that
+    order on each line."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines[header:], start=header + 1):
+        if not line or line.startswith("#"):
             continue
         if len(line) != d:
             raise ParseError(f"vector {line!r} has length {len(line)}, expected {d}", lineno)
@@ -134,13 +162,6 @@ def parse_family(lines: Iterable[str]) -> Family:
         if line in seen:
             raise ParseError(f"duplicate vector {line!r}", lineno)
         seen.add(line)
-        words.append(line)
-    if d is None:
-        raise ParseError("missing 'd=<int> k=<int>' header line")
-    try:
-        return Family.from_strings(d, k, words)
-    except NeighborlyError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def read_family(path: str) -> Family:

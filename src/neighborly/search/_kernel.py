@@ -1,15 +1,19 @@
 """The kernel interface: a compiled library and its pure-Python twin.
 
-A kernel provides ``KERNEL_NAME`` and four routines, whose contracts
+A kernel provides ``KERNEL_NAME`` and five routines, whose contracts
 ``_kernel_py`` states: ``adjacency`` (the compatibility graph's rows),
 ``solve_root`` (the clique search through one root), ``first_bad_pair``
-(the pair check of ``core.is_k_neighborly``) and ``cover_map`` (the
-audit's cover map).  ``_kernel_py`` is the pure-Python implementation and
-the oracle.  ``CompiledKernel`` calls the entry points of ``_kernel_c.c``
-(plain C99) after the input checks of ``_kernel_py``, and raises
-MemoryError where the C buffers cannot be allocated.  Both give identical results; the compiled
-``adjacency`` leaves its rows in the C buffer (``BitRows``), which the
-compiled ``solve_root`` reads without converting them.
+(the pair check of ``core.is_k_neighborly``), ``cover_map`` (the
+audit's cover map) and ``neighbourhood`` (the Hamming neighbourhoods of
+the audit's prefix-diameter check).  ``_kernel_py`` is the pure-Python
+implementation and the oracle.  ``CompiledKernel`` calls the entry
+points of ``_kernel_c.c`` (plain C99) after the input checks of
+``_kernel_py``, and raises MemoryError where the C buffers cannot be
+allocated.  Both give identical results; the compiled ``adjacency``
+leaves its rows in the C buffer (``BitRows``), which the compiled
+``solve_root`` reads without converting them, and the compiled
+``neighbourhood`` grows a copy of its set in place, so the twin's flip
+masks (48 MB at d = 24) are never built.
 
 The C file is compiled on first import with the C compiler this
 interpreter was built with, into ``$XDG_CACHE_HOME/neighborly/`` (default
@@ -112,6 +116,14 @@ class CompiledKernel:
         ]
         adjacency.restype = ctypes.c_int
         self._adjacency = adjacency
+        neighbourhood = library.neighborly_neighbourhood
+        neighbourhood.argtypes = [
+            ctypes.POINTER(ctypes.c_uint64),  # the set, in and out
+            ctypes.c_int,  # d
+            ctypes.c_int,  # radius
+        ]
+        neighbourhood.restype = ctypes.c_int
+        self._neighbourhood = neighbourhood
         self._free = library.neighborly_free
         self._free.argtypes = [ctypes.c_void_p]
         self._free.restype = None
@@ -156,6 +168,15 @@ class CompiledKernel:
         classes = dict(zip(counts[:m.value], rows))
         clash = None if member.value < 0 else (member.value, vector.value)
         return classes, rows[-1], clash
+
+    def neighbourhood(self, s: int, radius: int, d: int) -> int:
+        """``_kernel_py.neighbourhood``'s contract, the set grown in place in C."""
+        _kernel_py.check_neighbourhood(s, radius, d)
+        buf = bytearray(s.to_bytes(8 * max(1, (1 << d) >> 6), "little"))
+        array = (ctypes.c_uint64 * (len(buf) // 8)).from_buffer(buf)
+        # after d rounds the set is empty or the whole cube: more rounds change nothing
+        _checked(self._neighbourhood(array, d, min(radius, d)), "neighbourhood")
+        return int.from_bytes(buf, "little")
 
     def solve_root(
         self,

@@ -3,8 +3,10 @@
    adjacency rows in the layout it reads (neighborly_adjacency, whose
    scratch is a chain of sum_{m<d} (k+1)*3^m bits, rounded up to words per
    mask), then, at the end of the file, the bit-sliced k-neighborly pair
-   check (neighborly_first_bad_pair) and the audit's cover map
-   (neighborly_cover_map, whose block neighborly_free releases).
+   check (neighborly_first_bad_pair), the audit's cover map
+   (neighborly_cover_map, whose block neighborly_free releases) and the
+   Hamming neighbourhood of its prefix-diameter check
+   (neighborly_neighbourhood).
 
    Each entry point is the twin of a routine of _kernel_py.py, which is
    the oracle it is tested against.  neighborly_solve, the twin of
@@ -639,6 +641,47 @@ int neighborly_cover_map(const char *ranks, int n, int d, int *counts, int *clas
     }
     *classes = m;
     *rows = block;
+    return COMPLETED;
+}
+
+/* Per coordinate j < 6, the bits of a word whose vector has bit j 0. */
+static const uint64_t LOW_HALF[6] = {
+    0x5555555555555555u, 0x3333333333333333u, 0x0F0F0F0F0F0F0F0Fu,
+    0x00FF00FF00FF00FFu, 0x0000FFFF0000FFFFu, 0x00000000FFFFFFFFu,
+};
+
+/* The Hamming neighbourhood, twin of _kernel_py.neighbourhood: set becomes
+   the binary vectors within distance `radius` of some vector of it.
+
+   set is a row of max(1, 2^d / 64) words laid out as the cover map's rows
+   (vector v is bit v % 64 of word v / 64).  Flipping coordinate j moves a
+   vector 2^j bits: for j < 6 that is a masked shift inside each word, and
+   below d = 6 the set fills the low 2^d bits of its one word, which these
+   shifts never leave; for j >= 6 it swaps word w with word w ^ 2^(j-6).
+   Each round ORs into every word its d flips of the set as it stood when
+   the round began, which a scratch copy keeps, so the work is radius * d
+   operations per word.  Needs 1 <= d <= 32 and radius >= 0.  Returns
+   COMPLETED, or NO_MEMORY with set unchanged. */
+int neighborly_neighbourhood(uint64_t *set, int d, int radius)
+{
+    const size_t words = d > 6 ? (size_t)1 << (d - 6) : 1;
+    const int inner = d < 6 ? d : 6;
+    uint64_t *start = malloc(words * sizeof *start);
+    if (!start)
+        return NO_MEMORY;
+    for (int r = 0; r < radius; r++) {
+        memcpy(start, set, words * sizeof *start);
+        for (size_t w = 0; w < words; w++) {
+            const uint64_t x = start[w];
+            uint64_t grown = x;
+            for (int j = 0; j < inner; j++)
+                grown |= ((x & LOW_HALF[j]) << (1u << j)) | ((x >> (1u << j)) & LOW_HALF[j]);
+            for (int j = 6; j < d; j++)
+                grown |= start[w ^ ((size_t)1 << (j - 6))];
+            set[w] = grown;
+        }
+    }
+    free(start);
     return COMPLETED;
 }
 

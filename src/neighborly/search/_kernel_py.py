@@ -7,16 +7,17 @@ orbit pruning below the root and traversal order, so both return identical
 sizes, witnesses and node counts on identical inputs (``_kernel_c.c``
 states the orbit rule and why it is sound).  ``adjacency`` builds the
 compatibility graph that ``solve_root`` searches, ``first_bad_pair`` is the
-k-neighborly pair check and ``cover_map`` the audit's cover map.  Each
-routine first calls ``check_solve_inputs``, ``check_adjacency`` or
-``check_ranks``, and so does the compiled kernel, so both refuse the same
-inputs with the same ValueError.  The module imports nothing from the
-package.
+k-neighborly pair check, ``cover_map`` the audit's cover map and
+``neighbourhood`` the Hamming neighbourhood of its prefix-diameter check.
+Each routine first calls ``check_solve_inputs``, ``check_adjacency``,
+``check_ranks`` or ``check_neighbourhood``, and so does the compiled
+kernel, so both refuse the same inputs with the same ValueError.  The
+module imports nothing from the package.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 from time import perf_counter
 from typing import Iterator
@@ -132,6 +133,17 @@ def check_ranks(ranks: str, n: int, d: int, for_cover_map: bool = False) -> byte
     if for_cover_map and not 1 <= d <= 63:
         raise ValueError(f"the cover map needs 1 <= d <= 63, got d={d}")
     return encoded
+
+
+def check_neighbourhood(s: int, radius: int, d: int) -> None:
+    """ValueError unless radius >= 0, 1 <= d <= 32 (a set of 2^32 vectors
+    takes 512 MiB already) and s is a set of binary vectors of length d."""
+    if radius < 0:
+        raise ValueError(f"the radius must be >= 0, got {radius}")
+    if not 1 <= d <= 32:
+        raise ValueError(f"the neighbourhood needs 1 <= d <= 32, got d={d}")
+    if s < 0 or s >> (1 << d):
+        raise ValueError(f"the set must lie within the 2^{d} binary vectors of length {d}")
 
 
 class _Searcher:
@@ -383,3 +395,42 @@ def cover_map(
         classes[t] = classes.get(t, 0) | cell
         covered |= cell
     return classes, covered, clash
+
+
+@lru_cache(maxsize=2)
+def _flip_masks(d: int) -> tuple[int, ...]:
+    """Per coordinate j, the set of binary vectors of length d whose bit j is 0."""
+    masks = []
+    for j in range(d):
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < 1 << d:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _neighbourhood(s: int, radius: int, masks: tuple[int, ...]) -> int:
+    """All binary vectors within Hamming distance ``radius`` of some vector of s."""
+    for _ in range(radius):
+        grown = s
+        for j, low in enumerate(masks):
+            grown |= ((s & low) << (1 << j)) | ((s >> (1 << j)) & low)
+        s = grown
+    return s
+
+
+def neighbourhood(s: int, radius: int, d: int) -> int:
+    """The binary vectors of length d within Hamming distance ``radius`` of
+    some vector of the set s.
+
+    A set is a 2^d-bit integer, binary vector v being bit v.  Flipping
+    coordinate j of every vector of a set is a masked swap of its blocks of
+    2^j bits, so each of the ``radius`` rounds grows the set as it stood
+    when the round began by d such swaps.  The masks take d * 2^d bits
+    (48 MB at d = 24) and the last two dimensions' are kept.  This is the
+    pure twin of the kernel library's ``neighborly_neighbourhood`` and the
+    oracle it is tested against.
+    """
+    check_neighbourhood(s, radius, d)
+    return _neighbourhood(s, radius, _flip_masks(d))

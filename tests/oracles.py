@@ -9,7 +9,7 @@ from typing import Dict, Iterable, Iterator, Set
 from neighborly.analysis import AuditReport, CheckResult, _require_validated
 from neighborly.bounds import ball_size, b_config_size
 from neighborly.core import Family, JokerVector, NeighborlyCheck
-from neighborly.errors import DimensionError, DomainError
+from neighborly.errors import DimensionError, DomainError, NeighborlyError, ParseError
 
 from conftest import naive_distance
 
@@ -81,6 +81,46 @@ def b_config_family_by_sets(k: int, d: int) -> Family:
     if odd:
         members = cartesian(bit, members)
     return Family.of(d, k, members, validated=True)
+
+
+def parse_family_by_lines(lines: Iterable[str]) -> Family:
+    """``cli.parse_family`` one line at a time: each vector line is checked
+    for its length, its symbols and a repeat before the next is read."""
+    d = k = None
+    words: list[str] = []
+    seen: set[str] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip()
+        if not line or line.startswith("#"):
+            continue
+        if d is None:
+            parts = line.split()
+            if (
+                len(parts) != 2
+                or not parts[0].startswith("d=")
+                or not parts[1].startswith("k=")
+            ):
+                raise ParseError(f"expected header 'd=<int> k=<int>', got {line!r}", lineno)
+            try:
+                d = int(parts[0][2:])
+                k = int(parts[1][2:])
+            except ValueError:
+                raise ParseError(f"malformed header {line!r}", lineno) from None
+            continue
+        if len(line) != d:
+            raise ParseError(f"vector {line!r} has length {len(line)}, expected {d}", lineno)
+        if line.strip("01*"):
+            raise ParseError(f"vector {line!r} has symbols outside 0, 1, *", lineno)
+        if line in seen:
+            raise ParseError(f"duplicate vector {line!r}", lineno)
+        seen.add(line)
+        words.append(line)
+    if d is None:
+        raise ParseError("missing 'd=<int> k=<int>' header line")
+    try:
+        return Family.from_strings(d, k, words)
+    except NeighborlyError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def pairwise_adjacency(values: list[int], jokers: list[int], k: int) -> list[int]:

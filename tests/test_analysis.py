@@ -17,8 +17,9 @@ from neighborly.constructions import (
 )
 from neighborly.core import Family, JokerVector
 from neighborly.errors import DomainError, ResourceError, ValidationError
+from neighborly.search import _kernel
 
-from conftest import fam, jv, random_family
+from conftest import fam, jv, random_family, requires_cc
 from oracles import covered_vectors, enumerated_audit
 
 
@@ -154,7 +155,7 @@ class TestCoverProfile:
         def refuse(*args):
             raise AssertionError("cover_profile built a 2^d-bit set")
 
-        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_prefix_diameter_failure", refuse)
         monkeypatch.setattr(analysis, "_cover_map", refuse)
         for d in (25, 30, 64):
             family = Family.from_strings(d, d - 1, ["0" * d]).validate()
@@ -229,7 +230,7 @@ class TestAudit:
         def refuse(*args):
             raise AssertionError("the audit built a 2^d-bit set")
 
-        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_prefix_diameter_failure", refuse)
         monkeypatch.setattr(analysis, "_cover_map", refuse)
         for d in (25, 30, 64):
             family = Family.from_strings(d, d - 1, ["0" * d]).validate()
@@ -357,3 +358,64 @@ class TestAuditAgainstEnumeration:
             report = audit(family)
             assert report.passed, (family.k, d, report.failures())
             assert verdicts(report) == verdicts(enumerated_audit(family)), (family.k, d)
+
+
+# (d, k, words) of every forged family above that fails some check
+FAILING_FIXTURES = [
+    (3, 1, ["000", "111"]),
+    (3, 2, ["000", "00*"]),
+    (3, 1, ["0*1", "110"]),
+    (5, 1, ["0*1*1", "100*0"]),
+    (3, 1, ["011", "110"]),
+]
+
+
+def audit_on(kernel, family):
+    """``audit`` with every kernel routine taken from one kernel."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "_default", _kernel.get_kernel(kernel))
+        return audit(family)
+
+
+@requires_cc
+class TestAuditKernelParity:
+    """Equal ``AuditReport``s whichever kernel builds the cover map and the
+    neighbourhoods of the diameter check."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            extremal_dminus1_family(12),
+            alon_product(5, 14),
+            alon_product(6, 14),
+            b_config_family(6, 14),
+            alon_product(6, 20),
+        ],
+        ids=["corollary35-12", "alon-product-5-14", "alon-product-6-14", "b-config-6-14",
+             "alon-product-6-20"],
+    )
+    def test_constructions(self, family):
+        report = audit_on("compiled", family)
+        assert report.passed, report.failures()
+        assert report == audit_on("python", family)
+
+    def test_failing_fixtures(self):
+        for d, k, words in FAILING_FIXTURES:
+            family = Family.from_strings(d, k, words, validated=True)
+            report = audit_on("compiled", family)
+            assert not report.passed and report == audit_on("python", family), words
+
+    def test_random_forged_families(self):
+        # the families of TestAuditAgainstEnumeration's random test
+        rng = random.Random(20261018)
+        diameter_failures = 0
+        for _ in range(300):
+            d = rng.randint(2, 10)
+            family = random_family(
+                rng, d, rng.randint(1, d - 1), rng.randint(1, 30), rng.uniform(0.0, 0.6),
+                validated=True,
+            )
+            report = audit_on("compiled", family)
+            assert report == audit_on("python", family), sorted(map(str, family))
+            diameter_failures += not report.checks["prefix_diameter_bound"].passed
+        assert diameter_failures >= 20

@@ -11,14 +11,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neighborly import cli, constructions
 from neighborly.analysis import AUDIT_CHECKS, CheckResult
 from neighborly.cli import EXIT_PIPE, main, parse_family, read_family, write_family
 from neighborly.constructions import alon_product
 from neighborly.errors import ParseError
+from neighborly.search import _kernel
 
 from conftest import requires_cc
+from oracles import parse_family_by_lines
 
 
 def run_cli(*argv):
@@ -86,6 +89,154 @@ class TestFamilyFiles:
             "main", "main2", "refined", "kleitman", "stability",
             "best_lower", "best_upper", "exact_known", "exact_source", "status",
         }
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the family's fields, or the error's text and line."""
+    try:
+        family = parse(io.StringIO(text))
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "family", family.d, family.k, family.ranks
+
+
+# (file text, message, line number or None) of every ParseError of the format
+PARSE_ERRORS = [
+    ("", "missing 'd=<int> k=<int>' header line", None),
+    ("# only\n\n# comments\n", "missing 'd=<int> k=<int>' header line", None),
+    ("00\n01\n", "expected header 'd=<int> k=<int>', got '00'", 1),
+    ("# c\nd=3\n000\n", "expected header 'd=<int> k=<int>', got 'd=3'", 2),
+    ("k=1 d=3\n000\n", "expected header 'd=<int> k=<int>', got 'k=1 d=3'", 1),
+    ("d=3 k=1 x\n000\n", "expected header 'd=<int> k=<int>', got 'd=3 k=1 x'", 1),
+    ("d=x k=1\n000\n", "malformed header 'd=x k=1'", 1),
+    ("d=3 k=\n000\n", "malformed header 'd=3 k='", 1),
+    # int() reads 3_0 as 30
+    ("d=3_0 k=1\n000\n", "vector '000' has length 3, expected 30", 2),
+    ("d=2 k=5\n00\n", "need 1 <= k <= d, got k=5 d=2", None),
+    ("d=0 k=1\n", "need 1 <= k <= d, got k=1 d=0", None),
+    ("d=0 k=1\n0\n", "vector '0' has length 1, expected 0", 2),
+    ("d=3 k=1\n000\n0101\n", "vector '0101' has length 4, expected 3", 3),
+    ("d=3 k=1\n000\n 01\n", "vector ' 01' has symbols outside 0, 1, *", 3),
+    ("d=5 k=2\n01*01\n01x*1\n", "vector '01x*1' has symbols outside 0, 1, *", 3),
+    ("d=2 k=1\n00\n0\u00e9\n", "vector '0\u00e9' has symbols outside 0, 1, *", 3),
+    ("d=2 k=1\n00\n# again\n00\n", "duplicate vector '00'", 4),
+    # the first bad line wins, whatever its fault; on one line length comes first
+    ("d=3 k=1\n000\n000\n00\n", "duplicate vector '000'", 3),
+    ("d=3 k=1\n0x0\n00\n", "vector '0x0' has symbols outside 0, 1, *", 2),
+    ("d=3 k=1\n0x\n000\n000\n", "vector '0x' has length 2, expected 3", 2),
+    ("d=2 k=5\n00\n0\n", "vector '0' has length 1, expected 2", 3),
+    # CRLF line endings, trailing blanks, no final newline
+    ("d=2 k=1\r\n00\r\n0\r\n", "vector '0' has length 1, expected 2", 3),
+    ("d=2 k=1 \t\n00  \n\n00\t\n", "duplicate vector '00'", 4),
+    ("d=2 k=1\n00\n0*1", "vector '0*1' has length 3, expected 2", 3),
+]
+
+# (file text, d, k, members) of files that parse
+PARSED = [
+    ("d=2 k=1\r\n00\r\n01\r\n", 2, 1, ["00", "01"]),
+    ("d=2 k=1  \n00 \t\n\n# c  \n01   \n\n\n", 2, 1, ["00", "01"]),
+    ("d=2 k=1\n00\n01", 2, 1, ["00", "01"]),
+    ("d=+3 k=1\n000\n", 3, 1, ["000"]),  # int() reads +3 as 3
+    ("d=3 k=1\n", 3, 1, []),
+    ("#\n\n  d=2   k=2  \n1*\n0*\n", 2, 2, ["0*", "1*"]),
+]
+
+
+class TestParseParity:
+    """``parse_family`` against the line-by-line parser it replaces, which
+    ``oracles.parse_family_by_lines`` keeps."""
+
+    @pytest.mark.parametrize("text, message, line", PARSE_ERRORS)
+    def test_parse_errors(self, text, message, line, tmp_path):
+        expected = ("error", message if line is None else f"line {line}: {message}", line)
+        assert parse_outcome(parse_family, text) == expected
+        assert parse_outcome(parse_family_by_lines, text) == expected
+        if text.isascii():  # and through a file, whose reader turns CRLF into LF
+            path = tmp_path / "family.txt"
+            path.write_bytes(text.encode("ascii"))
+            code, out, err = run_cli("verify", str(path))
+            assert (code, out, err) == (1, "", f"parse error: {expected[1]}\n")
+
+    @pytest.mark.parametrize("text, d, k, words", PARSED)
+    def test_parsed_files(self, text, d, k, words, tmp_path):
+        expected = ("family", d, k, "".join(w.replace("*", "2") for w in words))
+        assert parse_outcome(parse_family, text) == expected
+        assert parse_outcome(parse_family_by_lines, text) == expected
+        path = tmp_path / "family.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert read_family(str(path)).ranks == expected[3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_files_with_one_fault(self, data):
+        draw = data.draw
+        d = draw(st.integers(1, 6), label="d")
+        k = draw(st.integers(1, d), label="k")
+        words = draw(st.lists(st.text("01*", min_size=d, max_size=d), unique=True, max_size=12))
+        header = f"d={d} k={k}"
+        fault = draw(st.sampled_from(
+            ["none", "length", "symbol", "repeat", "header", "no header", "k above d"]
+        ), label="fault")
+        if fault in ("length", "symbol", "repeat") and not words:
+            words = ["0" * d]
+        i = draw(st.integers(0, max(0, len(words) - 1)), label="line")
+        if fault == "length":
+            words[i] = draw(st.sampled_from([words[i][:-1], words[i] + "0", "*" + words[i]]))
+        elif fault == "symbol":
+            at = draw(st.integers(0, d - 1))
+            symbol = draw(st.sampled_from("x2 \t#\u00e9"))
+            words[i] = words[i][:at] + symbol + words[i][at + 1:]
+        elif fault == "repeat":
+            words.insert(draw(st.integers(i + 1, len(words))), words[i])
+        elif fault == "header":
+            header = draw(st.sampled_from(
+                ["d=", f"k={k} d={d}", f"d={d}", f"d=x k={k}", f"d={d} k={k} k={k}",
+                 f"d={d}_0 k={k}", f"d=+{d} k=+{k}", f"d={d} K={k}"]
+            ))
+        elif fault == "k above d":
+            header = f"d={d} k={d + draw(st.integers(1, 3))}"
+        lines = ([] if fault == "no header" else [header]) + words
+        text = ""
+        ending = draw(st.sampled_from(["\n", "\r\n"]), label="ending")
+        for line in lines:
+            text += draw(st.sampled_from(["", "", "# comment" + ending, ending, " \t" + ending]))
+            text += line + draw(st.sampled_from(["", "", " ", "\t "])) + ending
+        if draw(st.booleans(), label="no final newline"):
+            text = text[:-len(ending)]
+        assert parse_outcome(parse_family, text) == parse_outcome(parse_family_by_lines, text)
+
+    def test_non_ascii_is_reported_whatever_comes_first(self, tmp_path):
+        # the bad line 2 is in the first 8 KB the reader decodes, the non-ASCII
+        # byte far after it: a file is now decoded whole before any line is checked
+        path = tmp_path / "family.txt"
+        text = "d=2 k=1\n0x\n" + "# padding\n" * 2000 + "# caf\u00e9\n"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run_cli("verify", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"parse error: {path} is not ASCII text (byte 0xc3)\n"
+        # the line-by-line parser met line 2 before the reader reached the byte
+        with open(path, encoding="ascii") as fh, pytest.raises(ParseError) as info:
+            parse_family_by_lines(fh)
+        assert str(info.value) == "line 2: vector '0x' has symbols outside 0, 1, *"
+
+
+@requires_cc
+def test_verify_prints_the_same_bytes_under_both_kernels(tmp_path, monkeypatch):
+    # d = 21 is above the default cap: sets of 2^21 bits, neighbourhoods of
+    # radius up to 14
+    path = tmp_path / "family.txt"
+    with open(path, "w", encoding="ascii") as fh:
+        write_family(alon_product(6, 21), fh)
+    outputs = []
+    for kernel in ("compiled", "python"):
+        monkeypatch.setattr(_kernel, "_default", _kernel.get_kernel(kernel))
+        outputs.append(run_cli("verify", str(path), "--dimension-cap", "21"))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, err) == (0, "") and out.endswith(
+        "PASS prefix_diameter_bound\nPASS mirror_weight_cap\nPASS pair_weight_cap\n"
+        "PASS weight_identity\nsum of weights = 8000 (family size 8000)\n"
+    )
 
 
 class TestReport:
@@ -335,7 +486,7 @@ class TestVerifyCommand:
         def refuse(*args):
             raise AssertionError("the audit built a 2^d-bit set")
 
-        monkeypatch.setattr(analysis, "_flip_masks", refuse)
+        monkeypatch.setattr(analysis, "_prefix_diameter_failure", refuse)
         monkeypatch.setattr(analysis, "_cover_map", refuse)
         path = tmp_family_file("d=30 k=29\n" + "0" * 30 + "\n")
         code, out, err = run_cli("verify", path, "--dimension-cap", "64")

@@ -620,7 +620,8 @@ class TestKernelTwins:
         for name in KERNELS:
             impl = get_kernel(name)
             assert impl.KERNEL_NAME == name
-            for routine in ("adjacency", "solve_root", "first_bad_pair", "cover_map"):
+            for routine in ("adjacency", "solve_root", "first_bad_pair", "cover_map",
+                            "neighbourhood"):
                 assert callable(getattr(impl, routine)), (name, routine)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -798,6 +799,15 @@ class TestKernelLoader:
         covers = [(family.ranks, len(family), 8)]
         # rows of 1, 1, 4, 12, 12 and 35 words, each ending mid-word (3^d is odd)
         cells = [(1, 1), (1, 2), (2, 5), (3, 6), (6, 6), (4, 7)]
+        # sets of part of one word, one word, two words and 64 words, from
+        # one vector and from a random set, grown past saturation
+        rng = random.Random(21)
+        hoods = [
+            (s, radius, d)
+            for d in (3, 6, 7, 12)
+            for s in (1 << rng.randrange(1 << d), rng.getrandbits(1 << d) & rng.getrandbits(1 << d))
+            for radius in (0, 1, 2, d)
+        ]
         solved = [search_roots(_kernel_py, *args) for args in solves]
         expected = (
             solved,
@@ -805,6 +815,7 @@ class TestKernelLoader:
             [_kernel_py.cover_map(*args) for args in covers],
             [_kernel_py.adjacency(*cell) for cell in cells],
             solved[0],  # searched again on the compiled rows of (2,5)
+            [_kernel_py.neighbourhood(*args) for args in hoods],
         )
         assert expected[1].count(None) == 3 and expected[2][0][2] is not None
 
@@ -817,12 +828,13 @@ class TestKernelLoader:
             "from neighborly.search.solver import search_roots\n"
             "kernel, reason = _kernel.load_compiled(sys.argv[1], sys.argv[2:])\n"
             "assert reason is None, reason\n"
-            "solves, pairs, covers, cells = pickle.load(sys.stdin.buffer)\n"
+            "solves, pairs, covers, cells, hoods = pickle.load(sys.stdin.buffer)\n"
             "pickle.dump(([search_roots(kernel, *args) for args in solves],\n"
             "             [kernel.first_bad_pair(*args) for args in pairs],\n"
             "             [kernel.cover_map(*args) for args in covers],\n"
             "             [list(kernel.adjacency(*cell)) for cell in cells],\n"
-            "             search_roots(kernel, kernel.adjacency(2, 5), *solves[0][1:])),\n"
+            "             search_roots(kernel, kernel.adjacency(2, 5), *solves[0][1:]),\n"
+            "             [kernel.neighbourhood(*args) for args in hoods]),\n"
             "            sys.stdout.buffer)\n"
         )
         sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
@@ -837,8 +849,8 @@ class TestKernelLoader:
         )
         proc = subprocess.run(
             [sys.executable, "-c", child, str(tmp_path / "sanitized"), *cc, *sanitize],
-            input=pickle.dumps((solves, pairs, covers, cells)), capture_output=True, env=env,
-            timeout=_kernel.BUILD_TIMEOUT_S,
+            input=pickle.dumps((solves, pairs, covers, cells, hoods)), capture_output=True,
+            env=env, timeout=_kernel.BUILD_TIMEOUT_S,
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-3000:]
         assert pickle.loads(proc.stdout) == expected
@@ -1033,6 +1045,83 @@ class TestCompiledCoverMap:
             # 0* covers 00 and 01, 11 covers 11: vectors 0b00, 0b10 and 0b11
             assert cover_map("0211", 2, 2) == ({1: 0b0101, 0: 0b1000}, 0b1101, None)
             assert cover_map("0200", 2, 2) == ({1: 0b0101, 0: 0}, 0b0101, (1, 0))
+
+
+class TestNeighbourhoodTwins:
+    """The kernel library's ``neighborly_neighbourhood`` against ``_kernel_py.neighbourhood``."""
+
+    @requires_cc
+    def test_twins_agree_on_random_sets(self):
+        # d <= 5 fills part of one word, d = 6 one word, d >= 7 whole words;
+        # sparse sets keep the larger radii from filling the cube at once
+        compiled = get_kernel("compiled")
+        rng = random.Random(25)
+        for d in range(1, 17):
+            size = 1 << d
+            sets = [
+                rng.getrandbits(size),
+                sum(1 << v for v in rng.sample(range(size), min(size, 3))),
+                1 << (size - 1),  # the all-ones vector
+            ]
+            for s in sets:
+                for radius in range(d + 1):
+                    expected = _kernel_py.neighbourhood(s, radius, d)
+                    assert compiled.neighbourhood(s, radius, d) == expected, (d, radius, s)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_and_full_sets(self, kernel):
+        neighbourhood = get_kernel(kernel).neighbourhood
+        for d in (1, 5, 6, 7, 12):
+            full = (1 << (1 << d)) - 1
+            for radius in (0, 1, d, d + 5):
+                assert neighbourhood(0, radius, d) == 0
+                assert neighbourhood(full, radius, d) == full
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_radius_grows_a_ball(self, kernel):
+        # the neighbourhood of one vector is the Hamming ball around it
+        neighbourhood = get_kernel(kernel).neighbourhood
+        for d in (4, 6, 9):
+            for centre in (0, (1 << d) - 1, 0b1010 % (1 << d)):
+                for radius in range(d + 2):
+                    ball = sum(1 << v for v in range(1 << d) if (v ^ centre).bit_count() <= radius)
+                    assert neighbourhood(1 << centre, radius, d) == ball, (d, centre, radius)
+
+    def test_both_kernels_refuse_the_same_inputs(self):
+        cases = [
+            ((1, -1, 3), "^the radius must be >= 0, got -1$"),
+            ((1, 1, 0), "^the neighbourhood needs 1 <= d <= 32, got d=0$"),
+            ((1, 1, 33), "^the neighbourhood needs 1 <= d <= 32, got d=33$"),
+            ((1 << 8, 1, 3), "^the set must lie within the 2\\^3 binary vectors of length 3$"),
+            ((1 << 64, 0, 6), "^the set must lie within the 2\\^6 binary vectors of length 6$"),
+            ((-1, 1, 3), "^the set must lie within the 2\\^3 binary vectors of length 3$"),
+        ]
+        for kernel in KERNELS:
+            neighbourhood = get_kernel(kernel).neighbourhood
+            for args, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    neighbourhood(*args)
+
+    @requires_cc
+    def test_no_memory_raises_memory_error(self, monkeypatch):
+        compiled = get_kernel("compiled")
+        monkeypatch.setattr(compiled, "_neighbourhood", lambda *args: _kernel._NO_MEMORY)
+        with pytest.raises(MemoryError, match="^the compiled neighbourhood could not allocate"):
+            compiled.neighbourhood(1, 1, 8)
+
+    @requires_cc
+    def test_audit_takes_the_compiled_path(self, monkeypatch):
+        def no_twin(*args):
+            raise AssertionError("the Python twin ran")
+
+        assert get_kernel().KERNEL_NAME == "compiled", _kernel.COMPILED_ERROR
+        monkeypatch.setattr(_kernel_py, "neighbourhood", no_twin)
+        monkeypatch.setattr(_kernel_py, "_flip_masks", no_twin)
+        assert audit(alon_product(3, 8)).passed
+        forged = Family.of(3, 1, [jv("011"), jv("110")], validated=True)
+        assert audit(forged).checks["prefix_diameter_bound"].counterexample == (
+            "110 and 011 are 2 > 1 apart at depth 0"
+        )
 
 
 def apply_symmetry(vec: JokerVector, perm: list[int], flips: int) -> JokerVector:
