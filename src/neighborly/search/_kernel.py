@@ -84,6 +84,10 @@ class CompiledKernel:
         ]
         solve.restype = ctypes.c_int
         self._solve = solve
+        solve_bytes = library.neighborly_solve_bytes
+        solve_bytes.argtypes = [ctypes.c_int] * 3  # n, target, symmetry depth
+        solve_bytes.restype = ctypes.c_size_t
+        self._solve_bytes = solve_bytes
         pair = library.neighborly_first_bad_pair
         pair.argtypes = [
             ctypes.c_char_p,  # the joined rank strings
@@ -178,6 +182,11 @@ class CompiledKernel:
         _checked(self._neighbourhood(array, d, min(radius, d)), "neighbourhood")
         return int.from_bytes(buf, "little")
 
+    def solve_bytes(self, n: int, target: int, symmetry_depth: int) -> int:
+        """The bytes of the one block ``solve_root`` allocates on an n-vertex
+        graph, relabelled frames included; ``buffer_bytes`` counts them."""
+        return self._solve_bytes(n, target, symmetry_depth)
+
     def solve_root(
         self,
         adjacency: Sequence[int],
@@ -221,20 +230,32 @@ def _checked(status: int, what: str) -> int:
 
 
 def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
-    """Bytes a search on an n-vertex graph needs: the Python adjacency rows,
-    the compiled kernel's copy of them and its buffers (``levels`` as in
-    ``neighborly_solve``).
+    """Bytes a search on an n-vertex graph needs: the adjacency rows twice
+    and the one block ``neighborly_solve`` allocates for a root subproblem.
 
-    A compiled search now holds one copy of the rows, the C buffer that
-    ``adjacency`` fills, but the estimate still counts the Python rows:
-    the Python kernel holds them as ints, a caller's rows are still
-    converted, and a lower estimate would admit (k, d) cells that the
-    budget refuses today.
+    The rows are counted twice, as Python ints and as the C buffer, though
+    a compiled search holds only the C buffer: the Python kernel holds ints,
+    a caller's rows are converted, and a lower estimate would admit (k, d)
+    cells that the budget refuses today.  The block is counted as
+    ``neighborly_solve_bytes`` lays it out (a test holds the two equal).
+    Besides the caller's graph it holds two relabelled frames, the only
+    ones alive at once: the subgraphs induced on a node's pool that the
+    kernel searches at cliques of 2 and 3 members, of at most n // 2 and
+    n // 4 vertices, each with its rows, its vertex map and its per-level
+    pools, colour orders and orbit keys.
     """
     words = (n + 63) // 64
-    levels = min(target, n) + 3
-    estimated = levels * (words * 8 + 2 * n * 4) + 2 * words * 8 + 2 * n * words * 8
-    return estimated + min(symmetry_depth, levels) * n * 4
+    levels = min(target, n) + 3  # as neighborly_solve sizes its cliques
+    depth = min(max(symmetry_depth, 0), levels)
+    # the rows twice; colouring and relabelling work space, the clique
+    estimated = 2 * n * words * 8 + 8 * words * 8 + (words + 1) * 4 + levels * 4
+    for frame, first in enumerate((1, 2, 3)):  # the least clique size at its node
+        m = n >> frame  # n, n // 2, n // 4 vertices
+        rows = min(levels - first, m) + 1
+        row_bytes = (m + 63) // 64 * 8
+        own = (m * row_bytes + m * 4) if frame else 0  # the relabelled rows and map
+        estimated += own + rows * row_bytes + (2 * rows + max(0, depth - first + 1)) * m * 4
+    return estimated
 
 
 class BitRows(Sequence[int]):

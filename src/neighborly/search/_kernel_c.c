@@ -51,7 +51,25 @@
    searched.  Nothing larger than the incumbent is lost.
 
    A group of s coordinates has (s+1)(s+2)/2 <= 3^s possible keys, so a
-   vertex's mixed-radix key lies below 3^d = n and fits an int. */
+   vertex's mixed-radix key lies below 3^d = n and fits an int.
+
+   Relabelled frames.  The search runs on a frame: a graph with its rows,
+   vertex count, map to the caller's vertices and per-level buffers.  The
+   root's frame is the caller's rows, read in place.  A node whose clique
+   has 2 or 3 members and whose pool holds at most half of its frame's
+   vertices copies the subgraph induced on that pool into a new frame,
+   renumbering the pool's vertices 0, 1, ... in increasing order, and
+   searches its subtree there: its rows are a fraction of the width, so
+   the colouring, which reads a row for every vertex it colours, walks
+   fewer words, and up to UNROLLED words it does so in straight-line code.  The search-wide record (incumbent, budgets, status, node
+   count) stays outside the frames, and the clique is kept as the caller's
+   vertices.  The renumbering is increasing, so the lowest vertex of a set
+   is the same vertex in both numberings: every lowest-bit-first pick,
+   colour class and branch order is the one the caller's rows give, the
+   orbit keys are read through the map, and the tree, node counts and
+   witnesses do not change.  Frames are built at two clique sizes only, so
+   at most two are alive; every buffer of a search, theirs included, is
+   one block allocated per call (neighborly_solve_bytes gives its size). */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -76,20 +94,53 @@ enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS 
 
 #define BIT(v) ((uint64_t)1 << ((v) & 63))
 
+/* Relabelled frames (see the header): a node whose clique has FRAME_MIN
+   to FRAME_MAX members, and whose pool holds at most 1/FRAME_SHARE of
+   its frame's vertices, searches its subtree on the subgraph induced on
+   that pool.  Measured on a shared 2-CPU x86_64 VM by replaying the root
+   calls of the benchmark's search-deep workload (10 calls, 63,935 nodes;
+   medians of 30 interleaved runs), against the search without frames:
+   these constants take 22% off the kernel time, (2,7) at 300k nodes
+   31%.  Frames at clique size 2 alone gain nothing there, because the
+   pools of (3,6) reach half of the graph only at size 3; sizes 2-4 and
+   1-3 gave -11% to -25%, and no half gate -24% to -28%, no better beyond
+   the noise; sizes 2-8 gave -3%, the copies costing what they save.  The
+   three d = 7 calls of search-wide (3 x 501 nodes) build one frame in all,
+   for (3,7), and did not slow down. */
+enum { FRAME_MIN = 2, FRAME_MAX = 3, FRAME_SHARE = 2 };
+
+/* the caller's graph, then one relabelled frame per clique size at most */
+enum { FRAMES = FRAME_MAX - FRAME_MIN + 2 };
+
+/* the widest rows, in words, that branch colours with unrolled loops */
+enum { UNROLLED = 8 };
+
+/* A graph the search runs on: the caller's rows, or the subgraph induced
+   on a node's pool, its vertices renumbered in increasing order. */
 typedef struct {
-    const uint64_t *adj;  /* n rows of `words` words */
-    uint64_t *pools;      /* levels rows: the candidate set at each depth */
-    uint64_t *rest;       /* colouring work space, one row each: a node */
-    uint64_t *avail;      /* finishes colouring before it recurses */
-    int *order;           /* levels rows of n: candidates sorted by colour */
-    int *colors;          /* levels rows of n: their colours, ascending */
-    uint64_t *cur;        /* the clique on the current branch */
-    uint64_t *best_mask;
-    int *keys;            /* symmetry_depth rows of n: the orbit key of each pool vertex */
-    int n, words, levels, best, target, status, d, symmetry_depth;
+    const uint64_t *rows;  /* n rows of `words` words */
+    const int *map;        /* local vertex -> the caller's vertex; NULL: the identity */
+    uint64_t *pools;       /* a row per level below the frame's node: the candidate set */
+    int *order;            /* a row of n per level: the candidates sorted by colour */
+    int *colors;           /* a row of n per level: their colours, ascending */
+    int *keys;             /* a row of n per level that prunes orbits: each pool vertex's key */
+    int n, words;
+} Frame;
+
+typedef struct {
+    Frame frame[FRAMES];        /* [0] the caller's graph, [j] the j-th frame on the branch */
+    uint64_t *spare_rows[FRAMES];  /* the rows and map of frame[j], j > 0 */
+    int *spare_map[FRAMES];
+    uint64_t *rest;             /* colouring work space, one row each: a node */
+    uint64_t *avail;            /* finishes colouring before it recurses */
+    int *clique;                /* the clique on the current branch, the caller's vertices */
+    uint64_t *moves;            /* relabel's work space: compress_moves of each pool word */
+    int *below;                 /* and the count of pool vertices before it */
+    uint64_t *best_mask;        /* the incumbent, a row of the caller's graph */
+    int levels, best, target, status, d, symmetry_depth;
     int64_t nodes;
-    int64_t node_limit;   /* < 0: unlimited */
-    double deadline;      /* < 0: unlimited */
+    int64_t node_limit;         /* < 0: unlimited */
+    double deadline;            /* < 0: unlimited */
 } State;
 
 static double monotonic_seconds(void)
@@ -138,40 +189,39 @@ static void symbols(int v, int d, uint32_t *ones, uint32_t *jokers)
     *jokers = s;
 }
 
-/* keys[v]: the orbit key of each vertex v of pool under the symmetries
-   fixing st->cur (see the header). */
-static void orbit_classes(State *st, const uint64_t *pool, int *keys)
+/* keys[u]: the orbit key of each vertex u of pool, a row of frame f, under
+   the symmetries fixing the clique's `size` members (see the header). */
+static void orbit_classes(const State *st, const Frame *f, const uint64_t *pool, int size,
+                          int *keys)
 {
-    const int d = st->d, words = st->words;
+    const int d = st->d;
     const uint32_t all = (uint32_t)(((uint64_t)1 << d) - 1);
     uint32_t group[32], split[32], flips = all, ones, jokers;
     int groups = 1, radix[32];
     group[0] = all;
-    for (int w = 0; w < words; w++) {
-        for (uint64_t bits = st->cur[w]; bits; bits &= bits - 1) {
-            symbols((w << 6) + __builtin_ctzll(bits), d, &ones, &jokers);
-            const uint32_t zeros = all & ~ones & ~jokers;
-            int parts = 0;
-            for (int g = 0; g < groups; g++) {
-                const uint32_t by[3] = {group[g] & zeros, group[g] & ones, group[g] & jokers};
-                for (int b = 0; b < 3; b++)
-                    if (by[b])
-                        split[parts++] = by[b];
-            }
-            memcpy(group, split, (size_t)parts * sizeof *group);
-            groups = parts;
-            flips &= jokers;
+    for (int i = 0; i < size; i++) {
+        symbols(st->clique[i], d, &ones, &jokers);
+        const uint32_t zeros = all & ~ones & ~jokers;
+        int parts = 0;
+        for (int g = 0; g < groups; g++) {
+            const uint32_t by[3] = {group[g] & zeros, group[g] & ones, group[g] & jokers};
+            for (int b = 0; b < 3; b++)
+                if (by[b])
+                    split[parts++] = by[b];
         }
+        memcpy(group, split, (size_t)parts * sizeof *group);
+        groups = parts;
+        flips &= jokers;
     }
     for (int g = 0; g < groups; g++) {
-        const int size = __builtin_popcount(group[g]);
-        radix[g] = (size + 1) * (size + 2) / 2;
+        const int s = __builtin_popcount(group[g]);
+        radix[g] = (s + 1) * (s + 2) / 2;
     }
 
-    for (int w = 0; w < words; w++) {
+    for (int w = 0; w < f->words; w++) {
         for (uint64_t bits = pool[w]; bits; bits &= bits - 1) {
             const int u = (w << 6) + __builtin_ctzll(bits);
-            symbols(u, d, &ones, &jokers);
+            symbols(f->map ? f->map[u] : u, d, &ones, &jokers);
             int key = 0;
             for (int g = 0; g < groups; g++) {
                 const int starred = __builtin_popcount(jokers & group[g]);
@@ -184,26 +234,96 @@ static void orbit_classes(State *st, const uint64_t *pool, int *keys)
     }
 }
 
-/* Extend st->cur (size vertices) by the candidates in pools[level]. */
-static void expand(State *st, int size, int level)
+/* The masks with which compress packs the bits of a word under mask m,
+   in order, into its low bits (H. S. Warren, Hacker's Delight, 2nd ed.,
+   section 7-4): round i moves the bits of moves[i] 2^i places down. */
+static void compress_moves(uint64_t m, uint64_t *moves)
 {
-    const int words = st->words;
-    if (level + 1 >= st->levels) {
-        st->status = NO_LEVELS;
-        return;
+    uint64_t zeros = ~m << 1;  /* each bit of m moves by the zeros of m below it */
+    for (int i = 0; i < 6; i++) {
+        uint64_t odd = zeros ^ (zeros << 1);  /* the parity of those zeros ... */
+        for (int s = 2; s < 64; s <<= 1)
+            odd ^= odd << s;                  /* ... counted by a parallel prefix */
+        moves[i] = odd & m;
+        m = (m ^ moves[i]) | (moves[i] >> (1 << i));
+        zeros &= ~odd;
     }
-    uint64_t *pool = st->pools + (size_t)level * words;
-    uint64_t *child = pool + words;
-    uint64_t *rest = st->rest, *avail = st->avail;
-    int *order = st->order + (size_t)level * st->n;
-    int *colors = st->colors + (size_t)level * st->n;
-    const int orbits = size <= st->symmetry_depth;
-    int *keys = orbits ? st->keys + (size_t)level * st->n : NULL;
-    if (orbits)
-        orbit_classes(st, pool, keys);
+}
 
-    /* greedy sequential colouring, lowest vertex first inside each class */
-    const int total = popcount_set(pool, words);
+/* The bits of x under the mask of compress_moves, packed into the low bits;
+   x must hold no bit outside that mask. */
+static uint64_t compress(uint64_t x, const uint64_t *moves)
+{
+    for (int i = 0; i < 6; i++) {
+        const uint64_t t = x & moves[i];
+        x = (x ^ t) | (t >> (1 << i));
+    }
+    return x;
+}
+
+/* The frame after f: the subgraph of f induced on its row `pool` of m
+   vertices, the i-th lowest of them becoming vertex i, with that pool, all
+   m vertices, as its first row of candidates.  Row i is the row of f's
+   vertex, each word of it compressed under the pool's word and placed
+   after the pool vertices of the words before. */
+static Frame *relabel(State *st, const Frame *f, const uint64_t *pool, int m)
+{
+    const int j = (int)(f - st->frame) + 1;
+    Frame *g = &st->frame[j];
+    uint64_t *rows = st->spare_rows[j];
+    int *map = st->spare_map[j];
+    const int words = (m + 63) >> 6;
+    g->rows = rows;
+    g->map = map;
+    g->n = m;
+    g->words = words;
+
+    int *below = st->below;  /* below[w]: the pool vertices in f's words before w */
+    int i = 0;
+    for (int w = 0; w < f->words; w++) {
+        below[w] = i;
+        compress_moves(pool[w], st->moves + 6 * w);
+        for (uint64_t bits = pool[w]; bits; bits &= bits - 1)
+            map[i++] = (w << 6) + __builtin_ctzll(bits);  /* f's vertices for now */
+    }
+    below[f->words] = m;
+    memset(rows, 0, (size_t)m * words * sizeof *rows);
+    for (i = 0; i < m; i++) {
+        const uint64_t *adj_v = f->rows + (size_t)map[i] * f->words;
+        uint64_t *row = rows + (size_t)i * words;
+        for (int w = 0; w < f->words; w++) {
+            if (!pool[w])
+                continue;
+            const uint64_t packed = compress(adj_v[w] & pool[w], st->moves + 6 * w);
+            const int at = below[w], shift = at & 63;
+            row[at >> 6] |= packed << shift;
+            if ((below[w + 1] - 1) >> 6 > at >> 6)  /* then shift > 0 */
+                row[(at >> 6) + 1] |= packed >> (64 - shift);
+        }
+    }
+    if (f->map)
+        for (i = 0; i < m; i++)
+            map[i] = f->map[map[i]];
+
+    memset(g->pools, 0xff, (size_t)words * sizeof *g->pools);
+    if (m & 63)
+        g->pools[words - 1] = BIT(m) - 1;
+    return g;
+}
+
+static void expand(State *st, Frame *f, int size, int level);
+
+/* Greedy sequential colouring of the `total` vertices of pool, lowest
+   vertex first inside each class, on rows of `words` words: order
+   receives them sorted by colour, colors their colours, ascending.
+   Returns total.  branch calls it with a constant words up to UNROLLED,
+   where removing a vertex's neighbours from every word, a fixed run of
+   instructions, beats a loop from its own word, whose varying length
+   the processor mispredicts. */
+static inline __attribute__((always_inline)) int colour(
+    const uint64_t *rows, const uint64_t *pool, int words, int total,
+    uint64_t *rest, uint64_t *avail, int *order, int *colors)
+{
     int m = 0, color = 0;
     memcpy(rest, pool, (size_t)words * sizeof *rest);
     while (m < total) {
@@ -216,16 +336,46 @@ static void expand(State *st, int size, int level)
                 continue;
             }
             const int v = (w << 6) + __builtin_ctzll(avail[w]);
-            const uint64_t *adj_v = st->adj + (size_t)v * words;
+            const uint64_t *adj_v = rows + (size_t)v * words;
             order[m] = v;
             colors[m] = color;
             m++;
             rest[w] &= ~BIT(v);
             avail[w] &= ~BIT(v);
             /* words below w are empty already */
-            for (int i = w; i < words; i++)
+            for (int i = words <= UNROLLED ? 0 : w; i < words; i++)
                 avail[i] &= ~adj_v[i];
         }
+    }
+    return m;
+}
+
+/* Colour the candidates in f's row pools[level] and branch on them:
+   extend the clique (size vertices) by each in turn. */
+static void branch(State *st, Frame *f, int size, int level, int total)
+{
+    const int words = f->words;
+    uint64_t *pool = f->pools + (size_t)level * words;
+    uint64_t *child = pool + words;
+    uint64_t *rest = st->rest, *avail = st->avail;
+    int *order = f->order + (size_t)level * f->n;
+    int *colors = f->colors + (size_t)level * f->n;
+    const int orbits = size <= st->symmetry_depth;
+    int *keys = orbits ? f->keys + (size_t)level * f->n : NULL;
+    if (orbits)
+        orbit_classes(st, f, pool, size, keys);
+
+    int m;
+    switch (words) {  /* a constant width unrolls colour's loops */
+    case 1: m = colour(f->rows, pool, 1, total, rest, avail, order, colors); break;
+    case 2: m = colour(f->rows, pool, 2, total, rest, avail, order, colors); break;
+    case 3: m = colour(f->rows, pool, 3, total, rest, avail, order, colors); break;
+    case 4: m = colour(f->rows, pool, 4, total, rest, avail, order, colors); break;
+    case 5: m = colour(f->rows, pool, 5, total, rest, avail, order, colors); break;
+    case 6: m = colour(f->rows, pool, 6, total, rest, avail, order, colors); break;
+    case 7: m = colour(f->rows, pool, 7, total, rest, avail, order, colors); break;
+    case 8: m = colour(f->rows, pool, 8, total, rest, avail, order, colors); break;
+    default: m = colour(f->rows, pool, words, total, rest, avail, order, colors);
     }
 
     /* highest colour first: prune once no branch can beat the incumbent */
@@ -237,31 +387,116 @@ static void expand(State *st, int size, int level)
             continue;  /* dropped with an earlier vertex's orbit */
         if (charge(st))
             return;
-        const uint64_t *adj_v = st->adj + (size_t)v * words;
+        const uint64_t *adj_v = f->rows + (size_t)v * words;
         uint64_t any = 0;
         for (int w = 0; w < words; w++)
             any |= (child[w] = pool[w] & adj_v[w]);
-        st->cur[v >> 6] |= BIT(v);
+        st->clique[size] = f->map ? f->map[v] : v;
         if (size + 1 > st->best) {
             st->best = size + 1;
-            memcpy(st->best_mask, st->cur, (size_t)words * sizeof *st->cur);
+            memset(st->best_mask, 0, (size_t)st->frame[0].words * sizeof *st->best_mask);
+            for (int i = 0; i <= size; i++)
+                st->best_mask[st->clique[i] >> 6] |= BIT(st->clique[i]);
             if (st->best >= st->target) {
                 st->status = TARGET;
                 return;
             }
         }
         if (any) {
-            expand(st, size + 1, level + 1);
+            expand(st, f, size + 1, level + 1);
             if (st->status != RUNNING)
                 return;
         }
-        st->cur[v >> 6] &= ~BIT(v);
         pool[v >> 6] &= ~BIT(v);
         if (orbits)
             for (int j = 0; j < idx; j++)
                 if (keys[order[j]] == keys[v])
                     pool[order[j] >> 6] &= ~BIT(order[j]);
     }
+}
+
+/* Extend the clique (size vertices) by the candidates in f's row
+   pools[level], on a new frame when FRAME_MIN, FRAME_MAX and FRAME_SHARE
+   admit one. */
+static void expand(State *st, Frame *f, int size, int level)
+{
+    if (size >= st->levels) {
+        st->status = NO_LEVELS;
+        return;
+    }
+    const uint64_t *pool = f->pools + (size_t)level * f->words;
+    const int total = popcount_set(pool, f->words);
+    if (size >= FRAME_MIN && size <= FRAME_MAX && FRAME_SHARE * total <= f->n)
+        branch(st, relabel(st, f, pool, total), size, 0, total);
+    else
+        branch(st, f, size, level, total);
+}
+
+/* The part of a block of `bytes` bytes at *at, advancing *at; NULL while
+   only counting (base NULL). */
+static void *take(char *base, size_t *at, size_t bytes)
+{
+    void *part = base ? base + *at : NULL;
+    *at += bytes;
+    return part;
+}
+
+/* Lay out the buffers of a search on an n-vertex graph in the block at
+   base, or only count them (base NULL); returns the block's bytes.  Frame
+   j > 0 has at most n / FRAME_SHARE^j vertices, and its node's clique at
+   least FRAME_MIN + j - 1 members: its clique grows by fewer members than
+   it has vertices and stays below `levels` (expand's check), and it prunes
+   orbits while the clique has at most symmetry_depth members.  The 64-bit
+   rows come first, so every part stays 8-byte aligned. */
+static size_t layout(State *st, int n, char *base)
+{
+    size_t at = 0;
+    int cap[FRAMES], rows[FRAMES], key_rows[FRAMES];
+    for (int j = 0; j < FRAMES; j++) {
+        const int first = j ? FRAME_MIN + j - 1 : 1;  /* the least clique size at its node */
+        cap[j] = j ? cap[j - 1] / FRAME_SHARE : n;
+        rows[j] = (st->levels - first < cap[j] ? st->levels - first : cap[j]) + 1;
+        key_rows[j] = st->symmetry_depth >= first ? st->symmetry_depth - first + 1 : 0;
+        Frame *f = &st->frame[j];
+        const size_t words = ((size_t)cap[j] + 63) >> 6;
+        if (j)
+            st->spare_rows[j] = take(base, &at, (size_t)cap[j] * words * sizeof(uint64_t));
+        f->pools = take(base, &at, (size_t)rows[j] * words * sizeof(uint64_t));
+    }
+    const size_t words = ((size_t)n + 63) >> 6;
+    st->rest = take(base, &at, words * sizeof(uint64_t));
+    st->avail = take(base, &at, words * sizeof(uint64_t));
+    st->moves = take(base, &at, 6 * words * sizeof(uint64_t));
+    for (int j = 0; j < FRAMES; j++) {
+        Frame *f = &st->frame[j];
+        if (j)
+            st->spare_map[j] = take(base, &at, (size_t)cap[j] * sizeof(int));
+        f->order = take(base, &at, (size_t)rows[j] * cap[j] * sizeof(int));
+        f->colors = take(base, &at, (size_t)rows[j] * cap[j] * sizeof(int));
+        f->keys = take(base, &at, (size_t)key_rows[j] * cap[j] * sizeof(int));
+    }
+    st->clique = take(base, &at, (size_t)st->levels * sizeof(int));
+    st->below = take(base, &at, (words + 1) * sizeof(int));
+    return at;
+}
+
+/* The clique-size budget and the clamped symmetry depth of a search. */
+static void size_search(State *st, int n, int target, int symmetry_depth)
+{
+    /* a clique never outgrows the target or the graph; 3 rows of slack */
+    st->levels = (target < n ? target : n) + 3;
+    if (symmetry_depth < 0)
+        symmetry_depth = 0;
+    st->symmetry_depth = symmetry_depth > st->levels ? st->levels : symmetry_depth;
+}
+
+/* The bytes of the one block neighborly_solve allocates for these
+   arguments; _kernel.buffer_bytes must cover it. */
+size_t neighborly_solve_bytes(int n, int target, int symmetry_depth)
+{
+    State st;
+    size_search(&st, n, target, symmetry_depth);
+    return layout(&st, n, NULL);
 }
 
 /* Search one root subproblem: the cliques through `root` whose other
@@ -273,23 +508,20 @@ static void expand(State *st, int size, int level)
    the incumbent's size) and the best clique out; *nodes receives the node
    count.  node_limit < 0 and time_limit < 0 mean unlimited.  Nodes whose
    clique has at most symmetry_depth members prune orbits (see the header),
-   which needs n = 3^d; 0 turns it off.  Returns COMPLETED, BUDGET or a
-   negative error code. */
+   which needs n = 3^d; 0 turns it off.  Every buffer, the relabelled
+   frames' included, is one block of neighborly_solve_bytes bytes.  Returns
+   COMPLETED, BUDGET or a negative error code. */
 int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t *pool,
                      int symmetry_depth, int target, int64_t node_limit, double time_limit,
                      uint64_t *best_mask, int64_t *nodes)
 {
     const int words = (n + 63) >> 6;
-    /* a clique never outgrows the target or the graph; 3 rows of slack */
-    const int levels = (target < n ? target : n) + 3;
     *nodes = 0;
     if (((uintptr_t)adj | (uintptr_t)pool | (uintptr_t)best_mask) & 7)
         return MISALIGNED;
-    if (symmetry_depth < 0)
-        symmetry_depth = 0;
-    if (symmetry_depth > levels)
-        symmetry_depth = levels;
-    if (symmetry_depth > 0) {
+    State st;
+    size_search(&st, n, target, symmetry_depth);
+    if (st.symmetry_depth > 0) {
         int64_t power = 1;
         for (int j = 0; j < d && power <= n; j++)
             power *= 3;
@@ -300,13 +532,16 @@ int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t
     if (best >= target)
         return COMPLETED;
 
-    State st;
-    st.adj = adj;
-    st.n = n;
-    st.words = words;
-    st.levels = levels;
+    char *block = malloc(layout(&st, n, NULL));
+    if (!block)
+        return NO_MEMORY;
+    layout(&st, n, block);
+    Frame *top = &st.frame[0];
+    top->rows = adj;
+    top->map = NULL;
+    top->n = n;
+    top->words = words;
     st.d = d;
-    st.symmetry_depth = symmetry_depth;
     st.best = best;
     st.target = target;
     st.status = RUNNING;
@@ -314,36 +549,13 @@ int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t
     st.node_limit = node_limit;
     st.deadline = time_limit < 0 ? -1.0 : monotonic_seconds() + time_limit;
     st.best_mask = best_mask;
-    st.pools = calloc((size_t)levels * words, sizeof *st.pools);
-    st.rest = calloc((size_t)words, sizeof *st.rest);
-    st.avail = calloc((size_t)words, sizeof *st.avail);
-    st.order = malloc((size_t)levels * n * sizeof *st.order);
-    st.colors = malloc((size_t)levels * n * sizeof *st.colors);
-    st.cur = calloc((size_t)words, sizeof *st.cur);
-    st.keys = malloc(((size_t)symmetry_depth * n + 1) * sizeof *st.keys);
+    memcpy(top->pools, pool, (size_t)words * sizeof *top->pools);
+    st.clique[0] = root;
+    expand(&st, top, 1, 0);
 
-    int result = COMPLETED;
-    if (!st.pools || !st.rest || !st.avail || !st.order || !st.colors || !st.cur
-        || !st.keys) {
-        result = NO_MEMORY;
-        goto done;
-    }
-    memcpy(st.pools, pool, (size_t)words * sizeof *st.pools);
-    st.cur[root >> 6] |= BIT(root);
-    expand(&st, 1, 0);
-    if (st.status == BUDGET || st.status == NO_LEVELS)
-        result = st.status;
-
-done:
     *nodes = st.nodes;
-    free(st.pools);
-    free(st.rest);
-    free(st.avail);
-    free(st.order);
-    free(st.colors);
-    free(st.cur);
-    free(st.keys);
-    return result;
+    free(block);
+    return st.status == BUDGET || st.status == NO_LEVELS ? st.status : COMPLETED;
 }
 
 /* dst |= src << off, where src holds nbits bits and none above them: only

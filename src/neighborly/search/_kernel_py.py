@@ -33,13 +33,22 @@ class _TargetReached(Exception):
     pass
 
 
-def _color_sort(pool: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy sequential coloring; returns vertices sorted by color (ascending)."""
+def _color_sort(
+    pool: int, adj: list[int], deadline: float | None = None
+) -> tuple[list[int], list[int]]:
+    """Greedy sequential coloring; returns vertices sorted by color (ascending).
+
+    The clock is read before each color class, and _BudgetExhausted raised
+    once it reaches ``deadline``: a pool of thousands of vertices takes a
+    tenth of a second to color.
+    """
     order: list[int] = []
     colors: list[int] = []
     color = 0
     rest = pool
     while rest:
+        if deadline is not None and perf_counter() >= deadline:
+            raise _BudgetExhausted
         color += 1
         avail = rest
         while avail:
@@ -167,7 +176,11 @@ class _Searcher:
 
     def _expand(self, mask: int, size: int, pool: int) -> None:
         adj = self.adj
-        order, colors = _color_sort(pool, adj)
+        try:
+            order, colors = _color_sort(pool, adj, self.deadline)
+        except _BudgetExhausted:
+            self.nodes += 1  # the node the deadline refused, as _charge counts it
+            raise
         orbits = None
         if size <= self.symmetry_depth:
             orbits = _orbit_classes(mask, pool, self.d)

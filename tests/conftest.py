@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pytest
@@ -13,6 +14,8 @@ from neighborly.search import _kernel
 # its tests fail rather than skip when it did not.
 HAVE_CC = shutil.which(_kernel.default_compiler()[0]) is not None
 requires_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+# runs of tens of seconds, opted into with NEIGHBORLY_SLOW=1
+slow = pytest.mark.skipif(os.environ.get("NEIGHBORLY_SLOW") != "1", reason="NEIGHBORLY_SLOW=1 runs it")
 
 
 def jv(word: str) -> JokerVector:

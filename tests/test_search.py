@@ -34,7 +34,9 @@ from neighborly.search.solver import (
     search_roots,
 )
 
-from conftest import HAVE_CC, fam, jv, naive_distance, pascal_binomial, random_words, requires_cc
+from conftest import (
+    HAVE_CC, fam, jv, naive_distance, pascal_binomial, random_words, requires_cc, slow,
+)
 from oracles import all_joker_vectors, max_family_bruteforce, pairwise_adjacency
 
 KERNELS = ("python", "compiled") if HAVE_CC else ("python",)
@@ -494,6 +496,33 @@ class TestKernelTwins:
             max_family(2, 5, kernel="compiled")
 
     @requires_cc
+    def test_memory_estimate_is_the_compiled_block(self):
+        # buffer_bytes: the rows twice, plus the one block neighborly_solve
+        # lays out, its relabelled frames included
+        compiled = get_kernel("compiled")
+        for n in (1, 2, 63, 64, 65, 243, 729, 2187, 19683):
+            rows = 2 * n * ((n + 63) // 64) * 8
+            for target in (0, 1, 5, 21, n, n + 5):
+                for depth in (0, 1, 3, 4, n + 10):
+                    estimate = _kernel.buffer_bytes(n, target, depth)
+                    assert estimate == rows + compiled.solve_bytes(n, target, depth)
+
+    def test_memory_estimate_covers_the_frames(self):
+        # beyond the caller's graph (rows twice, and per level a pool row,
+        # colour order and colours), two frames of n // 2 and n // 4
+        # vertices: rows, vertex map and at least one such level each
+        def graph(m, levels):
+            words = (m + 63) // 64
+            return m * words * 8 + m * 4 + levels * (words * 8 + 2 * m * 4)
+
+        for n, target in [(243, 14), (729, 21), (2187, 29), (19683, 100)]:
+            words = (n + 63) // 64
+            levels = target + 3
+            caller = 2 * n * words * 8 + levels * (words * 8 + 2 * n * 4)
+            frames = graph(n // 2, 1) + graph(n // 4, 1)
+            assert _kernel.buffer_bytes(n, target, 3) >= caller + frames
+
+    @requires_cc
     def test_compiled_search_converts_no_adjacency_rows(self, monkeypatch):
         # the rows stay in the buffer the compiled adjacency filled: each
         # root subproblem converts its incumbent and its pool, one row each,
@@ -538,6 +567,22 @@ class TestKernelTwins:
         args = _kernel_inputs(monkeypatch, k, d, node_limit)
         assert args[-1] == SYMMETRY_DEPTH == 3
         assert _twin_search(args)[2] is (node_limit is None or (k, d) == (2, 6))
+
+    @requires_cc
+    @pytest.mark.parametrize(
+        "k,d,node_limit,depth",
+        [(2, 7, 14_000, 3)] + [(k, 6, 5_000, depth) for k in (2, 3) for depth in range(4)],
+    )
+    def test_identical_where_frames_are_built(self, monkeypatch, k, d, node_limit, depth):
+        # the compiled kernel searches nodes with cliques of 2 and 3 members
+        # on relabelled copies of their pools; every one of these runs builds
+        # such frames, whatever the depth of orbit pruning, and (2,7) and
+        # (2,6) at depths 2 and 3 build frames inside frames.  (4,7) and
+        # (5,7) are too dense: no pool of theirs falls to half its frame in
+        # 50,000 nodes.  The renumbering keeps the vertex order, so both
+        # kernels return the same size, mask and node count on each root
+        args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
+        assert _twin_search(args)[1:] == (node_limit + 1, False)
 
     @requires_cc
     @pytest.mark.parametrize(
@@ -676,6 +721,40 @@ class TestKernelTwins:
         assert (res.best_size, res.status) == (27, STATUS_OPTIMAL)
         assert res.nodes_explored == 1_047_592
         assert reference.exact_value(3, 6)[0] == 27
+
+    @requires_cc
+    @slow
+    def test_compiled_certifies_2_7(self):
+        # README's search 2 7, about 10 s: the one exhaustive d = 7 tree,
+        # where the kernel builds the most relabelled frames
+        res = max_family(2, 7, Budget.unlimited(), kernel="compiled")
+        assert (res.best_size, res.status, res.nodes_explored) == (21, STATUS_OPTIMAL, 4_108_440)
+
+    def test_python_deadline_stops_inside_the_coloring(self, monkeypatch):
+        # a clock that advances one second per read: solve_root reads it
+        # once for the deadline, the root's coloring once per color class,
+        # so a 2.5 s limit stops the search in its third class, before any
+        # node is charged, and counts the refused node as _charge would
+        adj, roots, best_mask, target, _, _, d, depth = _kernel_inputs(monkeypatch, 2, 6, None)
+        root, pool = roots[0]
+        reads = itertools.count()
+        monkeypatch.setattr(_kernel_py, "perf_counter", lambda: float(next(reads)))
+        assert _kernel_py.solve_root(adj, root, pool, best_mask, target, None, 2.5, d, depth) == (
+            16, best_mask, 1, False
+        )
+        assert next(reads) == 4
+        _, colors = _kernel_py._color_sort(pool, adj)
+        assert colors[-1] > 3  # so the coloring was cut short
+
+    def test_python_deadline_leaves_node_counts(self, monkeypatch):
+        # a deadline that never comes costs clock reads, not nodes
+        args = _kernel_inputs(monkeypatch, 2, 5, None)
+        adj, roots, best_mask, target, node_limit, _, d, depth = args
+        unlimited = search_roots(_kernel_py, *args)
+        timed = search_roots(_kernel_py, adj, roots, best_mask, target, node_limit, 1e9, d, depth)
+        assert timed == unlimited
+        assert unlimited[1:] == (183, True)
+
 
 
 def _kernel_inputs(monkeypatch, k, d, node_limit):
