@@ -37,7 +37,7 @@ from .constructions import (
     extremal_dminus1_family,
     staircase_code,
 )
-from .core import Family, only_symbols
+from .core import Family
 from .errors import (
     DomainError,
     NeighborlyError,
@@ -109,10 +109,10 @@ def parse_family(lines: Iterable[str]) -> Family:
 
     Every line is read and stripped before any is checked, so a file that
     cannot be decoded fails as such whatever its other faults.  The vector
-    lines are checked in bulk (their lengths, their symbols and their
-    repeats over the whole list); only when a bulk test fails are they
-    walked in order, to name the first bad line as ``_first_bad_vector``
-    does.
+    lines go to ``Family.from_strings`` as they are.  Only when it raises,
+    or drops a repeat, are they walked in order, to name the first bad
+    line as ``_first_bad_vector`` does; when no line is bad, its error
+    becomes the ParseError.
     """
     lines = [raw.rstrip() for raw in lines]
     d = k = None
@@ -135,16 +135,14 @@ def parse_family(lines: Iterable[str]) -> Family:
     if d is None:
         raise ParseError("missing 'd=<int> k=<int>' header line")
     words = [line for line in lines[lineno:] if line and line[0] != "#"]
-    if (
-        set(map(len, words)) - {d}
-        or not only_symbols("".join(words))
-        or len(set(words)) != len(words)
-    ):
-        _first_bad_vector(lines, lineno, d)
     try:
-        return Family.from_strings(d, k, words)
+        family = Family.from_strings(d, k, words)
     except NeighborlyError as exc:
+        _first_bad_vector(lines, lineno, d)
         raise ParseError(str(exc)) from exc
+    if len(family) < len(words):
+        _first_bad_vector(lines, lineno, d)
+    return family
 
 
 def _first_bad_vector(lines: list[str], header: int, d: int) -> None:

@@ -184,7 +184,7 @@ class CompiledKernel:
 
     def solve_bytes(self, n: int, target: int, symmetry_depth: int) -> int:
         """The bytes of the one block ``solve_root`` allocates on an n-vertex
-        graph, relabelled frames included; ``buffer_bytes`` counts them."""
+        graph, the relabelled frame included; ``buffer_bytes`` counts it."""
         return self._solve_bytes(n, target, symmetry_depth)
 
     def solve_root(
@@ -238,22 +238,20 @@ def buffer_bytes(n: int, target: int, symmetry_depth: int) -> int:
     a caller's rows are converted, and a lower estimate would admit (k, d)
     cells that the budget refuses today.  The block is counted as
     ``neighborly_solve_bytes`` lays it out (a test holds the two equal).
-    Besides the caller's graph it holds two relabelled frames, the only
-    ones alive at once: the subgraphs induced on a node's pool that the
-    kernel searches at cliques of 2 and 3 members, of at most n // 2 and
-    n // 4 vertices, each with its rows, its vertex map and its per-level
-    pools, colour orders and orbit keys.
+    Besides the caller's graph it holds the one relabelled frame: the
+    subgraph induced on a node's pool that the kernel searches at cliques
+    of 3 members, of at most n // 2 vertices, with its rows, its vertex
+    map and its per-level pools, colour orders and orbit keys.
     """
     words = (n + 63) // 64
     levels = min(target, n) + 3  # as neighborly_solve sizes its cliques
     depth = min(max(symmetry_depth, 0), levels)
     # the rows twice; colouring and relabelling work space, the clique
     estimated = 2 * n * words * 8 + 8 * words * 8 + (words + 1) * 4 + levels * 4
-    for frame, first in enumerate((1, 2, 3)):  # the least clique size at its node
-        m = n >> frame  # n, n // 2, n // 4 vertices
+    for m, first in ((n, 1), (n // 2, 3)):  # its vertices, the least clique size at its node
         rows = min(levels - first, m) + 1
         row_bytes = (m + 63) // 64 * 8
-        own = (m * row_bytes + m * 4) if frame else 0  # the relabelled rows and map
+        own = (m * row_bytes + m * 4) if first > 1 else 0  # the relabelled rows and map
         estimated += own + rows * row_bytes + (2 * rows + max(0, depth - first + 1)) * m * 4
     return estimated
 

@@ -53,23 +53,25 @@
    A group of s coordinates has (s+1)(s+2)/2 <= 3^s possible keys, so a
    vertex's mixed-radix key lies below 3^d = n and fits an int.
 
-   Relabelled frames.  The search runs on a frame: a graph with its rows,
-   vertex count, map to the caller's vertices and per-level buffers.  The
-   root's frame is the caller's rows, read in place.  A node whose clique
-   has 2 or 3 members and whose pool holds at most half of its frame's
-   vertices copies the subgraph induced on that pool into a new frame,
-   renumbering the pool's vertices 0, 1, ... in increasing order, and
-   searches its subtree there: its rows are a fraction of the width, so
-   the colouring, which reads a row for every vertex it colours, walks
-   fewer words, and up to UNROLLED words it does so in straight-line code.  The search-wide record (incumbent, budgets, status, node
-   count) stays outside the frames, and the clique is kept as the caller's
-   vertices.  The renumbering is increasing, so the lowest vertex of a set
-   is the same vertex in both numberings: every lowest-bit-first pick,
-   colour class and branch order is the one the caller's rows give, the
-   orbit keys are read through the map, and the tree, node counts and
-   witnesses do not change.  Frames are built at two clique sizes only, so
-   at most two are alive; every buffer of a search, theirs included, is
-   one block allocated per call (neighborly_solve_bytes gives its size). */
+   The relabelled frame.  The search runs on a frame: a graph with its
+   rows, vertex count, map to the caller's vertices and per-level buffers.
+   The root's frame is the caller's rows, read in place.  A node whose
+   clique has FRAME_SIZE members and whose pool holds at most half of the
+   caller's vertices lies in the caller's graph, since cliques only grow
+   below it.  It copies the subgraph induced on its pool into the one
+   relabelled frame, renumbering the pool's vertices 0, 1, ... in
+   increasing order, and searches its subtree there: the rows are a
+   fraction of the width, so the colouring, which reads a row for every
+   vertex it colours, walks fewer words, and up to UNROLLED words it does
+   so in straight-line code.  The search-wide record (incumbent, budgets,
+   status, node count) stays outside the frames, and the clique is kept as
+   the caller's vertices.  The renumbering is increasing, so the lowest
+   vertex of a set is the same vertex in both numberings: every
+   lowest-bit-first pick, colour class and branch order is the one the
+   caller's rows give, the orbit keys are read through the map, and the
+   tree, node counts and witnesses do not change.  Every buffer of a
+   search is one block allocated per call (neighborly_solve_bytes gives
+   its size). */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -94,23 +96,21 @@ enum { RUNNING = 2, TARGET = 3 };  /* internal states besides BUDGET, NO_LEVELS 
 
 #define BIT(v) ((uint64_t)1 << ((v) & 63))
 
-/* Relabelled frames (see the header): a node whose clique has FRAME_MIN
-   to FRAME_MAX members, and whose pool holds at most 1/FRAME_SHARE of
-   its frame's vertices, searches its subtree on the subgraph induced on
-   that pool.  Measured on a shared 2-CPU x86_64 VM by replaying the root
-   calls of the benchmark's search-deep workload (10 calls, 63,935 nodes;
-   medians of 30 interleaved runs), against the search without frames:
-   these constants take 22% off the kernel time, (2,7) at 300k nodes
-   31%.  Frames at clique size 2 alone gain nothing there, because the
-   pools of (3,6) reach half of the graph only at size 3; sizes 2-4 and
-   1-3 gave -11% to -25%, and no half gate -24% to -28%, no better beyond
-   the noise; sizes 2-8 gave -3%, the copies costing what they save.  The
-   three d = 7 calls of search-wide (3 x 501 nodes) build one frame in all,
-   for (3,7), and did not slow down. */
-enum { FRAME_MIN = 2, FRAME_MAX = 3, FRAME_SHARE = 2 };
-
-/* the caller's graph, then one relabelled frame per clique size at most */
-enum { FRAMES = FRAME_MAX - FRAME_MIN + 2 };
+/* The relabelled frame (see the header): a node whose clique has
+   FRAME_SIZE members, and whose pool holds at most 1/FRAME_SHARE of the
+   caller's vertices, searches its subtree on the subgraph induced on that
+   pool.  Measured on a shared 2-CPU x86_64 VM by replaying a search's
+   root calls in one process, alternating with the kernel it replaced,
+   which nested a second frame at clique size 2 above this one and took
+   22% off the kernel time of the benchmark's search-deep calls (against
+   no frames, BENCH_26.json): (2,7) at 300k nodes went from 580 to 525 ms
+   (medians of 8 runs, all 8 faster), and (2,5), (2,6) exhaustive, (3,6)
+   at 50k nodes and exhaustive and the d = 7 calls of search-wide moved by
+   3% or less, as much as code placement alone moves them.  The pools of
+   (3,6) reach half of the graph only at size 3.
+   With nested frames, sizes 2-4 and 1-3 or no half gate were no better
+   beyond the noise, and at sizes 2-8 the copies cost what they saved. */
+enum { FRAME_SIZE = 3, FRAME_SHARE = 2 };
 
 /* the widest rows, in words, that branch colours with unrolled loops */
 enum { UNROLLED = 8 };
@@ -128,9 +128,9 @@ typedef struct {
 } Frame;
 
 typedef struct {
-    Frame frame[FRAMES];        /* [0] the caller's graph, [j] the j-th frame on the branch */
-    uint64_t *spare_rows[FRAMES];  /* the rows and map of frame[j], j > 0 */
-    int *spare_map[FRAMES];
+    Frame top, frame;           /* the caller's graph and the relabelled frame */
+    uint64_t *frame_rows;       /* the frame's rows and map, written by relabel */
+    int *frame_map;
     uint64_t *rest;             /* colouring work space, one row each: a node */
     uint64_t *avail;            /* finishes colouring before it recurses */
     int *clique;                /* the clique on the current branch, the caller's vertices */
@@ -261,37 +261,35 @@ static uint64_t compress(uint64_t x, const uint64_t *moves)
     return x;
 }
 
-/* The frame after f: the subgraph of f induced on its row `pool` of m
-   vertices, the i-th lowest of them becoming vertex i, with that pool, all
-   m vertices, as its first row of candidates.  Row i is the row of f's
-   vertex, each word of it compressed under the pool's word and placed
-   after the pool vertices of the words before. */
-static Frame *relabel(State *st, const Frame *f, const uint64_t *pool, int m)
+/* The relabelled frame: the subgraph of the caller's graph induced on its
+   row `pool` of m vertices, the i-th lowest of them becoming vertex i,
+   with that pool, all m vertices, as its first row of candidates.  Row i
+   is the row of the caller's vertex, each word of it compressed under the
+   pool's word and placed after the pool vertices of the words before. */
+static Frame *relabel(State *st, const uint64_t *pool, int m)
 {
-    const int j = (int)(f - st->frame) + 1;
-    Frame *g = &st->frame[j];
-    uint64_t *rows = st->spare_rows[j];
-    int *map = st->spare_map[j];
+    const Frame *top = &st->top;
+    Frame *g = &st->frame;
+    uint64_t *rows = st->frame_rows;
+    int *map = st->frame_map;
     const int words = (m + 63) >> 6;
-    g->rows = rows;
-    g->map = map;
     g->n = m;
     g->words = words;
 
-    int *below = st->below;  /* below[w]: the pool vertices in f's words before w */
+    int *below = st->below;  /* below[w]: the pool vertices in the words before w */
     int i = 0;
-    for (int w = 0; w < f->words; w++) {
+    for (int w = 0; w < top->words; w++) {
         below[w] = i;
         compress_moves(pool[w], st->moves + 6 * w);
         for (uint64_t bits = pool[w]; bits; bits &= bits - 1)
-            map[i++] = (w << 6) + __builtin_ctzll(bits);  /* f's vertices for now */
+            map[i++] = (w << 6) + __builtin_ctzll(bits);
     }
-    below[f->words] = m;
+    below[top->words] = m;
     memset(rows, 0, (size_t)m * words * sizeof *rows);
     for (i = 0; i < m; i++) {
-        const uint64_t *adj_v = f->rows + (size_t)map[i] * f->words;
+        const uint64_t *adj_v = top->rows + (size_t)map[i] * top->words;
         uint64_t *row = rows + (size_t)i * words;
-        for (int w = 0; w < f->words; w++) {
+        for (int w = 0; w < top->words; w++) {
             if (!pool[w])
                 continue;
             const uint64_t packed = compress(adj_v[w] & pool[w], st->moves + 6 * w);
@@ -301,9 +299,6 @@ static Frame *relabel(State *st, const Frame *f, const uint64_t *pool, int m)
                 row[(at >> 6) + 1] |= packed >> (64 - shift);
         }
     }
-    if (f->map)
-        for (i = 0; i < m; i++)
-            map[i] = f->map[map[i]];
 
     memset(g->pools, 0xff, (size_t)words * sizeof *g->pools);
     if (m & 63)
@@ -394,7 +389,7 @@ static void branch(State *st, Frame *f, int size, int level, int total)
         st->clique[size] = f->map ? f->map[v] : v;
         if (size + 1 > st->best) {
             st->best = size + 1;
-            memset(st->best_mask, 0, (size_t)st->frame[0].words * sizeof *st->best_mask);
+            memset(st->best_mask, 0, (size_t)st->top.words * sizeof *st->best_mask);
             for (int i = 0; i <= size; i++)
                 st->best_mask[st->clique[i] >> 6] |= BIT(st->clique[i]);
             if (st->best >= st->target) {
@@ -416,8 +411,8 @@ static void branch(State *st, Frame *f, int size, int level, int total)
 }
 
 /* Extend the clique (size vertices) by the candidates in f's row
-   pools[level], on a new frame when FRAME_MIN, FRAME_MAX and FRAME_SHARE
-   admit one. */
+   pools[level], on the relabelled frame when FRAME_SIZE and FRAME_SHARE
+   admit it. */
 static void expand(State *st, Frame *f, int size, int level)
 {
     if (size >= st->levels) {
@@ -426,8 +421,8 @@ static void expand(State *st, Frame *f, int size, int level)
     }
     const uint64_t *pool = f->pools + (size_t)level * f->words;
     const int total = popcount_set(pool, f->words);
-    if (size >= FRAME_MIN && size <= FRAME_MAX && FRAME_SHARE * total <= f->n)
-        branch(st, relabel(st, f, pool, total), size, 0, total);
+    if (size == FRAME_SIZE && FRAME_SHARE * total <= st->top.n)  /* then f is the top */
+        branch(st, relabel(st, pool, total), size, 0, total);
     else
         branch(st, f, size, level, total);
 }
@@ -442,39 +437,36 @@ static void *take(char *base, size_t *at, size_t bytes)
 }
 
 /* Lay out the buffers of a search on an n-vertex graph in the block at
-   base, or only count them (base NULL); returns the block's bytes.  Frame
-   j > 0 has at most n / FRAME_SHARE^j vertices, and its node's clique at
-   least FRAME_MIN + j - 1 members: its clique grows by fewer members than
-   it has vertices and stays below `levels` (expand's check), and it prunes
-   orbits while the clique has at most symmetry_depth members.  The 64-bit
-   rows come first, so every part stays 8-byte aligned. */
+   base, or only count them (base NULL); returns the block's bytes.  Per
+   level, a frame has a pool row, a colour order and colours, and orbit
+   keys while its clique has at most symmetry_depth members.  Below a node
+   whose clique has c members there are at most min(levels - c, vertices)
+   + 1 levels: the clique grows by fewer members than the frame has
+   vertices and stays below `levels` (expand's check).  The caller's graph
+   starts at the root, c = 1; the relabelled frame has at most
+   n / FRAME_SHARE vertices and starts at c = FRAME_SIZE.  The 64-bit rows
+   come first, so every part stays 8-byte aligned. */
 static size_t layout(State *st, int n, char *base)
 {
     size_t at = 0;
-    int cap[FRAMES], rows[FRAMES], key_rows[FRAMES];
-    for (int j = 0; j < FRAMES; j++) {
-        const int first = j ? FRAME_MIN + j - 1 : 1;  /* the least clique size at its node */
-        cap[j] = j ? cap[j - 1] / FRAME_SHARE : n;
-        rows[j] = (st->levels - first < cap[j] ? st->levels - first : cap[j]) + 1;
-        key_rows[j] = st->symmetry_depth >= first ? st->symmetry_depth - first + 1 : 0;
-        Frame *f = &st->frame[j];
-        const size_t words = ((size_t)cap[j] + 63) >> 6;
-        if (j)
-            st->spare_rows[j] = take(base, &at, (size_t)cap[j] * words * sizeof(uint64_t));
-        f->pools = take(base, &at, (size_t)rows[j] * words * sizeof(uint64_t));
-    }
-    const size_t words = ((size_t)n + 63) >> 6;
+    const int m = n / FRAME_SHARE, depth = st->symmetry_depth;
+    const int rows = (st->levels - 1 < n ? st->levels - 1 : n) + 1;
+    const int m_rows = (st->levels - FRAME_SIZE < m ? st->levels - FRAME_SIZE : m) + 1;
+    const int m_keys = depth >= FRAME_SIZE ? depth - FRAME_SIZE + 1 : 0;
+    const size_t words = ((size_t)n + 63) >> 6, m_words = ((size_t)m + 63) >> 6;
+    st->top.pools = take(base, &at, (size_t)rows * words * sizeof(uint64_t));
+    st->frame.rows = st->frame_rows = take(base, &at, (size_t)m * m_words * sizeof(uint64_t));
+    st->frame.pools = take(base, &at, (size_t)m_rows * m_words * sizeof(uint64_t));
     st->rest = take(base, &at, words * sizeof(uint64_t));
     st->avail = take(base, &at, words * sizeof(uint64_t));
     st->moves = take(base, &at, 6 * words * sizeof(uint64_t));
-    for (int j = 0; j < FRAMES; j++) {
-        Frame *f = &st->frame[j];
-        if (j)
-            st->spare_map[j] = take(base, &at, (size_t)cap[j] * sizeof(int));
-        f->order = take(base, &at, (size_t)rows[j] * cap[j] * sizeof(int));
-        f->colors = take(base, &at, (size_t)rows[j] * cap[j] * sizeof(int));
-        f->keys = take(base, &at, (size_t)key_rows[j] * cap[j] * sizeof(int));
-    }
+    st->top.order = take(base, &at, (size_t)rows * n * sizeof(int));
+    st->top.colors = take(base, &at, (size_t)rows * n * sizeof(int));
+    st->top.keys = take(base, &at, (size_t)depth * n * sizeof(int));
+    st->frame.map = st->frame_map = take(base, &at, (size_t)m * sizeof(int));
+    st->frame.order = take(base, &at, (size_t)m_rows * m * sizeof(int));
+    st->frame.colors = take(base, &at, (size_t)m_rows * m * sizeof(int));
+    st->frame.keys = take(base, &at, (size_t)m_keys * m * sizeof(int));
     st->clique = take(base, &at, (size_t)st->levels * sizeof(int));
     st->below = take(base, &at, (words + 1) * sizeof(int));
     return at;
@@ -509,7 +501,7 @@ size_t neighborly_solve_bytes(int n, int target, int symmetry_depth)
    count.  node_limit < 0 and time_limit < 0 mean unlimited.  Nodes whose
    clique has at most symmetry_depth members prune orbits (see the header),
    which needs n = 3^d; 0 turns it off.  Every buffer, the relabelled
-   frames' included, is one block of neighborly_solve_bytes bytes.  Returns
+   frame's included, is one block of neighborly_solve_bytes bytes.  Returns
    COMPLETED, BUDGET or a negative error code. */
 int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t *pool,
                      int symmetry_depth, int target, int64_t node_limit, double time_limit,
@@ -536,7 +528,7 @@ int neighborly_solve(const uint64_t *adj, int n, int d, int root, const uint64_t
     if (!block)
         return NO_MEMORY;
     layout(&st, n, block);
-    Frame *top = &st.frame[0];
+    Frame *top = &st.top;
     top->rows = adj;
     top->map = NULL;
     top->n = n;

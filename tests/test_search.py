@@ -498,7 +498,7 @@ class TestKernelTwins:
     @requires_cc
     def test_memory_estimate_is_the_compiled_block(self):
         # buffer_bytes: the rows twice, plus the one block neighborly_solve
-        # lays out, its relabelled frames included
+        # lays out, its relabelled frame included
         compiled = get_kernel("compiled")
         for n in (1, 2, 63, 64, 65, 243, 729, 2187, 19683):
             rows = 2 * n * ((n + 63) // 64) * 8
@@ -509,18 +509,16 @@ class TestKernelTwins:
 
     def test_memory_estimate_covers_the_frames(self):
         # beyond the caller's graph (rows twice, and per level a pool row,
-        # colour order and colours), two frames of n // 2 and n // 4
-        # vertices: rows, vertex map and at least one such level each
-        def graph(m, levels):
-            words = (m + 63) // 64
-            return m * words * 8 + m * 4 + levels * (words * 8 + 2 * m * 4)
-
+        # colour order and colours), one frame of n // 2 vertices at
+        # clique size 3: rows, vertex map and per level below it a pool
+        # row, colour order and colours, and one row of orbit keys
         for n, target in [(243, 14), (729, 21), (2187, 29), (19683, 100)]:
             words = (n + 63) // 64
             levels = target + 3
             caller = 2 * n * words * 8 + levels * (words * 8 + 2 * n * 4)
-            frames = graph(n // 2, 1) + graph(n // 4, 1)
-            assert _kernel.buffer_bytes(n, target, 3) >= caller + frames
+            m, m_words = n // 2, (n // 2 + 63) // 64
+            frame = m * m_words * 8 + m * 4 + (levels - 2) * (m_words * 8 + 2 * m * 4) + m * 4
+            assert _kernel.buffer_bytes(n, target, 3) >= caller + frame
 
     @requires_cc
     def test_compiled_search_converts_no_adjacency_rows(self, monkeypatch):
@@ -574,13 +572,13 @@ class TestKernelTwins:
         [(2, 7, 14_000, 3)] + [(k, 6, 5_000, depth) for k in (2, 3) for depth in range(4)],
     )
     def test_identical_where_frames_are_built(self, monkeypatch, k, d, node_limit, depth):
-        # the compiled kernel searches nodes with cliques of 2 and 3 members
-        # on relabelled copies of their pools; every one of these runs builds
-        # such frames, whatever the depth of orbit pruning, and (2,7) and
-        # (2,6) at depths 2 and 3 build frames inside frames.  (4,7) and
-        # (5,7) are too dense: no pool of theirs falls to half its frame in
-        # 50,000 nodes.  The renumbering keeps the vertex order, so both
-        # kernels return the same size, mask and node count on each root
+        # the compiled kernel searches a node whose clique has 3 members on
+        # a relabelled copy of its pool when the pool holds at most half of
+        # the graph; every one of these runs builds such a frame, whatever
+        # the depth of orbit pruning: (3,6) one, (2,6) 62 to 73, (2,7) 24.
+        # (4,7) and (5,7) are too dense: no pool of theirs falls to half the
+        # graph in 50,000 nodes.  The renumbering keeps the vertex order, so
+        # both kernels return the same size, mask and node count on each root
         args = _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
         assert _twin_search(args)[1:] == (node_limit + 1, False)
 
@@ -865,10 +863,13 @@ class TestKernelLoader:
             if not os.path.isabs(proc.stdout.strip()):
                 pytest.skip(f"{cc[0]} has no {name}")
             runtimes.append(proc.stdout.strip())
+        # (2,7) builds two frames in 3,000 nodes, copied from rows of 35 words
         solves = [
             _kernel_inputs(monkeypatch, k, d, node_limit)[:-1] + (depth,)
-            for k, d, node_limit in [(2, 5, None), (3, 6, 5_000)]
-            for depth in range(4)
+            for k, d, node_limit, depths in [
+                (2, 5, None, range(4)), (3, 6, 5_000, range(4)), (2, 7, 3_000, [3])
+            ]
+            for depth in depths
         ]
         # binary words in rank order: k = 8 holds, k = 7 fails at n = 129
         # (01111111, 10000000), k = 3 fails early; 70 and 129 end mid-word
