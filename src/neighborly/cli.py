@@ -8,8 +8,9 @@ Also owns the family file format:
     10*0*0
     ...
 
-one vector per line, exactly d characters over {0,1,*}; duplicate lines
-are rejected and trailing whitespace is ignored.
+the numbers in the header are runs of ASCII digits; one vector per line,
+exactly d characters over {0,1,*}; duplicate lines are rejected and
+trailing whitespace is ignored.
 
 Exit codes: 0 success/valid family, 1 invalid family or failed audit,
 2 usage error (including a file that cannot be opened, read or written,
@@ -126,11 +127,9 @@ def parse_family(lines: Iterable[str]) -> Family:
             or not parts[1].startswith("k=")
         ):
             raise ParseError(f"expected header 'd=<int> k=<int>', got {line!r}", lineno)
-        try:
-            d = int(parts[0][2:])
-            k = int(parts[1][2:])
-        except ValueError:
-            raise ParseError(f"malformed header {line!r}", lineno) from None
+        d, k = _header_number(parts[0]), _header_number(parts[1])
+        if d is None or k is None:
+            raise ParseError(f"malformed header {line!r}", lineno)
         break
     if d is None:
         raise ParseError("missing 'd=<int> k=<int>' header line")
@@ -143,6 +142,19 @@ def parse_family(lines: Iterable[str]) -> Family:
     if len(family) < len(words):
         _first_bad_vector(lines, lineno, d)
     return family
+
+
+def _header_number(part: str) -> Optional[int]:
+    """The number after ``d=`` or ``k=`` in a header; None unless it is a run of
+    ASCII digits that ``int`` converts (``int`` alone would also take ``+3``,
+    ``3_0`` and non-ASCII digits)."""
+    digits = part[2:]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _first_bad_vector(lines: list[str], header: int, d: int) -> None:
@@ -421,8 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser ``main`` reuses; built by its first call, so that importing this
+# module stays cheap and a replacement of ``build_parser`` made before that
+# call (as a tracer installs) is the one that runs, once.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if getattr(args, "needs_kd", False):
         if args.k < 1 or args.d < args.k:

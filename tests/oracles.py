@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Iterator, Set
@@ -101,10 +102,12 @@ def parse_family_by_lines(lines: Iterable[str]) -> Family:
                 or not parts[1].startswith("k=")
             ):
                 raise ParseError(f"expected header 'd=<int> k=<int>', got {line!r}", lineno)
+            numbers = [part[2:] for part in parts]
+            if not all(re.fullmatch("[0-9]+", n) for n in numbers):
+                raise ParseError(f"malformed header {line!r}", lineno)
             try:
-                d = int(parts[0][2:])
-                k = int(parts[1][2:])
-            except ValueError:
+                d, k = map(int, numbers)
+            except ValueError:  # more digits than int() converts
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             continue
         if len(line) != d:

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -110,8 +111,12 @@ PARSE_ERRORS = [
     ("d=3 k=1 x\n000\n", "expected header 'd=<int> k=<int>', got 'd=3 k=1 x'", 1),
     ("d=x k=1\n000\n", "malformed header 'd=x k=1'", 1),
     ("d=3 k=\n000\n", "malformed header 'd=3 k='", 1),
-    # int() reads 3_0 as 30
-    ("d=3_0 k=1\n000\n", "vector '000' has length 3, expected 30", 2),
+    # only runs of ASCII digits, although int() reads all of these
+    ("d=3_0 k=1\n000\n", "malformed header 'd=3_0 k=1'", 1),
+    ("d=+3 k=1\n000\n", "malformed header 'd=+3 k=1'", 1),
+    ("d=3 k=0_2\n000\n", "malformed header 'd=3 k=0_2'", 1),
+    ("d=-3 k=1\n000\n", "malformed header 'd=-3 k=1'", 1),
+    ("d=\u0663 k=1\n000\n", "malformed header 'd=\u0663 k=1'", 1),
     ("d=2 k=5\n00\n", "need 1 <= k <= d, got k=5 d=2", None),
     ("d=0 k=1\n", "need 1 <= k <= d, got k=1 d=0", None),
     ("d=0 k=1\n0\n", "vector '0' has length 1, expected 0", 2),
@@ -136,7 +141,7 @@ PARSED = [
     ("d=2 k=1\r\n00\r\n01\r\n", 2, 1, ["00", "01"]),
     ("d=2 k=1  \n00 \t\n\n# c  \n01   \n\n\n", 2, 1, ["00", "01"]),
     ("d=2 k=1\n00\n01", 2, 1, ["00", "01"]),
-    ("d=+3 k=1\n000\n", 3, 1, ["000"]),  # int() reads +3 as 3
+    ("d=03 k=001\n000\n", 3, 1, ["000"]),  # leading zeros are digits
     ("d=3 k=1\n", 3, 1, []),
     ("#\n\n  d=2   k=2  \n1*\n0*\n", 2, 2, ["0*", "1*"]),
 ]
@@ -156,6 +161,12 @@ class TestParseParity:
             path.write_bytes(text.encode("ascii"))
             code, out, err = run_cli("verify", str(path))
             assert (code, out, err) == (1, "", f"parse error: {expected[1]}\n")
+
+    def test_header_number_longer_than_int_converts(self):
+        text = f"d={'9' * 5000} k=1\n"
+        expected = ("error", f"line 1: malformed header {text.rstrip()!r}", 1)
+        assert parse_outcome(parse_family, text) == expected
+        assert parse_outcome(parse_family_by_lines, text) == expected
 
     @pytest.mark.parametrize("text, d, k, words", PARSED)
     def test_parsed_files(self, text, d, k, words, tmp_path):
@@ -191,8 +202,9 @@ class TestParseParity:
         elif fault == "header":
             header = draw(st.sampled_from(
                 ["d=", f"k={k} d={d}", f"d={d}", f"d=x k={k}", f"d={d} k={k} k={k}",
-                 f"d={d}_0 k={k}", f"d=+{d} k=+{k}", f"d={d} K={k}"]
-            ))
+                 f"d={d}_0 k={k}", f"d=+{d} k=+{k}", f"d={d} K={k}", f"d={d} k=-{k}",
+                 f"d={chr(0x660 + d)} k={k}", f"d={d}.0 k={k}", f"d=0_{d} k={k}"]
+            ), label="header")
         elif fault == "k above d":
             header = f"d={d} k={d + draw(st.integers(1, 3))}"
         lines = ([] if fault == "no header" else [header]) + words
@@ -203,7 +215,11 @@ class TestParseParity:
             text += line + draw(st.sampled_from(["", "", " ", "\t "])) + ending
         if draw(st.booleans(), label="no final newline"):
             text = text[:-len(ending)]
-        assert parse_outcome(parse_family, text) == parse_outcome(parse_family_by_lines, text)
+        outcome = parse_outcome(parse_family, text)
+        assert outcome == parse_outcome(parse_family_by_lines, text)
+        if fault == "header":  # every header fault is named on the header line
+            assert outcome[0] == "error" and outcome[2] == text[:text.index(header)].count("\n") + 1
+            assert outcome[1].split(": ", 1)[1].startswith(("malformed header", "expected header"))
 
     def test_non_ascii_is_reported_whatever_comes_first(self, tmp_path):
         # the bad line 2 is in the first 8 KB the reader decodes, the non-ASCII
@@ -752,3 +768,82 @@ class TestUnreadableFamilyFile:
         code, out, err = run_cli(*argv, str(path))
         assert code == 1 and not out
         assert len(err.splitlines()) == 1 and "not ASCII" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it: every
+    later call gives what a freshly built parser gives."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        family = tmp_path / "family.txt"
+        with open(family, "w", encoding="ascii") as fh:
+            write_family(alon_product(2, 4), fh)
+        witness = str(tmp_path / "witness.txt")
+        return [
+            ["report", "2", "5"],
+            ["report", "5", "7", "--machine"],
+            ["table", "4", "6"],
+            ["table", "4", "6", "--markdown"],
+            ["verify", str(family)],
+            ["verify", str(family), "--dimension-cap", "3"],
+            ["search", "2", "4", "--witness", witness],
+            ["search", "2", "4", "--incumbent", str(family), "--max-nodes", "0"],
+            ["search", "2", "5", "--kernel", "python"],
+            ["construct", "corollary35", "3"],
+            ["construct", "alon-product", "2", "4"],
+            ["-h"],
+            ["search", "-h"],
+            # usage errors
+            ["report", "3", "2"],
+            ["table", "3", "3", "--csv", "--markdown"],
+            ["search", "2", "4", "--max-nodes", "-1"],
+            ["construct", "no-such-name", "3"],
+            [],
+        ]
+
+    @staticmethod
+    def outcome(argv):
+        # a search prints the seconds it took
+        code, out, err = run_cli(*argv)
+        return code, re.sub(r"elapsed=\S+", "elapsed=", out), err
+
+    def test_repeated_calls_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+        corpus = self.corpus(tmp_path)
+        fresh = []
+        for argv in corpus:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self.outcome(argv))
+        assert {code for code, _, _ in fresh} == {0, 2}
+        monkeypatch.setattr(cli, "_parser", None)
+        order = list(range(len(corpus)))
+        for rounds in range(3):  # forward, backward, then every other one
+            for i in order:
+                assert self.outcome(corpus[i]) == fresh[i], corpus[i]
+            order = order[::-1] if rounds == 0 else order[::2] + order[1::2]
+
+    def test_usage_error_leaves_the_next_call_alone(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        expected = self.outcome(["table", "4", "6", "--markdown"])
+        for bad in (["table", "3", "3", "--csv", "--markdown"], ["report", "3", "2"],
+                    ["construct", "no-such-name", "3"], ["report", "2", "x"]):
+            code, out, err = self.outcome(bad)
+            assert code == 2 and not out and err.startswith("usage: neighborly")
+            assert self.outcome(["table", "4", "6", "--markdown"]) == expected
+
+    def test_parser_built_once(self, monkeypatch):
+        # perfbench/spans.py wraps the parser's parse_args each time its
+        # stand-in for build_parser runs, so this is what keeps that one wrapper
+        built = []
+
+        def counting_build_parser(original=cli.build_parser):
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(cli, "_parser", None)
+        for i in range(50):
+            argv = ["report", "3", "2"] if i % 10 == 9 else ["report", str(1 + i % 5), "7"]
+            run_cli(*argv)
+        assert len(built) == 1
