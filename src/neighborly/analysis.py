@@ -204,9 +204,11 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
       - a prefix P has diameter <= L exactly when P misses the
         (d-L-1)-neighbourhood of its mirror;
       - a mirrored class must miss every class heavier than the cap;
-      - the pair cap compares the weights of each pair of classes
-        (s, s'), the uncovered set counting as weight 0, once, and looks
-        for a live v in V(s) with ~v in V(s') only when they exceed it;
+      - the pair cap ANDs each class (the uncovered set counting as
+        weight 0) with the live set and the union of the mirrors of the
+        classes heavy enough to exceed the cap with it, a union that
+        grows as the classes get heavier, so each set is touched once
+        per depth;
       - the weight identity reads the class sizes.
     Building the cover map takes one step per covered vector of each
     member and one bit reversal per class for the mirrors; a diameter
@@ -330,10 +332,11 @@ def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
     mirror_covered = 0
     for cls in cover.mirrored.values():
         mirror_covered |= cls
-    # (2^d f on the set, the set, its mirror), the uncovered vectors at weight 0;
-    # every weight and cap below is a numerator over 2^d
-    parts = [(1 << (d - t), cls, cover.mirrored[t]) for t, cls in cover.classes.items()]
-    parts.append((0, everything & ~cover.covered, everything & ~mirror_covered))
+    # (2^d f on the set, the set, its mirror) by ascending weight, the uncovered
+    # vectors first at weight 0; every weight and cap below is a numerator over 2^d
+    parts = [(0, everything & ~cover.covered, everything & ~mirror_covered)]
+    parts += [(1 << (d - t), cls, cover.mirrored[t])
+              for t, cls in sorted(cover.classes.items(), reverse=True)]
     for i in depths:
         cap = (
             1 << (d - i)  # 1/2^i
@@ -344,19 +347,22 @@ def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
         for s in range(i + 1):
             excluded |= cover.classes.get(s, 0) | cover.mirrored.get(s, 0)
         live = everything & ~excluded
-        worst = None  # (v, f(v) + f(~v)) with the lowest v over the class pairs
+        # v of weight w fails when ~v is heavier than cap - w, that is when v
+        # lies in the mirror of a set that heavy; as w grows, those mirrors
+        # only gain sets, so each joins the union once, the heaviest first
+        heavy, j, worst = 0, len(parts), None  # worst: the lowest failing v
         for weight_v, cls, _ in parts:
-            for weight_mirror, _, mirror_cls in parts:
-                got = weight_v + weight_mirror
-                if got <= cap:
-                    continue
-                bad = cls & mirror_cls & live
-                if bad and (worst is None or _lowest(bad) < worst[0]):
-                    worst = (_lowest(bad), got)
+            while j and weight_v + parts[j - 1][0] > cap:
+                j -= 1
+                heavy |= parts[j][2]
+            bad = cls & heavy & live
+            if bad and (worst is None or _lowest(bad) < worst):
+                worst = _lowest(bad)
         if worst is not None:
-            v, got = worst
+            got = (next(w for w, cls, _ in parts if cls >> worst & 1)  # f(v)
+                   + next(w for w, _, mirror in parts if mirror >> worst & 1))  # f(~v)
             return (
                 f"f(v)+f(~v) = {_dyadic(Fraction(got, 1 << d))} exceeds the depth-{i} cap for "
-                f"v={_word(v, d)}"
+                f"v={_word(worst, d)}"
             )
     return None

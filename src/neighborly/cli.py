@@ -1,5 +1,14 @@
 """Command-line front end: report, table, verify, search, construct.
 
+``COMMANDS`` describes every command's arguments once.  A well-formed
+command line (the command name, then exact long option names each with
+its value in the next token, and positionals that do not start with '-')
+is read from that table by ``match_argv`` without argparse.  Anything else
+(``-h``, ``--opt=value``, abbreviations, a repeated option, a value that
+starts with '-' or that the option refuses, a usage error of any kind)
+goes to the argparse parser ``build_parser`` makes from the same table,
+and its help, usage and error text are argparse's.
+
 Also owns the family file format:
 
     # comment lines start with '#'
@@ -382,72 +391,168 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+# Every command's arguments, in the order its parser adds them: (name, help,
+# handler, needs_kd, arguments).  An argument is (name, add_argument
+# keywords), with the name of its mutually exclusive group as a third item
+# when it has one.  ``build_parser`` builds the argparse parser from this
+# table and ``match_argv`` reads well-formed command lines by it.
+COMMANDS = (
+    ("report", "print every bound for one (k, d) cell", cmd_report, True, (
+        ("k", {"type": int}),
+        ("d", {"type": int}),
+        ("--machine", {"action": "store_true", "help": "flat key=value output"}),
+    )),
+    ("table", "emit all cells where the new bounds improve", cmd_table, False, (
+        ("k_max", {"type": int}),
+        ("d_max", {"type": int}),
+        ("--csv", {"action": "store_true", "help": "CSV output (default)"}, "format"),
+        ("--markdown", {"action": "store_true", "help": "aligned markdown table"}, "format"),
+    )),
+    ("verify", "check a family file and audit it", cmd_verify, False, (
+        ("path", {}),
+        ("--dimension-cap", {
+            "type": int, "default": AUDIT_DIMENSION_CAP,
+            "help": "largest d the audit will attempt; it works on sets of 2^d "
+                    f"binary vectors (default {AUDIT_DIMENSION_CAP}; a d above the cap "
+                    f"is skipped, a d above {AUDIT_DIMENSION_LIMIT} within the cap "
+                    "exits 3)"}),
+    )),
+    ("search", "run the exact maximum-family search", cmd_search, True, (
+        ("k", {"type": int}),
+        ("d", {"type": int}),
+        ("--max-nodes", {"type": int, "default": DEFAULT_NODE_LIMIT}),
+        ("--max-seconds", {"type": float, "default": DEFAULT_MAX_SECONDS}),
+        ("--witness", {"metavar": "PATH", "help": "write the witness family here"}),
+        ("--incumbent", {"metavar": "PATH", "help": "seed with this family file"}),
+        # accepted and ignored: the search makes no random choices, but the
+        # benchmark's workloads and scripts written for older versions pass it
+        ("--seed", {"type": int, "default": 0, "help": argparse.SUPPRESS}),
+        ("--kernel", {"choices": ("auto", "python", "compiled"), "default": "auto"}),
+    )),
+    ("construct", "emit a named construction as a family file", cmd_construct, False, (
+        ("name", {"choices": CONSTRUCTIONS}),
+        ("params", {"nargs": "+", "help": "K D (or D / M alone; '-' placeholders ok)"}),
+    )),
+)
+_COMMANDS = {command[0]: command for command in COMMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neighborly",
         description="bounds, constructions and exact search for k-neighborly families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("report", help="print every bound for one (k, d) cell")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--machine", action="store_true", help="flat key=value output")
-    p.set_defaults(func=cmd_report, needs_kd=True)
-
-    p = sub.add_parser("table", help="emit all cells where the new bounds improve")
-    p.add_argument("k_max", type=int)
-    p.add_argument("d_max", type=int)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", help="CSV output (default)")
-    fmt.add_argument("--markdown", action="store_true", help="aligned markdown table")
-    p.set_defaults(func=cmd_table, needs_kd=False)
-
-    p = sub.add_parser("verify", help="check a family file and audit it")
-    p.add_argument("path")
-    p.add_argument("--dimension-cap", type=int, default=AUDIT_DIMENSION_CAP,
-                   help="largest d the audit will attempt; it works on sets of 2^d "
-                        f"binary vectors (default {AUDIT_DIMENSION_CAP}; a d above the cap "
-                        f"is skipped, a d above {AUDIT_DIMENSION_LIMIT} within the cap "
-                        "exits 3)")
-    p.set_defaults(func=cmd_verify, needs_kd=False)
-
-    p = sub.add_parser("search", help="run the exact maximum-family search")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-    p.add_argument("--witness", metavar="PATH", help="write the witness family here")
-    p.add_argument("--incumbent", metavar="PATH", help="seed with this family file")
-    # accepted and ignored: the search makes no random choices, but the
-    # benchmark's workloads and scripts written for older versions pass it
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    p.add_argument("--kernel", choices=("auto", "python", "compiled"), default="auto")
-    p.set_defaults(func=cmd_search, needs_kd=True)
-
-    p = sub.add_parser("construct", help="emit a named construction as a family file")
-    p.add_argument("name", choices=CONSTRUCTIONS)
-    p.add_argument("params", nargs="+", help="K D (or D / M alone; '-' placeholders ok)")
-    p.set_defaults(func=cmd_construct, needs_kd=False)
-
+    for name, help_text, func, needs_kd, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        groups = {}
+        for arg, keywords, *group in arguments:
+            if group and group[0] not in groups:
+                groups[group[0]] = p.add_mutually_exclusive_group()
+            (groups[group[0]] if group else p).add_argument(arg, **keywords)
+        p.set_defaults(func=func, needs_kd=needs_kd)
     return parser
 
 
-# The parser ``main`` reuses; built by its first call, so that importing this
-# module stays cheap and a replacement of ``build_parser`` made before that
-# call (as a tracer installs) is the one that runs, once.
+def _is_option(token: str) -> bool:
+    """Whether ``token`` starts with '-' and is not a lone '-'.  The matcher
+    leaves every such token to argparse, negative numbers included."""
+    return token[:1] == "-" and token != "-"
+
+
+def _value(keywords: dict, token: str):
+    """``token`` as argparse stores it; ValueError or TypeError where argparse
+    would refuse it."""
+    convert = keywords.get("type")
+    value = token if convert is None else convert(token)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(value)
+    return value
+
+
+def match_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """What ``build_parser().parse_args(argv)`` returns, for a well-formed argv.
+
+    Well-formed: the command name first, then the command's exact long
+    option names and its positional arguments, tokens that do not start
+    with '-' (a lone '-' is one).  A flag stands alone and any other option
+    takes the next token as its value, which must not start with '-'
+    either.  Each option appears once and only one of a mutually exclusive
+    group; the positionals are as many as the command takes, a variadic
+    one's after every option; every value passes its ``type`` and its
+    ``choices``.  For anything else, None, and argparse is left to read
+    (or refuse) the command line.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    name, _, func, needs_kd, arguments = command
+    values = {}  # dest -> value, in argparse's order
+    options = {}  # option string -> (dest, keywords, group or the dest, flag)
+    positionals = []
+    for arg, keywords, *group in arguments:
+        if arg[0] == "-":
+            dest = arg[2:].replace("-", "_")
+            flag = keywords.get("action") == "store_true"
+            options[arg] = (dest, keywords, group[0] if group else dest, flag)
+            values[dest] = keywords.get("default", False if flag else None)
+        else:
+            positionals.append((arg, keywords))
+            values[arg] = None
+    variadic = positionals[-1][1].get("nargs") == "+"
+    tokens, seen = [], set()
+    rest = iter(argv[1:])
+    try:
+        for token in rest:
+            if not _is_option(token):
+                tokens.append(token)
+                continue
+            if token not in options or variadic and len(tokens) >= len(positionals):
+                return None
+            dest, keywords, group, flag = options[token]
+            if group in seen:
+                return None
+            seen.add(group)
+            if flag:
+                values[dest] = True
+                continue
+            token = next(rest, None)
+            if token is None or _is_option(token):
+                return None
+            values[dest] = _value(keywords, token)
+        if len(tokens) != len(positionals) and not (variadic and len(tokens) > len(positionals)):
+            return None
+        for i, (arg, keywords) in enumerate(positionals):
+            if keywords.get("nargs") == "+":
+                values[arg] = [_value(keywords, token) for token in tokens[i:]]
+            else:
+                values[arg] = _value(keywords, tokens[i])
+    except (TypeError, ValueError):  # what argparse's type check catches
+        return None
+    return argparse.Namespace(command=name, **values, func=func, needs_kd=needs_kd)
+
+
+# The parser ``main`` falls back on; built on first need, so that importing
+# this module stays cheap and a replacement of ``build_parser`` made before
+# that (as a tracer installs) is the one that runs, once.
 _parser: Optional[argparse.ArgumentParser] = None
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _full_parser() -> argparse.ArgumentParser:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
+    return _parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = match_argv(argv)
+    if args is None:
+        args = _full_parser().parse_args(argv)
     if getattr(args, "needs_kd", False):
         if args.k < 1 or args.d < args.k:
-            parser.error(f"need 1 <= k <= d, got k={args.k} d={args.d}")
+            _full_parser().error(f"need 1 <= k <= d, got k={args.k} d={args.d}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

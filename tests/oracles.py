@@ -7,7 +7,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Iterator, Set
 
-from neighborly.analysis import AuditReport, CheckResult, _require_validated
+from neighborly.analysis import (
+    AuditReport,
+    CheckResult,
+    CoverProfile,
+    _dyadic,
+    _lowest,
+    _require_validated,
+    _word,
+)
 from neighborly.bounds import ball_size, b_config_size
 from neighborly.core import Family, JokerVector, NeighborlyCheck
 from neighborly.errors import DimensionError, DomainError, NeighborlyError, ParseError
@@ -338,6 +346,48 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     checks["weight_identity"] = CheckResult(ok, None if ok else failure)
 
     return AuditReport(len(family), checks, Fraction(total, 1 << d))
+
+
+def pairwise_pair_weight_failure(d: int, k: int, cover: CoverProfile, depths) -> str | None:
+    """``analysis._pair_weight_failure`` by pairs of classes.
+
+    At each depth, every pair (s, s') of classes whose weights add up to
+    more than the cap, the uncovered set counting as weight 0, is ANDed
+    with the live set: a v in V(s) with ~v in V(s') fails.  The lowest
+    failing v over all pairs is named.
+    """
+    everything = (1 << (1 << d)) - 1
+    mirror_covered = 0
+    for cls in cover.mirrored.values():
+        mirror_covered |= cls
+    parts = [(1 << (d - t), cls, cover.mirrored[t]) for t, cls in cover.classes.items()]
+    parts.append((0, everything & ~cover.covered, everything & ~mirror_covered))
+    for i in depths:
+        cap = (
+            1 << (d - i)
+            if 2 * i + 1 == d - k
+            else (1 << (d - i - 1)) + (1 << (k + i + 1))
+        )
+        excluded = 0
+        for s in range(i + 1):
+            excluded |= cover.classes.get(s, 0) | cover.mirrored.get(s, 0)
+        live = everything & ~excluded
+        worst = None  # (v, f(v) + f(~v)) with the lowest v over the class pairs
+        for weight_v, cls, _ in parts:
+            for weight_mirror, _, mirror_cls in parts:
+                got = weight_v + weight_mirror
+                if got <= cap:
+                    continue
+                bad = cls & mirror_cls & live
+                if bad and (worst is None or _lowest(bad) < worst[0]):
+                    worst = (_lowest(bad), got)
+        if worst is not None:
+            v, got = worst
+            return (
+                f"f(v)+f(~v) = {_dyadic(Fraction(got, 1 << d))} exceeds the depth-{i} cap for "
+                f"v={_word(v, d)}"
+            )
+    return None
 
 
 def _dyadic_text(num: int, d: int) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 from neighborly import analysis
 from neighborly.analysis import AUDIT_CHECKS, AUDIT_DIMENSION_CAP, audit, cover_profile
-from neighborly.bounds import b_config_size
+from neighborly.bounds import b_config_size, shell_depths
 from neighborly.constructions import (
     alon_product,
     b_config_family,
@@ -20,7 +20,7 @@ from neighborly.errors import DomainError, ResourceError, ValidationError
 from neighborly.search import _kernel
 
 from conftest import fam, jv, random_family, requires_cc
-from oracles import covered_vectors, enumerated_audit
+from oracles import covered_vectors, enumerated_audit, pairwise_pair_weight_failure
 
 
 def brute_force_classes(family):
@@ -419,3 +419,37 @@ class TestAuditKernelParity:
             assert report == audit_on("python", family), sorted(map(str, family))
             diameter_failures += not report.checks["prefix_diameter_bound"].passed
         assert diameter_failures >= 20
+
+
+class TestPairWeightCap:
+    """The pair cap's one pass over the classes per depth against the loop
+    over pairs of classes it replaces."""
+
+    @staticmethod
+    def assert_agrees(family):
+        d, k = family.d, family.k
+        cover = analysis._cover_map(family)
+        depths = shell_depths(k, d)
+        got = analysis._pair_weight_failure(d, k, cover, depths)
+        assert got == pairwise_pair_weight_failure(d, k, cover, depths), family.sorted_words()
+        return got
+
+    def test_random_valid_and_corrupted_families(self):
+        rng = random.Random(20261021)
+        failures = 0
+        for _ in range(400):
+            d = rng.randint(2, 10)
+            k = rng.randint(1, d - 1)
+            words = rng.choice((alon_product, b_config_family))(k, d).sorted_words()
+            words = rng.sample(words, rng.randint(1, len(words)))  # still k-neighborly
+            assert self.assert_agrees(Family.from_strings(d, k, words, validated=True)) is None
+            for _ in range(rng.randint(1, 3)):  # a joker or a flipped bit somewhere
+                i, j = rng.randrange(len(words)), rng.randrange(d)
+                words[i] = words[i][:j] + rng.choice("01*") + words[i][j + 1:]
+            corrupted = Family.from_strings(d, k, sorted(set(words)), validated=True)
+            forged = random_family(rng, d, k, rng.randint(1, 30), rng.uniform(0.0, 0.6),
+                                   validated=True)
+            failures += (self.assert_agrees(corrupted) is not None) + (
+                self.assert_agrees(forged) is not None)
+        assert failures >= 50, failures
+

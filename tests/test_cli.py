@@ -1,7 +1,9 @@
 """CLI end-to-end: subcommands, file formats, exit codes."""
 
+import argparse
 import contextlib
 import errno
+import functools
 import io
 import os
 import re
@@ -12,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from neighborly import cli, constructions
 from neighborly.analysis import AUDIT_CHECKS, CheckResult
@@ -793,7 +795,11 @@ class TestParserReuse:
             ["construct", "corollary35", "3"],
             ["construct", "alon-product", "2", "4"],
             ["-h"],
+            ["report", "-h"],
+            ["table", "-h"],
+            ["verify", "-h"],
             ["search", "-h"],
+            ["construct", "-h"],
             # usage errors
             ["report", "3", "2"],
             ["table", "3", "3", "--csv", "--markdown"],
@@ -847,3 +853,143 @@ class TestParserReuse:
             argv = ["report", "3", "2"] if i % 10 == 9 else ["report", str(1 + i % 5), "7"]
             run_cli(*argv)
         assert len(built) == 1
+
+
+COMMAND_NAMES = [command[0] for command in cli.COMMANDS]
+OPTION_NAMES = sorted({arg for command in cli.COMMANDS for arg, *_ in command[4] if arg[0] == "-"})
+TOKENS = ["5", "2", "7", "0", "-1", "+3", "\u0663", "inf", "nan", "", "-", "\u2014", "--", "-h",
+          "alon-product", "corollary35", "python", "2.5", "x"]
+
+
+@functools.cache
+def argparse_parser():
+    return cli.build_parser()
+
+
+def argparse_outcome(argv):
+    """What the argparse parser returns for argv; None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return argparse_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def namespace_items(args):
+    """The Namespace's attributes in order, with NaN made comparable."""
+    return [(name, "nan" if value != value else value) for name, value in vars(args).items()]
+
+
+class TestMatcher:
+    """``match_argv`` reads a command line as argparse does, or declines it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_argparse_or_declines(self, data):
+        # a command line from the command's arguments, then up to two edits
+        draw = data.draw
+        name, _, _, _, arguments = draw(st.sampled_from(cli.COMMANDS), label="command")
+        value = st.sampled_from(TOKENS)
+
+        def fitting(keywords):  # mostly a value the argument takes
+            return st.one_of(st.sampled_from(list(keywords.get("choices", ["2", "5", "7"]))), value)
+
+        argv = []
+        for arg, keywords, *_ in arguments:
+            if arg[0] != "-":
+                count = st.integers(1, 3 if "nargs" in keywords else 1)
+                argv += [draw(fitting(keywords)) for _ in range(draw(count))]
+        for arg, keywords, *_ in arguments:
+            if arg[0] == "-" and draw(st.booleans()):
+                at = draw(st.integers(0, len(argv)))
+                argv[at:at] = [arg] if keywords.get("action") else [arg, draw(fitting(keywords))]
+        option = st.sampled_from(OPTION_NAMES)
+        token = st.one_of(
+            value,
+            option,
+            st.tuples(option, st.integers(3, 13)).map(lambda o: o[0][:o[1]]),  # abbreviated
+            st.tuples(option, value).map("=".join),
+        )
+        argv.insert(0, name)
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]), label="edits")):
+            at = draw(st.integers(0, len(argv)))
+            edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+            if edit == "insert" or at == len(argv):
+                argv.insert(at, draw(token))
+            elif edit == "replace":
+                argv[at] = draw(token)
+            else:
+                del argv[at]
+        note(f"argv={argv}")
+        matched, expected = cli.match_argv(argv), argparse_outcome(argv)
+        if matched is not None:
+            assert isinstance(matched, argparse.Namespace)
+            assert expected is not None and namespace_items(matched) == namespace_items(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "2", "5", "--machine"],
+        ["report", "+3", "\u0663"],
+        ["table", "4", "6", "--csv"],
+        ["verify", "-", "--dimension-cap", "12"],
+        ["verify", ""],
+        ["search", "2", "4", "--seed", "1", "--max-seconds", "3600", "--witness", "W",
+         "--max-nodes", "500"],
+        ["search", "7", "--kernel", "python", "3", "--incumbent", "-", "--max-seconds", "inf"],
+        ["search", "2", "4", "--max-seconds", "nan"],
+        ["construct", "alon-product", "-", "2", "\u2014", "4"],
+    ])
+    def test_well_formed_argv_is_matched(self, argv):
+        matched = cli.match_argv(argv)
+        assert matched is not None and namespace_items(matched) == namespace_items(
+            argparse_outcome(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["report"], ["report", "2", "5", "-h"], ["report", "-1", "5"],
+        ["report", "2", "5", "6"], ["report", "2", "5", "--mach"], ["report", "2", "x"],
+        ["report", "2", "5", "--machine", "--machine"], ["table", "3", "3", "--csv", "--markdown"],
+        ["verify", "f", "--dimension-cap=3"], ["verify", "f", "--dimension-cap"],
+        ["verify", "--", "f"], ["search", "2", "4", "--max-nodes", "-1"],
+        ["search", "2", "4", "--kernel", "fast"], ["search", "2", "4", "--seed", "1", "--seed", "2"],
+        ["construct", "no-such-name", "3"], ["construct", "alon-product"],
+    ])
+    def test_unusual_argv_is_left_to_argparse(self, argv):
+        assert cli.match_argv(argv) is None
+
+
+FAST_PATH_SCRIPT = """
+import contextlib, io, sys
+from neighborly import cli
+from neighborly.constructions import alon_product
+
+def refuse():
+    raise AssertionError("build_parser was called")
+
+cli.build_parser = refuse
+family, witness = sys.argv[1:]
+with open(family, "w", encoding="ascii") as fh:
+    cli.write_family(alon_product(2, 4), fh)
+for argv in (
+    ["report", "2", "5", "--machine"],
+    ["table", "4", "6"],
+    ["verify", family],
+    ["search", "2", "4", "--seed", "1", "--max-seconds", "3600", "--witness", witness,
+     "--max-nodes", "500"],
+    ["construct", "alon-product", "2", "4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "locale" not in sys.modules, "locale was imported"
+"""
+
+
+def test_canonical_command_lines_skip_argparse(tmp_path):
+    # the benchmark's command lines: a fall back to argparse fails here too
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAST_PATH_SCRIPT, str(tmp_path / "family.txt"),
+         str(tmp_path / "witness.txt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
