@@ -41,8 +41,9 @@ from .search import _kernel
 
 AUDIT_DIMENSION_CAP = 20
 # hard ceiling on d for the audit whatever its cap, and for cover_profile:
-# both hold several 2^d-bit sets at once, and at d=24 each is 2 MB (the
-# pure-Python kernel's neighbourhood adds 48 MB of flip masks)
+# both hold several 2^d-bit sets at once (the audit up to four per joker
+# count: the class, its mirror and their running unions), and at d=24 each
+# is 2 MB (the pure-Python kernel's neighbourhood adds 48 MB of flip masks)
 AUDIT_DIMENSION_LIMIT = 24
 
 
@@ -198,17 +199,17 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
                               (terminal odd depth: <= 1/2^i)
       weight_identity         sum of f over {0,1}^d equals |family| exactly
 
-    Every class V(t) is one 2^d-bit set (see the module docstring), and
-    each check is decided by whole-set operations:
+    Every class V(t) is one 2^d-bit set (see the module docstring); each
+    check is decided by whole-set operations on the classes, their mirrors
+    and the running unions V(0)|...|V(t) of both, built once:
       - a member's subcube must miss the union of the earlier ones;
       - a prefix P has diameter <= L exactly when P misses the
         (d-L-1)-neighbourhood of its mirror;
-      - a mirrored class must miss every class heavier than the cap;
+      - a mirrored class must miss the union of the classes over the cap;
       - the pair cap ANDs each class (the uncovered set counting as
-        weight 0) with the live set and the union of the mirrors of the
-        classes heavy enough to exceed the cap with it, a union that
-        grows as the classes get heavier, so each set is touched once
-        per depth;
+        weight 0) with the union of the mirrors heavy enough to exceed
+        the cap with it, one lookup by weight, and the live set with the
+        result, so each class is touched once per depth;
       - the weight identity reads the class sizes.
     Building the cover map takes one step per covered vector of each
     member and one bit reversal per class for the mirrors; a diameter
@@ -231,6 +232,7 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
 
     cover = _cover_map(family)
     classes, mirrored = cover.classes, cover.mirrored
+    upto, mirror_upto = _running_unions(classes, d), _running_unions(mirrored, d)
     depths = shell_depths(k, d)
 
     collision = None
@@ -250,9 +252,9 @@ def audit(family: Family, dimension_cap: int = AUDIT_DIMENSION_CAP) -> AuditRepo
     failures = (  # in the order of AUDIT_CHECKS
         collision,
         _disjoint_mirror_failure(d, classes, mirrored, depths),
-        _prefix_diameter_failure(d, k, classes, mirrored, depths),
-        _mirror_weight_failure(d, k, classes, mirrored, depths),
-        _pair_weight_failure(d, k, cover, depths),
+        _prefix_diameter_failure(d, k, upto, mirror_upto, depths),
+        _mirror_weight_failure(d, k, mirrored, upto, depths),
+        _pair_weight_failure(d, k, classes, upto, mirror_upto, depths),
         identity,
     )
     checks = {
@@ -284,20 +286,34 @@ def _disjoint_mirror_failure(d, classes, mirrored, depths) -> Optional[str]:
     return None
 
 
-def _prefix_diameter_failure(d, k, classes, mirrored, depths) -> Optional[str]:
+def _running_unions(sets: Dict[int, int], d: int) -> Dict[int, int]:
+    """{t: sets[0] | ... | sets[t]} for t = 0..d; a t absent from ``sets``
+    shares the union before it."""
+    upto, union = {}, 0
+    for t in range(d + 1):
+        if t in sets:
+            union |= sets[t]
+        upto[t] = union
+    return upto
+
+
+def _weight(upto: Dict[int, int], v: int, d: int) -> int:
+    """2^d f(v): v is in V(t) for the first t with v in ``upto[t]``, else uncovered."""
+    return next((1 << (d - t) for t, union in upto.items() if union >> v & 1), 0)
+
+
+def _prefix_diameter_failure(d, k, upto, mirror_upto, depths) -> Optional[str]:
     # a and b are more than L apart exactly when ~b is within d-L-1 of a
     neighbourhood = _kernel.get_kernel().neighbourhood
-    prefix = mirror = 0
     for i in depths:
-        prefix |= classes.get(i, 0)
-        mirror |= mirrored.get(i, 0)
+        prefix = upto[i]
         size = prefix.bit_count()
         cap = b_config_size(min(k + 2 * i, d), d)
         if size > cap:
             return f"prefix through depth {i} has {size} > {cap} vectors"
         limit = k + 2 * i
         radius = d - limit - 1
-        far = prefix & neighbourhood(mirror, radius, d)
+        far = prefix & neighbourhood(mirror_upto[i], radius, d)
         if far:
             # the lowest a with a partner; its partners all lie above it
             a = _lowest(far)
@@ -309,60 +325,43 @@ def _prefix_diameter_failure(d, k, classes, mirrored, depths) -> Optional[str]:
     return None
 
 
-def _mirror_weight_failure(d, k, classes, mirrored, depths) -> Optional[str]:
+def _mirror_weight_failure(d, k, mirrored, upto, depths) -> Optional[str]:
     for i in depths:
         # weight 1/2^t exceeds the cap 1/2^(d-k-i) exactly when t < d-k-i
-        heavy = 0
-        for t, cls in classes.items():
-            if t < d - k - i:
-                heavy |= cls
-        bad = mirrored.get(i, 0) & heavy
+        bad = mirrored.get(i, 0) & upto[d - k - i - 1]
         if bad:
             v = _lowest(bad)
-            t = next(t for t, cls in classes.items() if cls >> v & 1)
             return (
                 f"mirror of {_word(v ^ ((1 << d) - 1), d)} has weight "
-                f"{_dyadic(Fraction(1, 1 << t))} > 1/2^{d - k - i}"
+                f"{_dyadic(Fraction(_weight(upto, v, d), 1 << d))} > 1/2^{d - k - i}"
             )
     return None
 
 
-def _pair_weight_failure(d, k, cover, depths) -> Optional[str]:
+def _pair_weight_failure(d, k, classes, upto, mirror_upto, depths) -> Optional[str]:
     everything = (1 << (1 << d)) - 1
-    mirror_covered = 0
-    for cls in cover.mirrored.values():
-        mirror_covered |= cls
-    # (2^d f on the set, the set, its mirror) by ascending weight, the uncovered
-    # vectors first at weight 0; every weight and cap below is a numerator over 2^d
-    parts = [(0, everything & ~cover.covered, everything & ~mirror_covered)]
-    parts += [(1 << (d - t), cls, cover.mirrored[t])
-              for t, cls in sorted(cover.classes.items(), reverse=True)]
+    # (2^d f on the set, the set), the uncovered vectors at weight 0; every
+    # weight and cap below is a numerator over 2^d
+    parts = [(1 << (d - t), cls) for t, cls in classes.items()]
+    parts.append((0, everything & ~upto[d]))
     for i in depths:
         cap = (
             1 << (d - i)  # 1/2^i
             if 2 * i + 1 == d - k  # the terminal odd shell
             else (1 << (d - i - 1)) + (1 << (k + i + 1))  # 1/2^(i+1) + 1/2^(d-k-i-1)
         )
-        excluded = 0
-        for s in range(i + 1):
-            excluded |= cover.classes.get(s, 0) | cover.mirrored.get(s, 0)
-        live = everything & ~excluded
         # v of weight w fails when ~v is heavier than cap - w, that is when v
-        # lies in the mirror of a set that heavy; as w grows, those mirrors
-        # only gain sets, so each joins the union once, the heaviest first
-        heavy, j, worst = 0, len(parts), None  # worst: the lowest failing v
-        for weight_v, cls, _ in parts:
-            while j and weight_v + parts[j - 1][0] > cap:
-                j -= 1
-                heavy |= parts[j][2]
-            bad = cls & heavy & live
-            if bad and (worst is None or _lowest(bad) < worst):
-                worst = _lowest(bad)
-        if worst is not None:
-            got = (next(w for w, cls, _ in parts if cls >> worst & 1)  # f(v)
-                   + next(w for w, _, mirror in parts if mirror >> worst & 1))  # f(~v)
+        # lies in the mirror of a V(s) with s <= d - (cap - w).bit_length();
+        # a class heavier than the cap lies in the excluded prefix
+        bad = 0
+        for weight_v, cls in parts:
+            bad |= cls & mirror_upto.get(d - (cap - weight_v).bit_length(), 0)
+        bad &= ~(upto[i] | mirror_upto[i])  # the live set
+        if bad:
+            v = _lowest(bad)
+            got = _weight(upto, v, d) + _weight(mirror_upto, v, d)  # f(v) + f(~v)
             return (
                 f"f(v)+f(~v) = {_dyadic(Fraction(got, 1 << d))} exceeds the depth-{i} cap for "
-                f"v={_word(worst, d)}"
+                f"v={_word(v, d)}"
             )
     return None

@@ -532,27 +532,13 @@ def match_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(command=name, **values, func=func, needs_kd=needs_kd)
 
 
-# The parser ``main`` falls back on; built on first need, so that importing
-# this module stays cheap and a replacement of ``build_parser`` made before
-# that (as a tracer installs) is the one that runs, once.
-_parser: Optional[argparse.ArgumentParser] = None
-
-
-def _full_parser() -> argparse.ArgumentParser:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = match_argv(argv)
     if args is None:
-        args = _full_parser().parse_args(argv)
-    if getattr(args, "needs_kd", False):
-        if args.k < 1 or args.d < args.k:
-            _full_parser().error(f"need 1 <= k <= d, got k={args.k} d={args.d}")
+        args = build_parser().parse_args(argv)
+    if args.needs_kd and not 1 <= args.k <= args.d:
+        build_parser().error(f"need 1 <= k <= d, got k={args.k} d={args.d}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -44,9 +44,9 @@ def exact_value(k: int, d: int) -> Optional[tuple[int, str]]:
 #   clique found by the exhaustive `search 2 7` with orbit pruning to depth
 #   3, which then closed at 21 (4,227,063 nodes, 17 s, compiled kernel on
 #   a 2-CPU x86_64 VM, from the 20-member product).  Starting from this
-#   witness, `search 2 7` closes in 4,108,440 nodes (14-15 s).  That one
-#   search is the only route to "no 22", so no exact value for (2,7) is on
-#   record here.
+#   witness, `search 2 7` closes in 4,108,440 nodes (6.9-7.0 s on a 2-CPU
+#   x86_64 Xeon VM).  That one search is the only route to "no 22", so no
+#   exact value for (2,7) is on record here.
 WITNESSES: dict[tuple[int, int], tuple[str, ...]] = {
     (4, 6): (
         "00000*", "000010", "000011", "000100", "000101", "000110", "000111",

@@ -348,6 +348,28 @@ def enumerated_audit(family: Family, dimension_cap: int = 16) -> AuditReport:
     return AuditReport(len(family), checks, Fraction(total, 1 << d))
 
 
+def union_mirror_weight_failure(d: int, k: int, classes, mirrored, depths) -> str | None:
+    """``analysis._mirror_weight_failure`` with a fresh union at each depth.
+
+    At depth i, the classes V(t) with t < d-k-i, those that weigh more than
+    the cap 1/2^(d-k-i), are ORed anew, and mirrored V(i) must miss them.
+    """
+    for i in depths:
+        heavy = 0
+        for t, cls in classes.items():
+            if t < d - k - i:
+                heavy |= cls
+        bad = mirrored.get(i, 0) & heavy
+        if bad:
+            v = _lowest(bad)
+            t = next(t for t, cls in classes.items() if cls >> v & 1)
+            return (
+                f"mirror of {_word(v ^ ((1 << d) - 1), d)} has weight "
+                f"{_dyadic(Fraction(1, 1 << t))} > 1/2^{d - k - i}"
+            )
+    return None
+
+
 def pairwise_pair_weight_failure(d: int, k: int, cover: CoverProfile, depths) -> str | None:
     """``analysis._pair_weight_failure`` by pairs of classes.
 

@@ -20,7 +20,12 @@ from neighborly.errors import DomainError, ResourceError, ValidationError
 from neighborly.search import _kernel
 
 from conftest import fam, jv, random_family, requires_cc
-from oracles import covered_vectors, enumerated_audit, pairwise_pair_weight_failure
+from oracles import (
+    covered_vectors,
+    enumerated_audit,
+    pairwise_pair_weight_failure,
+    union_mirror_weight_failure,
+)
 
 
 def brute_force_classes(family):
@@ -423,33 +428,43 @@ class TestAuditKernelParity:
 
 class TestPairWeightCap:
     """The pair cap's one pass over the classes per depth against the loop
-    over pairs of classes it replaces."""
+    over pairs of classes it replaces, and the mirror cap on running unions
+    against a fresh union of the heavy classes at each depth."""
 
     @staticmethod
     def assert_agrees(family):
         d, k = family.d, family.k
         cover = analysis._cover_map(family)
-        depths = shell_depths(k, d)
-        got = analysis._pair_weight_failure(d, k, cover, depths)
+        classes, mirrored, depths = cover.classes, cover.mirrored, shell_depths(k, d)
+        upto = analysis._running_unions(classes, d)
+        mirror_upto = analysis._running_unions(mirrored, d)
+        mirror_cap = analysis._mirror_weight_failure(d, k, mirrored, upto, depths)
+        assert mirror_cap == union_mirror_weight_failure(d, k, classes, mirrored, depths), (
+            family.sorted_words())
+        got = analysis._pair_weight_failure(d, k, classes, upto, mirror_upto, depths)
         assert got == pairwise_pair_weight_failure(d, k, cover, depths), family.sorted_words()
-        return got
+        return got, mirror_cap
 
     def test_random_valid_and_corrupted_families(self):
         rng = random.Random(20261021)
-        failures = 0
+        failures = mirror_failures = 0
         for _ in range(400):
             d = rng.randint(2, 10)
             k = rng.randint(1, d - 1)
             words = rng.choice((alon_product, b_config_family))(k, d).sorted_words()
             words = rng.sample(words, rng.randint(1, len(words)))  # still k-neighborly
-            assert self.assert_agrees(Family.from_strings(d, k, words, validated=True)) is None
+            assert self.assert_agrees(Family.from_strings(d, k, words, validated=True)) == (
+                None, None)
             for _ in range(rng.randint(1, 3)):  # a joker or a flipped bit somewhere
                 i, j = rng.randrange(len(words)), rng.randrange(d)
                 words[i] = words[i][:j] + rng.choice("01*") + words[i][j + 1:]
             corrupted = Family.from_strings(d, k, sorted(set(words)), validated=True)
             forged = random_family(rng, d, k, rng.randint(1, 30), rng.uniform(0.0, 0.6),
                                    validated=True)
-            failures += (self.assert_agrees(corrupted) is not None) + (
-                self.assert_agrees(forged) is not None)
+            for family in (corrupted, forged):
+                pair_cap, mirror_cap = self.assert_agrees(family)
+                failures += pair_cap is not None
+                mirror_failures += mirror_cap is not None
         assert failures >= 50, failures
+        assert mirror_failures >= 50, mirror_failures
 

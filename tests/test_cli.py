@@ -5,6 +5,7 @@ import contextlib
 import errno
 import functools
 import io
+import json
 import os
 import re
 import subprocess
@@ -772,9 +773,27 @@ class TestUnreadableFamilyFile:
         assert len(err.splitlines()) == 1 and "not ASCII" in err
 
 
+NO_STATE_SCRIPT = """
+import contextlib, io, json, sys
+from neighborly import cli
+
+before = dict(vars(cli))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:  # help and usage errors
+            pass
+after = vars(cli)
+print("added or removed:", sorted(after.keys() ^ before.keys()))
+print("rebound:", sorted(name for name in before.keys() & after.keys()
+                         if after[name] is not before[name]))
+"""
+
+
 class TestParserReuse:
-    """``main`` builds its parser on the first call and reuses it: every
-    later call gives what a freshly built parser gives."""
+    """``main`` keeps nothing from one call to the next: every call gives
+    what the same call gives first, and the module is left as it was."""
 
     @staticmethod
     def corpus(tmp_path):
@@ -794,6 +813,10 @@ class TestParserReuse:
             ["search", "2", "5", "--kernel", "python"],
             ["construct", "corollary35", "3"],
             ["construct", "alon-product", "2", "4"],
+            # forms the matcher declines and argparse reads
+            ["search", "2", "4", "--max-nodes=0"],
+            ["report", "2", "5", "--mach"],
+            ["verify", "--", str(family)],
             ["-h"],
             ["report", "-h"],
             ["table", "-h"],
@@ -817,20 +840,15 @@ class TestParserReuse:
     def test_repeated_calls_match_a_fresh_parser(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
         corpus = self.corpus(tmp_path)
-        fresh = []
-        for argv in corpus:
-            monkeypatch.setattr(cli, "_parser", None)
-            fresh.append(self.outcome(argv))
+        fresh = [self.outcome(argv) for argv in corpus]
         assert {code for code, _, _ in fresh} == {0, 2}
-        monkeypatch.setattr(cli, "_parser", None)
         order = list(range(len(corpus)))
         for rounds in range(3):  # forward, backward, then every other one
             for i in order:
                 assert self.outcome(corpus[i]) == fresh[i], corpus[i]
             order = order[::-1] if rounds == 0 else order[::2] + order[1::2]
 
-    def test_usage_error_leaves_the_next_call_alone(self, monkeypatch):
-        monkeypatch.setattr(cli, "_parser", None)
+    def test_usage_error_leaves_the_next_call_alone(self):
         expected = self.outcome(["table", "4", "6", "--markdown"])
         for bad in (["table", "3", "3", "--csv", "--markdown"], ["report", "3", "2"],
                     ["construct", "no-such-name", "3"], ["report", "2", "x"]):
@@ -838,21 +856,16 @@ class TestParserReuse:
             assert code == 2 and not out and err.startswith("usage: neighborly")
             assert self.outcome(["table", "4", "6", "--markdown"]) == expected
 
-    def test_parser_built_once(self, monkeypatch):
-        # perfbench/spans.py wraps the parser's parse_args each time its
-        # stand-in for build_parser runs, so this is what keeps that one wrapper
-        built = []
-
-        def counting_build_parser(original=cli.build_parser):
-            built.append(1)
-            return original()
-
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        monkeypatch.setattr(cli, "_parser", None)
-        for i in range(50):
-            argv = ["report", "3", "2"] if i % 10 == 9 else ["report", str(1 + i % 5), "7"]
-            run_cli(*argv)
-        assert len(built) == 1
+    def test_main_keeps_no_state(self, tmp_path):
+        # in a fresh interpreter, where no earlier test has run main
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_STATE_SCRIPT, json.dumps(self.corpus(tmp_path))],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "added or removed: []\nrebound: []\n"
 
 
 COMMAND_NAMES = [command[0] for command in cli.COMMANDS]

@@ -1,5 +1,6 @@
 """Every module imports first: no import cycle hides behind ``__init__.py``."""
 
+import os
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ MODULES = [
     "search.graph",
     "search.solver",
     "search._kernel",
+    "search._kernel_py",
 ]
 
 
@@ -36,3 +38,23 @@ def test_imports_first_under_a_bare_package(module):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pure_kernel_imports_nothing_from_the_package():
+    # bare objects for both packages, so that only the module's own imports
+    # can load another part of neighborly
+    packages = {"neighborly": list(neighborly.__path__),
+                "neighborly.search": [os.path.join(p, "search") for p in neighborly.__path__]}
+    code = "\n".join([
+        "import importlib, sys, types",
+        f"for name, path in {packages!r}.items():",
+        "    sys.modules[name] = types.ModuleType(name)",
+        "    sys.modules[name].__path__ = path",
+        "importlib.import_module('neighborly.search._kernel_py')",
+        "print(sorted(name for name in sys.modules if name.startswith('neighborly')))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted([*packages, 'neighborly.search._kernel_py'])}\n"

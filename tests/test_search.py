@@ -723,7 +723,7 @@ class TestKernelTwins:
     @requires_cc
     @slow
     def test_compiled_certifies_2_7(self):
-        # README's search 2 7, about 10 s: the one exhaustive d = 7 tree,
+        # README's search 2 7, about 7 s: the one exhaustive d = 7 tree,
         # where the kernel builds the most relabelled frames
         res = max_family(2, 7, Budget.unlimited(), kernel="compiled")
         assert (res.best_size, res.status, res.nodes_explored) == (21, STATUS_OPTIMAL, 4_108_440)
